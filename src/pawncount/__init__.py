@@ -9,7 +9,7 @@ cross-validates them against each other.
 
 from .closedforms import (FIB_PRODUCT_CONSTANT, LinearRecurrence,
                           QuadraticValue, ShapeFormulaM, closed_form_L,
-                          closed_form_M, estimate_c, expand_gf, fib_product,
+                          closed_form_M, estimate_c, fib_product,
                           fib_product_growth_ratio, fibonacci,
                           fit_linear_recurrence, golden_ratio_gap,
                           k_fibonacci, l3_root_closed_form, shape_formula_M,
@@ -28,9 +28,8 @@ from .tiling import (Tiling, count_tilings, enumerate_tilings, render_ascii,
                      theta_forward, theta_inverse, tiling_from_json,
                      tiling_to_json)
 from .transfer import (ColumnMask, TransferMatrix, build_transfer,
-                       compatible, count_sequence, count_via_transfer,
-                       dominant_eigenvalue, is_admissible_column,
-                       spectrum_small)
+                       count_sequence, count_via_transfer,
+                       dominant_eigenvalue, spectrum_small)
 from .verify import CheckResult, VerificationReport, run_verification
 
 __version__ = "0.1.0"

@@ -1,10 +1,24 @@
 """Command-line surface: counting, bounds, eigenvalues, tables, the tiling
 bijection, and the verification battery.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 guard exceeded,
-4 power iteration did not converge, 5 bad input file.  Exact counts are
-serialized as decimal strings in JSON (they outgrow doubles quickly);
-floats appear only for eigenvalues and asymptotics.
+Exit codes:
+
+    0  ok
+    1  verification failure
+    2  usage error
+    3  a size guard was exceeded
+    4  power iteration did not converge
+    5  bad input file
+
+One width guard covers every column-profile sweep: ``count``, ``table``
+and ``eigen`` refuse a profile taller than 22 rows (2^22 states) with exit
+3 before any work starts.  ``count`` runs M and L profiles, for
+``--method transfer`` and ``--method decomposition`` alike, along the
+longer side of the board, so only the shorter side meets the guard;
+``table`` sweeps each row at its own height, and ``eigen`` at height m.
+Exact counts are serialized as decimal strings in JSON (they outgrow
+doubles quickly), in full however many digits they have; floats appear
+only for eigenvalues and asymptotics.
 """
 
 from __future__ import annotations
@@ -18,12 +32,13 @@ from pathlib import Path
 from . import closedforms as cf
 from . import tiling as tl
 from . import verify as vf
+from .decomposition import count_independent_sets, split_by_color
 from .errors import (GuardExceeded, IllegalMatrix, InvalidTiling,
                      MatrixFormatError, NonConverged)
 from .oracle import (L_SET, M_SET, U_SET, BinaryMatrix, count_by_enumeration,
                      uk_set)
-from .transfer import (DEFAULT_MAX_ITER, DEFAULT_TOL, count_sequence,
-                       count_via_transfer, dominant_eigenvalue,
+from .transfer import (DEFAULT_MAX_ITER, DEFAULT_TOL, check_width,
+                       count_sequence, count_via_transfer, dominant_eigenvalue,
                        spectrum_small)
 
 EXIT_OK = 0
@@ -72,24 +87,11 @@ def _emit(record: dict, as_json: bool) -> None:
         print(f"note: {note}")
 
 
-def _closed_count_M(m: int, n: int) -> tuple[int, tuple[str, ...]]:
-    if m <= 3:
-        return cf.closed_form_M(m, n), ()
-    if m <= 6:
-        result = cf.shape_formula_M(m, n)
-        return result.value, result.annotations
-    if n <= 6:
-        value, annotations = _closed_count_M(n, m)
-        return value, annotations
-    raise GuardExceeded(
-        f"no closed form covers height {m}; use --method transfer",
-        hint="transfer")
-
-
-def _count_value(quantity: str, m: int, n: int, k: int | None,
-                 method: str) -> tuple[str, int, tuple[str, ...]]:
-    """Resolve (method_used, value, annotations) for a count request."""
-    annotations: tuple[str, ...] = ()
+def _route(quantity: str, m: int, n: int, k: int | None,
+           method: str) -> tuple[str, int, tuple[str, ...]]:
+    """Pick the route for one count and run it: (method used, value,
+    annotations).  ``auto`` takes the first closed form that covers the
+    board and falls back to the transfer engine."""
     if quantity == "Uk":
         if method in ("auto", "closed"):
             return "closed", cf.upper_bound_U_k(m, n, k), ()
@@ -101,45 +103,29 @@ def _count_value(quantity: str, m: int, n: int, k: int | None,
     pats = _PATTERNS[quantity]
     if method == "oracle":
         return "oracle", count_by_enumeration(m, n, pats), ()
+    if method == "decomposition" and quantity != "M":
+        raise UsageError("--method decomposition applies to quantity M only")
+    if m == 0 or n == 0:
+        return method if method != "auto" else "closed", 1, ()
+    if method in ("auto", "closed"):
+        forms = cf.closed_forms(quantity, m, n)
+        if forms:
+            value, annotations = forms[0]()
+            return "closed", value, annotations
+        if method == "closed":
+            raise GuardExceeded(
+                f"no closed form covers a {m}x{n} board; use --method transfer",
+                hint="transfer")
+    # M and L counts are transpose symmetric: run the column profile along
+    # the longer side, so its width is the shorter one
+    if quantity in ("M", "L") and n < m:
+        m, n = n, m
+    check_width(m)
     if method == "decomposition":
-        if quantity != "M":
-            raise UsageError("--method decomposition applies to quantity M only")
-        if m == 0 or n == 0:
-            return "decomposition", 1, ()
-        from .decomposition import count_independent_sets, split_by_color
         black, white = split_by_color(m, n)
         b = count_independent_sets(black, guard=100)
         w = count_independent_sets(white, guard=100)
         return "decomposition", b * w, (f"black/white shape counts: B={b}, W={w}",)
-    if m == 0 or n == 0:
-        return method if method != "auto" else "closed", 1, ()
-    if method == "closed" or method == "auto":
-        try:
-            if quantity == "M":
-                value, annotations = _closed_count_M(m, n)
-            elif quantity == "U":
-                value = cf.upper_bound_U(m, n)
-            else:
-                if m <= 3:
-                    value = cf.closed_form_L(m, n)
-                elif n <= 3:
-                    value = cf.closed_form_L(n, m)
-                else:
-                    raise GuardExceeded(
-                        f"no closed form covers height {m}; use --method transfer",
-                        hint="transfer")
-            return "closed", value, annotations
-        except GuardExceeded:
-            if method == "closed":
-                raise
-    # transfer (direct or auto fallback); M and L counts are transpose
-    # symmetric, so run the sweep over the smaller height
-    if quantity in ("M", "L") and n < m:
-        m, n = n, m
-    if m > 22:
-        raise GuardExceeded(
-            f"transfer at height {m} needs 2^{m} states; no exact route "
-            "covers this size", hint=None)
     return "transfer", count_via_transfer(m, n, pats), ()
 
 
@@ -152,8 +138,8 @@ def cmd_count(args) -> int:
         if quantity != "U":
             raise UsageError("--k applies to --quantity U (diagonal runs) only")
         quantity = "Uk"
-    method, value, annotations = _count_value(quantity, args.m, args.n, k,
-                                              args.method)
+    method, value, annotations = _route(quantity, args.m, args.n, k,
+                                        args.method)
     record = _record("count", quantity=quantity, m=args.m, n=args.n, k=k,
                      method=method, value=str(value), annotations=annotations)
     _emit(record, args.json)
@@ -163,11 +149,12 @@ def cmd_count(args) -> int:
 def cmd_eigen(args) -> int:
     if args.m < 1:
         raise UsageError("-m must be >= 1")
-    value = dominant_eigenvalue(args.m, M_SET, tol=args.tol,
-                                max_iter=args.max_iter)
+    check_width(args.m)
     extra = {}
     if args.spectrum:
         extra["spectrum"] = [float(v) for v in spectrum_small(args.m, M_SET)]
+    value = dominant_eigenvalue(args.m, M_SET, tol=args.tol,
+                                max_iter=args.max_iter)
     record = _record("eigen", quantity="alpha", m=args.m, method="power-iteration",
                      value=value, **extra, annotations=())
     if args.json:
@@ -180,19 +167,17 @@ def cmd_eigen(args) -> int:
 
 
 def _table_cells(quantity: str, max_m: int, max_n: int) -> list[tuple[int, int, int]]:
-    out = []
-    pats = _PATTERNS[quantity]
-    for m in range(1, max_m + 1):
-        closed = (quantity == "U" or (quantity == "M" and m <= 6)
-                  or (quantity == "L" and m <= 3))
-        seq = None if closed else count_sequence(m, max_n, pats)
-        for n in range(1, max_n + 1):
-            if seq is not None:
-                value = seq[n]
-            else:
-                _, value, _ = _count_value(quantity, m, n, None, "closed")
-            out.append((m, n, value))
-    return out
+    """Each cell takes its first closed form; every other cell of row m is
+    read off one transfer sweep at height m.  All widths are checked before
+    any count starts."""
+    cells = {(m, n): cf.closed_forms(quantity, m, n)
+             for m in range(1, max_m + 1) for n in range(1, max_n + 1)}
+    swept = sorted({m for (m, _), forms in cells.items() if not forms})
+    for m in swept:
+        check_width(m)
+    sweeps = {m: count_sequence(m, max_n, _PATTERNS[quantity]) for m in swept}
+    return [(m, n, forms[0]()[0] if forms else sweeps[m][n])
+            for (m, n), forms in cells.items()]
 
 
 def cmd_table(args) -> int:
@@ -313,6 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact counts are printed in full, past the interpreter's default
+    # 4300-digit limit on int-to-str conversion (absent before 3.10.7)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import mpmath
 
@@ -282,11 +283,6 @@ class LinearRecurrence:
         return out
 
 
-def expand_gf(rec: LinearRecurrence, count: int) -> list[int]:
-    """First ``count`` coefficients of the generating function."""
-    return rec.expand(count)
-
-
 def _berlekamp_massey(seq: list[Fraction]) -> tuple[list[Fraction], int]:
     """Minimal connection polynomial C with C[0] = 1 and
     sum_j C[j] * seq[n - j] == 0 for all n >= len(C) - 1."""
@@ -354,8 +350,6 @@ def fit_linear_recurrence(seq, max_order: int) -> LinearRecurrence:
 # Shape generating functions for the per-height pawn formulas.  The
 # five-row pair is kept in its published (erroneous) form for comparison;
 # the corrected pair is fitted lazily from direct shape counts.
-GF_THREE_ROW_A = LinearRecurrence((1, 4, 0, -3), (1, 0, -5, 0, 3))
-GF_THREE_ROW_B = LinearRecurrence((1, 2, 0, -3), (1, 0, -5, 0, 3))
 GF_FOUR_ROW_ALPHA = LinearRecurrence((1, 2, -2), (1, -2, -2, 2))
 GF_SIX_ROW_ALPHA = LinearRecurrence((1, 5, -9, -5, 6), (1, -3, -6, 11, 5, -6))
 PUBLISHED_FIVE_ROW_A = LinearRecurrence((1, 7, -4, -7, 5), (1, -1, -8, 4, 6, -4))
@@ -446,6 +440,31 @@ def shape_formula_M(m: int, n: int) -> ShapeFormulaM:
             f"(5,{n}); corrected fitted pair gives {value}",)
     return ShapeFormulaM(m, n, value, "corrected fitted shape pair",
                          published_value=published, annotations=annotations)
+
+
+def _shape_count(m: int, n: int) -> tuple[int, tuple[str, ...]]:
+    result = shape_formula_M(m, n)
+    return result.value, result.annotations
+
+
+def closed_forms(quantity: str, m: int, n: int) -> list[Callable[[], tuple]]:
+    """Every closed form that covers the m-by-n board for quantity M, U or
+    L, preferred first; calling one gives (value, annotations).
+
+    M, U and L are transpose symmetric, so the forms for the n-by-m board
+    follow those for m-by-n.  An empty list means no closed form applies.
+    """
+    if quantity == "U":
+        return [lambda: (upper_bound_U(m, n), ())]
+    forms = []
+    for rows, cols in dict.fromkeys(((m, n), (n, m))):
+        if quantity == "M" and 1 <= rows <= 3:
+            forms.append(lambda r=rows, c=cols: (closed_form_M(r, c), ()))
+        if quantity == "M" and 2 <= rows <= 6:
+            forms.append(lambda r=rows, c=cols: _shape_count(r, c))
+        if quantity == "L" and 1 <= rows <= 3:
+            forms.append(lambda r=rows, c=cols: (closed_form_L(r, c), ()))
+    return forms
 
 
 def estimate_c(terms: int) -> float:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+
+import numpy as np
 
 from .errors import GuardExceeded
 from .oracle import M_SET, BoardDims
-from .transfer import count_via_transfer
+from .transfer import count_via_transfer, profile_step
 
 DEFAULT_SHAPE_GUARD = 40
 
@@ -36,18 +37,6 @@ class ShapeGraph:
     @property
     def vertex_count(self) -> int:
         return len(self.cells)
-
-    @cached_property
-    def edges(self) -> tuple[tuple[Cell, Cell], ...]:
-        """Pairs of cells with |dr| == |dc| == 1, each listed once."""
-        present = set(self.cells)
-        out = []
-        for (r, c) in self.cells:
-            for dc in (-1, 1):
-                other = (r + 1, c + dc)
-                if other in present:
-                    out.append(((r, c), other) if (r, c) < other else (other, (r, c)))
-        return tuple(sorted(out))
 
     def _columns(self) -> list[tuple[int, list[int]]]:
         by_col: dict[int, list[int]] = {}
@@ -76,7 +65,8 @@ def count_independent_sets(shape: ShapeGraph,
     """Exact number of independent sets (the empty set included).
 
     Column-profile dynamic program: cells never conflict inside a column
-    (edges are diagonal), so states are subsets of one column's cells.
+    (edges are diagonal), so states are subsets of one column's cells, and
+    each column is one ``profile_step`` over the previous column's states.
     """
     if shape.vertex_count > guard:
         raise GuardExceeded(
@@ -84,25 +74,20 @@ def count_independent_sets(shape: ShapeGraph,
             hint="count_via_transfer")
     prev_col: int | None = None
     prev_rows: list[int] = []
-    dp: dict[int, int] = {0: 1}
+    dp = np.ones(1, dtype=object)
     for col, rows in shape._columns():
-        if prev_col is not None and col - prev_col == 1:
-            conflicts = [
-                sum(1 << idx for idx, pr in enumerate(prev_rows) if abs(pr - r) == 1)
-                for r in rows
-            ]
-        else:
-            conflicts = [0] * len(rows)
-        new_dp: dict[int, int] = {}
-        for subset in range(1 << len(rows)):
-            blocked = 0
-            for idx in range(len(rows)):
-                if subset & (1 << idx):
-                    blocked |= conflicts[idx]
-            new_dp[subset] = sum(v for s, v in dp.items() if s & blocked == 0)
-        dp = new_dp
+        # blocked[s]: cells of the previous column that conflict with subset s
+        blocked = np.zeros(1, dtype=np.int64)
+        for r in rows:
+            conflict = 0
+            if prev_col == col - 1:
+                conflict = sum(1 << idx for idx, pr in enumerate(prev_rows)
+                               if abs(pr - r) == 1)
+            blocked = np.concatenate([blocked, blocked | conflict])
+        allowed = ((1 << len(prev_rows)) - 1) & ~blocked
+        dp = profile_step(dp, len(prev_rows), allowed)
         prev_col, prev_rows = col, rows
-    return sum(dp.values())
+    return int(dp.sum())
 
 
 @dataclass(frozen=True)
@@ -145,17 +130,3 @@ def perfect_square_root(value: int) -> SquareRootCertificate | None:
     if root * root == value:
         return SquareRootCertificate(value, root)
     return None
-
-
-def four_row_clipped_shape(n: int) -> ShapeGraph:
-    """Black shape of a 4-row board with the first column clipped to its
-    bottom cell; the auxiliary family in the 4-row shape recurrences."""
-    if n < 0:
-        raise ValueError("column count must be >= 0")
-    cells: list[Cell] = []
-    if n >= 1:
-        cells.append((4, 1))
-    for col in range(2, n + 1):
-        rows = (1, 3) if col % 2 == 0 else (2, 4)
-        cells.extend((r, col) for r in rows)
-    return ShapeGraph(tuple(cells))

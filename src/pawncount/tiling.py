@@ -4,9 +4,13 @@ A tiling is stored as its set of 2x2 anchors (top-left cells); all other
 cells are 1x1 tiles.  Placing a 2x2 tile with its top-left corner on every
 1 of a fully-isolated matrix, then trimming the last row and column, is a
 bijection between the isolated m-by-n matrices and tilings of the
-(m+1)-by-(n+1) board.  The tiling counter here is a broken-profile sweep,
-implemented independently of the transfer engine so the two routes act as
-genuine cross-checks.
+(m+1)-by-(n+1) board.  The tiling counter here is a column-profile sweep
+over 2x2 coverage masks.  It shares the zeta-and-gather step with the
+transfer engine (``transfer.profile_step``), but its state model, which
+cells of the next column 2x2 tiles already cover, is its own, so a tiling
+count is still an independent check on the isolated-matrix counts.  The
+step itself is checked independently by the brute-force oracle and the
+closed forms.
 """
 
 from __future__ import annotations
@@ -17,8 +21,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+import numpy as np
+
 from .errors import GuardExceeded, IllegalMatrix, InvalidTiling
 from .oracle import L_SET, BinaryMatrix, BoardDims, find_violation, matrix_avoids
+from .transfer import profile_step
 
 DEFAULT_TILING_GUARD = 30
 
@@ -102,21 +109,16 @@ def _pair_union_masks(rows: int) -> tuple[int, ...]:
 
 
 def _profile_count(rows: int, cols: int) -> int:
-    full = (1 << rows) - 1
-    coverage_masks = _pair_union_masks(rows)
-    dp = [0] * (1 << rows)
+    """State w: the cells of the next column that 2x2 tiles already cover.
+    New tiles protrude by a coverage mask disjoint from the current state."""
+    size = 1 << rows
+    allowed = (size - 1) ^ np.arange(size)
+    keep = np.zeros(size, dtype=bool)
+    keep[list(_pair_union_masks(rows))] = True
+    dp = np.zeros(size, dtype=object)
     dp[0] = 1
     for _ in range(cols):
-        acc = dp[:]
-        for b in range(rows):
-            bit = 1 << b
-            for w in range(1 << rows):
-                if w & bit:
-                    acc[w] += acc[w ^ bit]
-        ndp = [0] * (1 << rows)
-        for mask in coverage_masks:
-            ndp[mask] = acc[full ^ mask]
-        dp = ndp
+        dp = profile_step(dp, rows, allowed, keep)
     return dp[0]
 
 

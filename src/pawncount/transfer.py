@@ -6,13 +6,15 @@ Two columns may sit side by side iff no forbidden two-cell word straddles
 them; iterating that relation counts boards column by column.  One step is
 a subset-sum (zeta) transform followed by a gather, costing O(m * 2^m)
 big-integer additions instead of O(4^m) pair tests, so the dense matrix is
-only ever materialized for printing and spectra.
+only ever materialized for printing and spectra.  ``profile_step`` is that
+step, and every column-profile count in the package runs on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +22,8 @@ from .errors import GuardExceeded, NonConverged
 from .oracle import M_SET, ForbiddenPatternSet
 
 DEFAULT_DENSE_GUARD = 14
+#: Widest column profile the command line sweeps (2^22 states).
+MAX_WIDTH = 22
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
 
@@ -52,43 +56,57 @@ class ColumnMask:
         return format(self.bits, f"0{self.m}b")
 
 
-def _two_cell_flags(pats: ForbiddenPatternSet) -> tuple[bool, bool, bool, bool]:
+def _profile_tables(m: int, pats: ForbiddenPatternSet
+                    ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The forbidden-pair rule for height m as two kernel tables.
+
+    allowed[w] holds the cells a left neighbour of column w may fill;
+    keep[w] says whether column w is legal on its own, and is None when
+    every column is (no vertical pair is forbidden).
+    """
     k = pats.diag_run_k
     if k is not None and k > 2:
         raise ValueError(
             "the transfer construction handles two-cell patterns only; "
             f"diagonal runs of length {k} are counted by formula or enumeration")
-    return (pats.diag_down or k == 2, pats.diag_up,
-            pats.horiz_pair, pats.vert_pair)
+    w = np.arange(1 << m)
+    blocked = np.zeros_like(w)
+    if pats.diag_down or k == 2:
+        blocked |= w << 1
+    if pats.diag_up:
+        blocked |= w >> 1
+    if pats.horiz_pair:
+        blocked |= w
+    allowed = ((1 << m) - 1) & ~blocked
+    keep = (w & (w >> 1)) == 0 if pats.vert_pair else None
+    return allowed, keep
 
 
-def _column_admissible(bits: int, vert_pair: bool) -> bool:
-    return not (vert_pair and bits & (bits >> 1))
+def check_width(width: int) -> None:
+    """Refuse a column profile wider than MAX_WIDTH before any of its
+    2^width arrays exist."""
+    if width > MAX_WIDTH:
+        raise GuardExceeded(
+            f"a column profile of height {width} needs 2^{width} states, above "
+            f"the 2^{MAX_WIDTH} limit; no exact route covers this size")
 
 
-def is_admissible_column(v: ColumnMask, pats: ForbiddenPatternSet) -> bool:
-    """Whether the column alone is legal (no vertical pair inside it)."""
-    return _column_admissible(v.bits, _two_cell_flags(pats)[3])
+def profile_step(x: np.ndarray, width: int, allowed: np.ndarray,
+                 keep: np.ndarray | None = None) -> np.ndarray:
+    """One column-profile step: entry w of the result sums x over the
+    subsets of allowed[w], and is 0 where keep is False.
 
-
-def _blocked(w: int, flags: tuple[bool, bool, bool, bool]) -> int:
-    """Bits a left neighbor of column w must avoid."""
-    diag_down, diag_up, horiz, _ = flags
-    b = 0
-    if diag_down:
-        b |= w << 1
-    if diag_up:
-        b |= w >> 1
-    if horiz:
-        b |= w
-    return b
-
-
-def compatible(v: ColumnMask, w: ColumnMask, pats: ForbiddenPatternSet) -> bool:
-    """May column v stand immediately to the left of column w?"""
-    if v.m != w.m:
-        raise ValueError(f"height mismatch: {v.m} != {w.m}")
-    return v.bits & _blocked(w.bits, _two_cell_flags(pats)) == 0
+    x holds 2^width entries and is overwritten by its subset-sum (zeta)
+    transform.  dtype=object keeps every count an exact Python int;
+    float64 serves power iteration.
+    """
+    for b in range(width):
+        pairs = x.reshape(-1, 2, 1 << b)
+        pairs[:, 1] += pairs[:, 0]
+    y = x[allowed]
+    if keep is not None:
+        y[~keep] = 0
+    return y
 
 
 @dataclass(frozen=True)
@@ -116,10 +134,6 @@ class TransferMatrix:
                     dense[i, j] = 1.0
         return dense
 
-    def is_symmetric(self) -> bool:
-        return all(self.entry(i, j) == self.entry(j, i)
-                   for i in range(self.size) for j in range(i))
-
     def render(self) -> str:
         """Rows of space-separated 0/1 in mask-index order."""
         return "\n".join(
@@ -137,44 +151,26 @@ def build_transfer(m: int, pats: ForbiddenPatternSet = M_SET,
             f"dense transfer at height {m} needs up to 2^{m} vertices; "
             "use count_via_transfer, which never materializes the matrix",
             hint="count_via_transfer")
-    flags = _two_cell_flags(pats)
-    verts = [v for v in range(1 << m) if _column_admissible(v, flags[3])]
-    rows = []
-    for v in verts:
-        bits = 0
-        for j, w in enumerate(verts):
-            if v & _blocked(w, flags) == 0:
-                bits |= 1 << j
-        rows.append(bits)
-    return TransferMatrix(m, pats, tuple(ColumnMask(m, v) for v in verts),
-                          tuple(rows))
+    allowed, keep = _profile_tables(m, pats)
+    verts = np.arange(1 << m) if keep is None else np.flatnonzero(keep)
+    fits = allowed[verts]
+    rows = tuple(sum(1 << int(j) for j in np.flatnonzero((v & fits) == v))
+                 for v in verts)
+    return TransferMatrix(m, pats, tuple(ColumnMask(m, int(v)) for v in verts),
+                          rows)
 
 
-def _zeta_inplace(values: list, m: int) -> None:
-    """Subset-sum transform: values[s] becomes the sum over all subsets of s."""
-    for b in range(m):
-        bit = 1 << b
-        for w in range(1 << m):
-            if w & bit:
-                values[w] += values[w ^ bit]
-
-
-def _allowed_table(m: int, flags) -> list[int]:
-    full = (1 << m) - 1
-    return [full & ~_blocked(w, flags) for w in range(1 << m)]
-
-
-def _initial_state(m: int, flags) -> list[int]:
-    return [1 if _column_admissible(v, flags[3]) else 0 for v in range(1 << m)]
-
-
-def _step(xs: list[int], m: int, flags, allowed: list[int]) -> list[int]:
-    acc = list(xs)
-    _zeta_inplace(acc, m)
-    if flags[3]:
-        return [acc[a] if _column_admissible(w, True) else 0
-                for w, a in enumerate(allowed)]
-    return [acc[a] for a in allowed]
+def _states(m: int, pats: ForbiddenPatternSet) -> Iterator[np.ndarray]:
+    """Column-profile states for n = 1, 2, ...: entry w counts the m-by-n
+    boards whose last column is w.  Each state is consumed in place by the
+    step that makes the next one."""
+    allowed, keep = _profile_tables(m, pats)
+    x = np.ones(1 << m, dtype=object)
+    if keep is not None:
+        x[~keep] = 0
+    while True:
+        yield x
+        x = profile_step(x, m, allowed, keep)
 
 
 def count_via_transfer(m: int, n: int, pats: ForbiddenPatternSet = M_SET) -> int:
@@ -189,12 +185,7 @@ def count_via_transfer(m: int, n: int, pats: ForbiddenPatternSet = M_SET) -> int
         raise ValueError("column count must be >= 0")
     if n == 0:
         return 1
-    flags = _two_cell_flags(pats)
-    allowed = _allowed_table(m, flags)
-    xs = _initial_state(m, flags)
-    for _ in range(n - 1):
-        xs = _step(xs, m, flags, allowed)
-    return sum(xs)
+    return int(next(islice(_states(m, pats), n - 1, None)).sum())
 
 
 def count_sequence(m: int, n_max: int, pats: ForbiddenPatternSet = M_SET) -> list[int]:
@@ -203,15 +194,7 @@ def count_sequence(m: int, n_max: int, pats: ForbiddenPatternSet = M_SET) -> lis
         raise ValueError("height must be >= 1")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    flags = _two_cell_flags(pats)
-    allowed = _allowed_table(m, flags)
-    xs = _initial_state(m, flags)
-    out = [1]
-    for n in range(1, n_max + 1):
-        out.append(sum(xs))
-        if n < n_max:
-            xs = _step(xs, m, flags, allowed)
-    return out
+    return [1] + [int(x.sum()) for x in islice(_states(m, pats), n_max)]
 
 
 def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,
@@ -228,21 +211,11 @@ def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,
         raise ValueError("height must be >= 1")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    flags = _two_cell_flags(pats)
-    allowed = np.array(_allowed_table(m, flags), dtype=np.intp)
-    admissible = np.array([_column_admissible(v, flags[3])
-                           for v in range(1 << m)], dtype=bool)
-    x = admissible.astype(np.float64)
+    allowed, keep = _profile_tables(m, pats)
+    x = np.ones(1 << m) if keep is None else keep.astype(np.float64)
     prev = None
     for _ in range(max_iter):
-        acc = x.copy()
-        for b in range(m):
-            acc = acc.reshape(-1, 2, 1 << b)
-            acc[:, 1, :] += acc[:, 0, :]
-            acc = acc.reshape(-1)
-        y = acc[allowed]
-        if flags[3]:
-            y = np.where(admissible, y, 0.0)
+        y = profile_step(x.copy(), m, allowed, keep)
         estimate = float(x @ y) / float(x @ x)
         if prev is not None and abs(estimate - prev) <= tol * abs(estimate):
             return estimate

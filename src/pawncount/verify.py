@@ -119,21 +119,6 @@ def check_transfer_reference(params: dict) -> CheckResult:
         f"T3 {'ok' if ok3 else 'MISMATCH'})")
 
 
-def _closed_values(quantity: str, m: int, n: int) -> list[int]:
-    values = []
-    if quantity == "M":
-        if m <= 3:
-            values.append(cf.closed_form_M(m, n))
-        if 2 <= m <= 6:
-            values.append(cf.shape_formula_M(m, n).value)
-    elif quantity == "U":
-        values.append(cf.upper_bound_U(m, n))
-    elif quantity == "L":
-        if m <= 3:
-            values.append(cf.closed_form_L(m, n))
-    return values
-
-
 def check_three_way_agreement(params: dict) -> CheckResult:
     mismatches = []
     cells_checked = 0
@@ -141,7 +126,8 @@ def check_three_way_agreement(params: dict) -> CheckResult:
         for m, n in _dims_within(params["three_way_cells"]):
             oracle = count_by_enumeration(m, n, pats)
             via_transfer = count_via_transfer(m, n, pats)
-            values = {oracle, via_transfer, *_closed_values(quantity, m, n)}
+            closed = [form()[0] for form in cf.closed_forms(quantity, m, n)]
+            values = {oracle, via_transfer, *closed}
             cells_checked += 1
             if len(values) != 1:
                 mismatches.append(f"{quantity}({m},{n}): {sorted(values)}")

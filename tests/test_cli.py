@@ -1,7 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
+import pytest
+
+from pawncount import closedforms as cf
+from pawncount import verify as vf
 from pawncount.cli import main
 
 
@@ -114,6 +119,69 @@ class TestCount:
         record = json.loads(out)
         assert record["method"] == "closed"
         assert record["value"] == "43"  # oracle and transfer agree
+
+
+    def test_u_board_past_4300_digits(self, capsys):
+        code, out, _ = run_cli("count", "-m", "150", "-n", "150",
+                               "--quantity", "U", capsys=capsys)
+        assert code == 0
+        assert out == f"U(150,150) = {cf.upper_bound_U(150, 150)}\n"
+
+
+class TestGuards:
+    """Each guard answers at once: no 2^width state array is built."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (("table", "--quantity", "L", "--max-m", "23"), 3),
+        (("eigen", "-m", "23"), 3),
+        (("count", "-m", "100", "-n", "1", "--method", "decomposition"), 0),
+        (("count", "-m", "26", "-n", "3", "--method", "decomposition"), 0),
+    ])
+    def test_answers_within_a_second(self, argv, code, capsys):
+        start = time.perf_counter()
+        assert run_cli(*argv, capsys=capsys)[0] == code
+        assert time.perf_counter() - start < 1.0
+
+    def test_decomposition_runs_along_the_longer_side(self, capsys):
+        _, out, _ = run_cli("count", "-m", "100", "-n", "1", "--method",
+                            "decomposition", "--json", capsys=capsys)
+        assert json.loads(out)["value"] == str(2 ** 100)
+        _, out, _ = run_cli("count", "-m", "26", "-n", "3", "--method",
+                            "decomposition", "--json", capsys=capsys)
+        _, auto, _ = run_cli("count", "-m", "26", "-n", "3", "--json",
+                             capsys=capsys)
+        assert json.loads(out)["value"] == json.loads(auto)["value"]
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("quantity", ["M", "U", "L"])
+    def test_table_cells_equal_count(self, quantity, capsys):
+        code, out, _ = run_cli("table", "--quantity", quantity, "--max-m", "8",
+                               "--max-n", "8", "--format", "json",
+                               capsys=capsys)
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 64
+        for row in rows:
+            _, single, _ = run_cli("count", "-m", str(row["m"]), "-n",
+                                   str(row["n"]), "--quantity", quantity,
+                                   "--json", capsys=capsys)
+            assert json.loads(single)["value"] == row["value"], row
+
+    def test_three_way_check_covers_transposed_closed_forms(self, monkeypatch):
+        covered = {}
+        closed_forms = cf.closed_forms
+
+        def spy(quantity, m, n):
+            forms = closed_forms(quantity, m, n)
+            covered[quantity, m, n] = len(forms)
+            return forms
+
+        monkeypatch.setattr(cf, "closed_forms", spy)
+        assert vf.check_three_way_agreement({"three_way_cells": 14}).passed
+        # M(7,2): closed_form_M(2,7) and the height-2 shape formula
+        assert covered["M", 7, 2] == 2
+        assert covered["L", 7, 2] == 1
 
 
 class TestEigen:

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pawncount.closedforms import (FIB_PRODUCT_CONSTANT, GF_THREE_ROW_A,
-                                   GF_THREE_ROW_B, LinearRecurrence,
+from pawncount.closedforms import (FIB_PRODUCT_CONSTANT, LinearRecurrence,
                                    PUBLISHED_FIVE_ROW_A, PUBLISHED_FIVE_ROW_B,
                                    QuadraticValue, closed_form_L,
                                    closed_form_M, corrected_five_row_shapes,
-                                   estimate_c, expand_gf, fib_product,
+                                   estimate_c, fib_product,
                                    fib_product_growth_ratio, fibonacci,
                                    fit_linear_recurrence, golden_ratio_gap,
                                    k_fibonacci, l3_root_closed_form,
@@ -156,13 +155,9 @@ class TestClosedFormL:
 
 
 class TestGeneratingFunctions:
-    def test_three_row_shape_expansions(self):
-        assert expand_gf(GF_THREE_ROW_A, 4) == [1, 4, 5, 17]
-        assert expand_gf(GF_THREE_ROW_B, 4) == [1, 2, 5, 7]
-
     def test_geometric_series(self):
         ones = LinearRecurrence((1,), (1, -1))
-        assert expand_gf(ones, 5) == [1, 1, 1, 1, 1]
+        assert ones.expand(5) == [1, 1, 1, 1, 1]
 
     def test_denominator_constant_term_enforced(self):
         with pytest.raises(ValueError):
@@ -269,8 +264,8 @@ class TestShapeFormulas:
             assert result.annotations
 
     def test_published_five_row_pair_expansions(self):
-        assert expand_gf(PUBLISHED_FIVE_ROW_A, 4) == [1, 8, 12, 65]
-        assert expand_gf(PUBLISHED_FIVE_ROW_B, 4) == [1, 4, 13, 36]
+        assert PUBLISHED_FIVE_ROW_A.expand(4) == [1, 8, 12, 65]
+        assert PUBLISHED_FIVE_ROW_B.expand(4) == [1, 4, 13, 36]
 
     def test_corrected_pair_matches_direct_shape_counts(self):
         from pawncount.decomposition import count_independent_sets, split_by_color

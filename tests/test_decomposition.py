@@ -1,7 +1,6 @@
 import pytest
 
 from pawncount.decomposition import (ShapeGraph, count_independent_sets,
-                                     four_row_clipped_shape,
                                      perfect_square_root, split_by_color,
                                      verify_observation)
 from pawncount.errors import GuardExceeded
@@ -12,6 +11,14 @@ from pawncount.transfer import count_sequence, count_via_transfer
 def path_graph(length: int) -> ShapeGraph:
     """Zigzag of diagonally adjacent cells, a path with `length` vertices."""
     return ShapeGraph(tuple((1 + (i % 2), 1 + i) for i in range(length)))
+
+
+def diagonal_pairs(shape: ShapeGraph) -> set:
+    """The shape's edges: cell pairs with |dr| == |dc| == 1, each once."""
+    present = set(shape.cells)
+    return {tuple(sorted([(r, c), (r + 1, c + dc)]))
+            for (r, c) in shape.cells for dc in (-1, 1)
+            if (r + 1, c + dc) in present}
 
 
 class TestSplitByColor:
@@ -26,23 +33,23 @@ class TestSplitByColor:
         black, white = split_by_color(2, 6)
         for shape in (black, white):
             assert shape.vertex_count == 6
-            assert len(shape.edges) == 5  # path
+            assert len(diagonal_pairs(shape)) == 5  # path
 
     def test_one_row_is_edgeless(self):
         black, white = split_by_color(1, 7)
         assert black.vertex_count == 4 and white.vertex_count == 3
-        assert black.edges == () and white.edges == ()
+        assert not diagonal_pairs(black) and not diagonal_pairs(white)
 
     def test_5x2_gives_two_five_paths(self):
         black, white = split_by_color(5, 2)
         for shape in (black, white):
             assert shape.vertex_count == 5
-            assert len(shape.edges) == 4
+            assert len(diagonal_pairs(shape)) == 4
 
     def test_every_diagonal_pair_is_an_edge_in_one_shape(self):
         m, n = 4, 5
         black, white = split_by_color(m, n)
-        edges = set(black.edges) | set(white.edges)
+        edges = diagonal_pairs(black) | diagonal_pairs(white)
         expected = set()
         for i in range(1, m):
             for j in range(1, n + 1):
@@ -143,8 +150,15 @@ class TestShapeRecurrences:
         # gamma(n) = gamma(n-1) + alpha(n-1)
         alpha = [count_independent_sets(split_by_color(4, n)[0])
                  for n in range(13)]
-        gamma = [count_independent_sets(four_row_clipped_shape(n))
-                 for n in range(13)]
+        # gamma: a 4-row color shape with its first column clipped to the
+        # bottom cell
+        def clipped(n):
+            cells = [(4, 1)] if n >= 1 else []
+            cells += [(r, col) for col in range(2, n + 1)
+                      for r in ((1, 3) if col % 2 == 0 else (2, 4))]
+            return ShapeGraph(tuple(cells))
+
+        gamma = [count_independent_sets(clipped(n)) for n in range(13)]
         assert alpha[:6] == [1, 4, 8, 22, 52, 132]
         assert gamma[:4] == [1, 2, 6, 14]
         for n in range(2, 13):

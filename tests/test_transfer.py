@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from pawncount.errors import GuardExceeded, NonConverged
-from pawncount.oracle import (L_SET, M_SET, U_SET, count_by_enumeration,
-                              uk_set)
-from pawncount.transfer import (ColumnMask, build_transfer, compatible,
-                                count_sequence, count_via_transfer,
-                                dominant_eigenvalue, is_admissible_column,
-                                spectrum_small)
+from pawncount.oracle import (L_SET, M_SET, U_SET, BinaryMatrix,
+                              count_by_enumeration, matrix_avoids, uk_set)
+from pawncount.transfer import (ColumnMask, build_transfer, count_sequence,
+                                count_via_transfer, dominant_eigenvalue,
+                                profile_step, spectrum_small)
 
 T2_REFERENCE = """\
 1 1 1 1
@@ -44,37 +43,36 @@ class TestColumnMask:
             ColumnMask(2, 4)
 
 
+def compatible(v: int, w: int, m: int, pats) -> bool:
+    """Adjacency entry for masks v, w at height m, read off build_transfer."""
+    tm = build_transfer(m, pats)
+    index = {col.bits: i for i, col in enumerate(tm.vertices)}
+    return bool(tm.entry(index[v], index[w]))
+
+
 class TestCompatible:
     def test_t2_entries(self):
-        v = ColumnMask(2, 0b01)
-        assert compatible(v, ColumnMask(2, 0b01), M_SET)
-        assert not compatible(v, ColumnMask(2, 0b10), M_SET)
+        assert compatible(0b01, 0b01, 2, M_SET)
+        assert not compatible(0b01, 0b10, 2, M_SET)
 
     def test_zero_column_compatible_with_anything(self):
-        zero = ColumnMask(4, 0)
         for w in range(16):
-            assert compatible(zero, ColumnMask(4, w), M_SET)
-            assert compatible(zero, ColumnMask(4, w), U_SET)
+            assert compatible(0, w, 4, M_SET)
+            assert compatible(0, w, 4, U_SET)
 
     def test_isolated_requires_disjoint_columns(self):
-        v = ColumnMask(3, 0b001)
-        assert not compatible(v, ColumnMask(3, 0b001), L_SET)
-        assert compatible(v, ColumnMask(3, 0b100), L_SET)
-
-    def test_height_mismatch(self):
-        with pytest.raises(ValueError):
-            compatible(ColumnMask(2, 0), ColumnMask(3, 0), M_SET)
+        assert not compatible(0b001, 0b001, 3, L_SET)
+        assert compatible(0b001, 0b100, 3, L_SET)
 
     def test_u_set_is_one_sided(self):
         # 1 in the top of v and 1 in the bottom of w form the down word
-        v, w = ColumnMask(2, 0b10), ColumnMask(2, 0b01)
-        assert not compatible(v, w, U_SET)
-        assert compatible(w, v, U_SET)
+        assert not compatible(0b10, 0b01, 2, U_SET)
+        assert compatible(0b01, 0b10, 2, U_SET)
 
     def test_admissible_column_needs_no_vertical_pair(self):
-        assert is_admissible_column(ColumnMask(3, 0b101), L_SET)
-        assert not is_admissible_column(ColumnMask(3, 0b110), L_SET)
-        assert is_admissible_column(ColumnMask(3, 0b110), M_SET)
+        isolated = {col.bits for col in build_transfer(3, L_SET).vertices}
+        assert 0b101 in isolated and 0b110 not in isolated
+        assert len(build_transfer(3, M_SET).vertices) == 8
 
 
 class TestBuildTransfer:
@@ -95,16 +93,23 @@ class TestBuildTransfer:
         assert degrees == [5, 2, 2, 1, 1]
 
     def test_adjacency_agrees_with_compatible(self):
+        # v may precede w iff the two-column board [v w] avoids the patterns
         for pats in (M_SET, U_SET, L_SET):
             tm = build_transfer(3, pats)
             for i, v in enumerate(tm.vertices):
                 for j, w in enumerate(tm.vertices):
-                    assert tm.entry(i, j) == int(compatible(v, w, pats))
+                    board = BinaryMatrix.from_rows(
+                        [(v.row(r), w.row(r)) for r in range(1, 4)])
+                    assert tm.entry(i, j) == int(matrix_avoids(board, pats))
 
     def test_symmetry(self):
-        assert build_transfer(4, M_SET).is_symmetric()
-        assert build_transfer(4, L_SET).is_symmetric()
-        assert not build_transfer(3, U_SET).is_symmetric()
+        def symmetric(tm):
+            dense = tm.to_dense()
+            return np.array_equal(dense, dense.T)
+
+        assert symmetric(build_transfer(4, M_SET))
+        assert symmetric(build_transfer(4, L_SET))
+        assert not symmetric(build_transfer(3, U_SET))
 
     def test_dense_guard(self):
         with pytest.raises(GuardExceeded):
@@ -156,6 +161,34 @@ class TestCounting:
             count_via_transfer(0, 3, M_SET)
         with pytest.raises(ValueError):
             count_via_transfer(3, -1, M_SET)
+
+
+def reference_step(xs, width, allowed, keep):
+    """Plain-loop zeta transform and gather, the reference for profile_step."""
+    acc = list(xs)
+    for b in range(width):
+        for w in range(1 << width):
+            if w & (1 << b):
+                acc[w] += acc[w ^ (1 << b)]
+    return [acc[a] if keep is None or keep[w] else 0
+            for w, a in enumerate(allowed)]
+
+
+class TestProfileStep:
+    @pytest.mark.parametrize("width,out_width", [(0, 2), (1, 1), (3, 3),
+                                                 (4, 2), (5, 6)])
+    def test_matches_loop_reference(self, width, out_width):
+        rng = np.random.default_rng(width * 7 + out_width)
+        xs = [int(v) * 10 ** 30 + 1 for v in rng.integers(0, 50, 1 << width)]
+        allowed = rng.integers(0, 1 << width, 1 << out_width)
+        for keep in (None, rng.random(1 << out_width) < 0.5):
+            expected = reference_step(xs, width, allowed, keep)
+            exact = profile_step(np.array(xs, dtype=object), width, allowed, keep)
+            assert list(exact) == expected
+            floats = profile_step(np.array(xs, dtype=np.float64), width,
+                                  allowed, keep)
+            assert list(floats) == reference_step(
+                [float(v) for v in xs], width, allowed, keep)
 
 
 class TestEigenvalues:
