@@ -4,18 +4,25 @@ bijection, and the verification battery.
 Exit codes:
 
     0  ok
-    1  verification failure
+    1  verification failure, or an exact route failed its own integrality
+       or recurrence-fit self-check
     2  usage error
     3  a size guard was exceeded
     4  power iteration did not converge
     5  bad input file
 
+M counts run on the colour split (M = B * W, each factor a sweep over
+half-height columns): ``count`` under ``auto`` when no closed form covers
+the board, and under ``--method decomposition``; every M row of ``table``
+that needs a sweep; and ``eigen``, whose power iteration runs the two-step
+colour operator on 2^floor(m/2) states.  ``--method transfer`` is the full
+2^m column profile for every quantity.
+
 One width guard covers every column-profile sweep: ``count``, ``table``
-and ``eigen`` refuse a profile taller than 22 rows (2^22 states) with exit
-3 before any work starts.  ``count`` runs M and L profiles, for
-``--method transfer`` and ``--method decomposition`` alike, along the
-longer side of the board, so only the shorter side meets the guard;
-``table`` sweeps each row at its own height, and ``eigen`` at height m.
+and ``eigen`` refuse a profile taller than 22 rows with exit 3 before any
+work starts.  ``count`` runs M and L profiles along the longer side of
+the board, so only the shorter side meets the guard; ``table`` sweeps each
+row at its own height, and ``eigen`` at height m.
 Exact counts are serialized as decimal strings in JSON (they outgrow
 doubles quickly), in full however many digits they have; floats appear
 only for eigenvalues and asymptotics.
@@ -32,14 +39,14 @@ from pathlib import Path
 from . import closedforms as cf
 from . import tiling as tl
 from . import verify as vf
-from .decomposition import count_independent_sets, split_by_color
 from .errors import (GuardExceeded, IllegalMatrix, InvalidTiling,
-                     MatrixFormatError, NonConverged)
+                     MatrixFormatError, NoFitFound, NonConverged,
+                     NonIntegerResult)
 from .oracle import (L_SET, M_SET, U_SET, BinaryMatrix, count_by_enumeration,
                      uk_set)
 from .transfer import (DEFAULT_MAX_ITER, DEFAULT_TOL, check_width,
-                       count_sequence, count_via_transfer, dominant_eigenvalue,
-                       spectrum_small)
+                       colour_split_sequence, count_sequence,
+                       count_via_transfer, dominant_eigenvalue, spectrum_small)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -91,7 +98,8 @@ def _route(quantity: str, m: int, n: int, k: int | None,
            method: str) -> tuple[str, int, tuple[str, ...]]:
     """Pick the route for one count and run it: (method used, value,
     annotations).  ``auto`` takes the first closed form that covers the
-    board and falls back to the transfer engine."""
+    board and falls back to the colour split for M and to the transfer
+    engine for U and L."""
     if quantity == "Uk":
         if method in ("auto", "closed"):
             return "closed", cf.upper_bound_U_k(m, n, k), ()
@@ -121,12 +129,14 @@ def _route(quantity: str, m: int, n: int, k: int | None,
     if quantity in ("M", "L") and n < m:
         m, n = n, m
     check_width(m)
+    if method == "transfer" or quantity != "M":
+        return "transfer", count_via_transfer(m, n, pats), ()
+    black, white = colour_split_sequence(m, n)
+    b, w = black[n], white[n]
+    annotations = ()
     if method == "decomposition":
-        black, white = split_by_color(m, n)
-        b = count_independent_sets(black, guard=100)
-        w = count_independent_sets(white, guard=100)
-        return "decomposition", b * w, (f"black/white shape counts: B={b}, W={w}",)
-    return "transfer", count_via_transfer(m, n, pats), ()
+        annotations = (f"black/white shape counts: B={b}, W={w}",)
+    return "decomposition", b * w, annotations
 
 
 def cmd_count(args) -> int:
@@ -166,16 +176,25 @@ def cmd_eigen(args) -> int:
     return EXIT_OK
 
 
+def _sweep(quantity: str, m: int, n_max: int) -> list[int]:
+    """Counts of height m for n = 0..n_max: the colour split for M, the
+    transfer sweep otherwise."""
+    if quantity == "M":
+        black, white = colour_split_sequence(m, n_max)
+        return [b * w for b, w in zip(black, white)]
+    return count_sequence(m, n_max, _PATTERNS[quantity])
+
+
 def _table_cells(quantity: str, max_m: int, max_n: int) -> list[tuple[int, int, int]]:
     """Each cell takes its first closed form; every other cell of row m is
-    read off one transfer sweep at height m.  All widths are checked before
-    any count starts."""
+    read off one sweep at height m.  All widths are checked before any
+    count starts."""
     cells = {(m, n): cf.closed_forms(quantity, m, n)
              for m in range(1, max_m + 1) for n in range(1, max_n + 1)}
     swept = sorted({m for (m, _), forms in cells.items() if not forms})
     for m in swept:
         check_width(m)
-    sweeps = {m: count_sequence(m, max_n, _PATTERNS[quantity]) for m in swept}
+    sweeps = {m: _sweep(quantity, m, max_n) for m in swept}
     return [(m, n, forms[0]()[0] if forms else sweeps[m][n])
             for (m, n), forms in cells.items()]
 
@@ -318,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     except NonConverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
+    except (NonIntegerResult, NoFitFound) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     except (IllegalMatrix, InvalidTiling, MatrixFormatError, OSError) as exc:
         position = getattr(exc, "position", None)
         where = f" at {position}" if position else ""

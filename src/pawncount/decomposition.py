@@ -4,6 +4,9 @@ Diagonal attacks never cross cell colors, so the count of legal pawn
 placements on a board factors into the product of independent-placement
 counts on its black and white cell shapes.  Shapes are column-banded
 (edges only join adjacent columns), which a column-profile sweep exploits.
+Whole boards take the bitmask form of the same split,
+``transfer.colour_split_sequence``; the shapes here serve any cell set and
+stay an independent check on it.
 """
 
 from __future__ import annotations

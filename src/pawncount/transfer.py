@@ -8,6 +8,14 @@ a subset-sum (zeta) transform followed by a gather, costing O(m * 2^m)
 big-integer additions instead of O(4^m) pair tests, so the dense matrix is
 only ever materialized for printing and spectra.  ``profile_step`` is that
 step, and every column-profile count in the package runs on it.
+
+For M the profile splits by colour: diagonal attacks join odd rows of one
+column only to even rows of the next, so the black and white cells form
+two independent rotated square lattices (the hard-square model) and
+M(m, n) = B * W.  ``colour_split_sequence`` sweeps each class on half-height
+columns of 2^ceil(m/2) and 2^floor(m/2) states; ``dominant_eigenvalue``
+iterates the two-step operator on the even-row states.  The full 2^m sweep
+stays the route for every pattern set and the check on the colour split.
 """
 
 from __future__ import annotations
@@ -80,6 +88,25 @@ def _profile_tables(m: int, pats: ForbiddenPatternSet
     allowed = ((1 << m) - 1) & ~blocked
     keep = (w & (w >> 1)) == 0 if pats.vert_pair else None
     return allowed, keep
+
+
+def _colour_steps(m: int) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]:
+    """The M rule between the colour classes of neighbouring columns, as
+    (width, allowed) arguments of ``profile_step``: first the step from the
+    odd-row cells (rows 1, 3, ...) of a column to the even-row cells
+    (rows 2, 4, ...) of the next, then the step from even rows to odd rows.
+    Bit k of a class state holds the k-th cell of that class from the top.
+
+    Odd row 2k+1 is diagonal to even rows 2k and 2k+2 (bits k-1 and k), so
+    an even state s leaves its left neighbour the odd cells off s | s << 1,
+    and an odd state s leaves the even cells off s | s >> 1.
+    """
+    odd, even = (m + 1) // 2, m // 2
+    s = np.arange(1 << even)
+    to_even = ((1 << odd) - 1) & ~(s | s << 1)
+    s = np.arange(1 << odd)
+    to_odd = ((1 << even) - 1) & ~(s | s >> 1)
+    return (odd, to_even), (even, to_odd)
 
 
 def check_width(width: int) -> None:
@@ -197,25 +224,61 @@ def count_sequence(m: int, n_max: int, pats: ForbiddenPatternSet = M_SET) -> lis
     return [1] + [int(x.sum()) for x in islice(_states(m, pats), n_max)]
 
 
-def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,
-                        tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Largest eigenvalue of the transfer operator by power iteration.
+def _colour_states(step: tuple[int, np.ndarray], other: tuple[int, np.ndarray]
+                   ) -> Iterator[np.ndarray]:
+    """Class states for n = 1, 2, ...: a colour class on the cells ``step``
+    leaves, moved to the other rows by ``step`` and ``other`` in turn."""
+    x = np.ones(1 << step[0], dtype=object)
+    while True:
+        yield x
+        x = profile_step(x, *step)
+        step, other = other, step
 
-    Starts from the all-ones state over admissible columns.  The all-zero
-    column is compatible with itself, so the operator is primitive and
-    plain power iteration converges; successive Rayleigh estimates within
-    tol relative difference stop the loop.
+
+def colour_split_sequence(m: int, n_max: int) -> tuple[list[int], list[int]]:
+    """Exact colour-class counts (B, W) of the m-by-n boards for
+    n = 0..n_max (index by n); M(m, n) = B[n] * W[n].
+
+    Cell (i, j) is black iff i + j is even, so B starts on the odd rows of
+    column 1 and W on its even rows; each step moves a class to the other
+    rows of the next column.
     """
     if m < 1:
         raise ValueError("height must be >= 1")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    from_odd, from_even = _colour_steps(m)
+
+    def counts(step, other) -> list[int]:
+        return [1] + [int(x.sum()) for x in islice(_colour_states(step, other), n_max)]
+
+    return counts(from_odd, from_even), counts(from_even, from_odd)
+
+
+def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,
+                        tol: float = DEFAULT_TOL,
+                        max_iter: int = DEFAULT_MAX_ITER) -> float:
+    """Largest eigenvalue alpha_m of the M transfer operator by power
+    iteration on the colour split's two-step operator.
+
+    With X the even-row to odd-row step, T^2 is X X^T (x) X^T X up to a
+    state permutation, so alpha_m is the Perron root of the symmetric
+    X^T X on 2^floor(m/2) states.  Every entry of X^T X is positive (the
+    empty odd-row state fits every even-row state), so plain power
+    iteration from the all-ones state converges; successive Rayleigh
+    estimates within tol relative difference stop the loop.
+    """
+    if m < 1:
+        raise ValueError("height must be >= 1")
+    if pats != M_SET:
+        raise ValueError("the dominant eigenvalue is computed for M only")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    allowed, keep = _profile_tables(m, pats)
-    x = np.ones(1 << m) if keep is None else keep.astype(np.float64)
+    from_odd, from_even = _colour_steps(m)
+    x = np.ones(1 << from_even[0])
     prev = None
     for _ in range(max_iter):
-        y = profile_step(x.copy(), m, allowed, keep)
+        y = profile_step(profile_step(x.copy(), *from_even), *from_odd)
         estimate = float(x @ y) / float(x @ x)
         if prev is not None and abs(estimate - prev) <= tol * abs(estimate):
             return estimate

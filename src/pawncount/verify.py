@@ -10,14 +10,14 @@ mismatches fail a check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import closedforms as cf
 from . import decomposition as dc
 from . import tiling as tl
 from .oracle import L_SET, M_SET, U_SET, count_by_enumeration, enumerate_legal, uk_set
-from .transfer import (build_transfer, count_sequence, count_via_transfer,
-                       dominant_eigenvalue, spectrum_small)
+from .transfer import (build_transfer, colour_split_sequence, count_sequence,
+                       count_via_transfer, dominant_eigenvalue, spectrum_small)
 
 REFERENCE_T2 = """\
 1 1 1 1
@@ -37,6 +37,8 @@ REFERENCE_T3 = """\
 
 QUICK = dict(
     three_way_cells=10,
+    split_max_m=10,
+    split_max_n=10,
     u_cells=10,
     uk_cells=9,
     closed_m_max_n=10,
@@ -54,6 +56,8 @@ QUICK = dict(
 
 FULL = dict(
     three_way_cells=20,
+    split_max_m=14,
+    split_max_n=6,
     u_cells=20,
     uk_cells=16,
     closed_m_max_n=15,
@@ -76,6 +80,7 @@ class CheckResult:
     passed: bool
     details: str
     deviations: tuple[str, ...] = ()
+    elapsed_s: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -83,6 +88,7 @@ class CheckResult:
             "passed": self.passed,
             "details": self.details,
             "deviations": list(self.deviations),
+            "elapsed_s": self.elapsed_s,
         }
 
 
@@ -128,14 +134,34 @@ def check_three_way_agreement(params: dict) -> CheckResult:
             via_transfer = count_via_transfer(m, n, pats)
             closed = [form()[0] for form in cf.closed_forms(quantity, m, n)]
             values = {oracle, via_transfer, *closed}
+            if quantity == "M":
+                black, white = colour_split_sequence(m, n)
+                values.add(black[n] * white[n])
             cells_checked += 1
             if len(values) != 1:
                 mismatches.append(f"{quantity}({m},{n}): {sorted(values)}")
     return CheckResult(
         "three-way-agreement", not mismatches,
         f"{cells_checked} (quantity, m, n) cells agree across enumeration, "
-        "transfer and closed forms"
+        "transfer and closed forms (M also via the colour split)"
         + (f"; mismatches: {mismatches[:5]}" if mismatches else ""))
+
+
+def check_colour_split(params: dict) -> CheckResult:
+    top_m, top_n = params["split_max_m"], params["split_max_n"]
+    bad = []
+    for m in range(1, top_m + 1):
+        black, white = colour_split_sequence(m, top_n)
+        full = count_sequence(m, top_n, M_SET)
+        if [b * w for b, w in zip(black, white)] != full:
+            bad.append(("product", m))
+        if m % 2 == 0 and black != white:
+            bad.append(("B != W", m))
+    return CheckResult(
+        "colour-split", not bad,
+        f"B * W on half-height columns equals the full 2^m transfer count "
+        f"for heights 1..{top_m}, n <= {top_n}; B = W at every even height"
+        + (f"; failures: {bad[:5]}" if bad else ""))
 
 
 def check_closed_form_small_heights(params: dict) -> CheckResult:
@@ -397,6 +423,7 @@ def check_growth_rates(params: dict) -> CheckResult:
 CHECKS = (
     ("transfer-reference", check_transfer_reference),
     ("three-way-agreement", check_three_way_agreement),
+    ("colour-split", check_colour_split),
     ("radical-closed-forms", check_closed_form_small_heights),
     ("diagonal-word-bounds", check_upper_bound),
     ("bound-sandwich", check_sandwich),
@@ -414,6 +441,12 @@ def run_verification(level: str = "quick") -> VerificationReport:
     """Run the whole battery at the given level ('quick' or 'full')."""
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
+    from time import perf_counter
+
     params = FULL if level == "full" else QUICK
-    results = tuple(fn(params) for _, fn in CHECKS)
-    return VerificationReport(level, results)
+    results = []
+    for _, fn in CHECKS:
+        start = perf_counter()
+        result = fn(params)
+        results.append(replace(result, elapsed_s=perf_counter() - start))
+    return VerificationReport(level, tuple(results))

@@ -8,6 +8,9 @@ import pytest
 from pawncount import closedforms as cf
 from pawncount import verify as vf
 from pawncount.cli import main
+from pawncount.errors import NoFitFound, NonIntegerResult
+from pawncount.oracle import M_SET
+from pawncount.transfer import count_via_transfer
 
 
 def run_cli(*argv, capsys=None):
@@ -120,6 +123,35 @@ class TestCount:
         assert record["method"] == "closed"
         assert record["value"] == "43"  # oracle and transfer agree
 
+    @pytest.mark.parametrize("argv,method", [
+        (("-m", "7", "-n", "7"), "decomposition"),
+        (("-m", "7", "-n", "7", "--method", "transfer"), "transfer"),
+        (("-m", "3", "-n", "7"), "closed"),
+        (("-m", "7", "-n", "7", "--quantity", "U"), "closed"),
+        (("-m", "7", "-n", "7", "--quantity", "L"), "transfer"),
+    ])
+    def test_json_method_names_the_route(self, argv, method, capsys):
+        code, out, _ = run_cli("count", *argv, "--json", capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["method"] == method
+
+    def test_auto_colour_split_text_unchanged(self, capsys):
+        code, out, _ = run_cli("count", "-m", "7", "-n", "7", capsys=capsys)
+        assert code == 0
+        expected = count_via_transfer(7, 7, M_SET)
+        assert out == f"M(7,7) = {expected}\n"
+
+    @pytest.mark.parametrize("error", [NonIntegerResult, NoFitFound])
+    def test_failed_self_check_exits_1(self, error, monkeypatch, capsys):
+        def broken():
+            raise error("synthetic self-check failure")
+
+        monkeypatch.setattr(cf, "closed_forms", lambda *args: [broken])
+        code, out, err = run_cli("count", "-m", "3", "-n", "5", capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: synthetic self-check failure")
+        assert "Traceback" not in err
 
     def test_u_board_past_4300_digits(self, capsys):
         code, out, _ = run_cli("count", "-m", "150", "-n", "150",
@@ -334,8 +366,9 @@ class TestVerify:
         assert report["passed"] is True
         assert report["level"] == "quick"
         names = {c["name"] for c in report["checks"]}
-        assert "three-way-agreement" in names
+        assert {"three-way-agreement", "colour-split"} <= names
         assert all(c["passed"] for c in report["checks"])
+        assert all(c["elapsed_s"] >= 0 for c in report["checks"])
 
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         from pawncount import cli as cli_mod

@@ -5,7 +5,8 @@ from pawncount.decomposition import (ShapeGraph, count_independent_sets,
                                      verify_observation)
 from pawncount.errors import GuardExceeded
 from pawncount.oracle import M_SET
-from pawncount.transfer import count_sequence, count_via_transfer
+from pawncount.transfer import (colour_split_sequence, count_sequence,
+                                count_via_transfer)
 
 
 def path_graph(length: int) -> ShapeGraph:
@@ -87,6 +88,16 @@ class TestCountIndependentSets:
     def test_duplicate_cells_rejected(self):
         with pytest.raises(ValueError):
             ShapeGraph(((1, 1), (1, 1)))
+
+
+class TestColourSplitSweep:
+    def test_classes_equal_shape_counts(self):
+        for m in range(1, 9):
+            black, white = colour_split_sequence(m, 8)
+            for n in range(9):
+                black_shape, white_shape = split_by_color(m, n)
+                assert black[n] == count_independent_sets(black_shape), (m, n)
+                assert white[n] == count_independent_sets(white_shape), (m, n)
 
 
 class TestObservation:

@@ -6,7 +6,8 @@ import pytest
 from pawncount.errors import GuardExceeded, NonConverged
 from pawncount.oracle import (L_SET, M_SET, U_SET, BinaryMatrix,
                               count_by_enumeration, matrix_avoids, uk_set)
-from pawncount.transfer import (ColumnMask, build_transfer, count_sequence,
+from pawncount.transfer import (ColumnMask, build_transfer,
+                                colour_split_sequence, count_sequence,
                                 count_via_transfer, dominant_eigenvalue,
                                 profile_step, spectrum_small)
 
@@ -191,6 +192,32 @@ class TestProfileStep:
                 [float(v) for v in xs], width, allowed, keep)
 
 
+class TestColourSplit:
+    def test_product_equals_full_transfer(self):
+        for m in range(1, 13):
+            black, white = colour_split_sequence(m, 15)
+            assert ([b * w for b, w in zip(black, white)]
+                    == count_sequence(m, 15, M_SET)), m
+        black, white = colour_split_sequence(14, 20)
+        assert black[20] * white[20] == count_via_transfer(14, 20, M_SET)
+
+    def test_even_heights_have_equal_classes(self):
+        for m in (2, 4, 6, 8):
+            black, white = colour_split_sequence(m, 9)
+            assert black == white
+
+    def test_short_sequences(self):
+        assert colour_split_sequence(3, 0) == ([1], [1])
+        assert colour_split_sequence(3, 1) == ([1, 4], [1, 2])
+        assert colour_split_sequence(1, 3) == ([1, 2, 2, 4], [1, 1, 2, 2])
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            colour_split_sequence(0, 3)
+        with pytest.raises(ValueError):
+            colour_split_sequence(3, -1)
+
+
 class TestEigenvalues:
     def test_height_one(self):
         assert dominant_eigenvalue(1, M_SET) == pytest.approx(2.0, abs=1e-10)
@@ -207,6 +234,16 @@ class TestEigenvalues:
             math.atan(3 * math.sqrt(111) / 67) / 3)
         assert closed == pytest.approx(6.15630, abs=1e-4)
         assert dominant_eigenvalue(4, M_SET) == pytest.approx(closed, abs=1e-6)
+
+    def test_colour_operator_matches_dense_spectrum(self):
+        for m in range(1, 11):
+            top = spectrum_small(m, M_SET)[0]
+            assert dominant_eigenvalue(m, M_SET) == pytest.approx(top, rel=1e-9)
+
+    def test_other_pattern_sets_rejected(self):
+        for pats in (U_SET, L_SET):
+            with pytest.raises(ValueError):
+                dominant_eigenvalue(3, pats)
 
     def test_non_convergence_raises(self):
         with pytest.raises(NonConverged):
