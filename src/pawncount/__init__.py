@@ -14,10 +14,7 @@ from .closedforms import (FIB_PRODUCT_CONSTANT, LinearRecurrence,
                           fit_linear_recurrence, golden_ratio_gap,
                           k_fibonacci, l3_root_closed_form, shape_formula_M,
                           upper_bound_U, upper_bound_U_k)
-from .decomposition import (ObservationResult, ShapeGraph,
-                            SquareRootCertificate, count_independent_sets,
-                            perfect_square_root, split_by_color,
-                            verify_observation)
+from .decomposition import ShapeGraph, count_independent_sets, split_by_color
 from .errors import (GuardExceeded, IllegalMatrix, InvalidK, InvalidTiling,
                      MatrixFormatError, NoFitFound, NonConverged,
                      NonIntegerResult, PawncountError)
@@ -27,8 +24,7 @@ from .oracle import (L_SET, M_SET, U_SET, BinaryMatrix, BoardDims,
 from .tiling import (Tiling, count_tilings, enumerate_tilings, render_ascii,
                      theta_forward, theta_inverse, tiling_from_json,
                      tiling_to_json)
-from .transfer import (ColumnMask, TransferMatrix, build_transfer,
-                       count_sequence, count_via_transfer,
+from .transfer import (build_transfer, count_sequence, count_via_transfer,
                        dominant_eigenvalue, spectrum_small)
 from .verify import CheckResult, VerificationReport, run_verification
 

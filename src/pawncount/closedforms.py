@@ -15,14 +15,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-import mpmath
-
 from .decomposition import count_independent_sets, split_by_color
 from .errors import InvalidK, NoFitFound, NonIntegerResult
 
 #: Infinite-product constant governing Fibonacci factorial growth,
 #: prod_{j>=1} (1 - q^j) with q = (sqrt(5)-3)/2.
 FIB_PRODUCT_CONSTANT = 1.2267420107203532444176302
+_PHI = (1 + math.sqrt(5)) / 2
 
 
 def fibonacci(i: int) -> int:
@@ -492,22 +491,16 @@ def fib_product_growth_ratio(n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    product = fib_product(n - 1)
-    with mpmath.workdps(60):
-        phi = (1 + mpmath.sqrt(5)) / 2
-        ratio = (mpmath.mpf(product) * mpmath.power(5, mpmath.mpf(n) / 2)
-                 / phi ** (n * (n + 1) // 2))
-        return float(ratio)
+    log_ratio = (math.log(fib_product(n - 1)) + n / 2 * math.log(5)
+                 - n * (n + 1) // 2 * math.log(_PHI))
+    return math.exp(log_ratio)
 
 
 def golden_ratio_gap(m: int, n: int) -> float:
-    """U(m,n)^(1/(mn)) minus the golden ratio, via high-precision logs.
+    """U(m,n)^(1/(mn)) minus the golden ratio.
 
     The exact U value overflows binary64 well before desk scale, so the
-    root is taken in working precision and only the gap is returned."""
+    root is taken through the log of the exact int."""
     if m < 1 or n < 1:
         raise ValueError("dimensions must be >= 1")
-    value = upper_bound_U(m, n)
-    with mpmath.workdps(60):
-        root = mpmath.exp(mpmath.log(mpmath.mpf(value)) / (m * n))
-        return float(root - (1 + mpmath.sqrt(5)) / 2)
+    return math.exp(math.log(upper_bound_U(m, n)) / (m * n)) - _PHI

@@ -11,14 +11,13 @@ stay an independent check on it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GuardExceeded
-from .oracle import M_SET, BoardDims
-from .transfer import count_via_transfer, profile_step
+from .oracle import BoardDims
+from .transfer import profile_step
 
 DEFAULT_SHAPE_GUARD = 40
 
@@ -91,45 +90,3 @@ def count_independent_sets(shape: ShapeGraph,
         dp = profile_step(dp, len(prev_rows), allowed)
         prev_col, prev_rows = col, rows
     return int(dp.sum())
-
-
-@dataclass(frozen=True)
-class ObservationResult:
-    """Black/white counts for a board and whether their product matches."""
-
-    black: int
-    white: int
-    total: int
-    product_ok: bool
-
-
-def verify_observation(m: int, n: int) -> ObservationResult:
-    """Count each color shape independently and compare B*W with the
-    transfer-engine count of the whole board."""
-    black_shape, white_shape = split_by_color(m, n)
-    black = count_independent_sets(black_shape)
-    white = count_independent_sets(white_shape)
-    total = 1 if m == 0 or n == 0 else count_via_transfer(m, n, M_SET)
-    return ObservationResult(black, white, total, black * white == total)
-
-
-@dataclass(frozen=True)
-class SquareRootCertificate:
-    """Exact integer square root: root * root == value."""
-
-    value: int
-    root: int
-
-    def __post_init__(self) -> None:
-        if self.root * self.root != self.value:
-            raise ValueError("certificate does not check out")
-
-
-def perfect_square_root(value: int) -> SquareRootCertificate | None:
-    """Certificate with the exact integer root, or None if not a square."""
-    if value < 0:
-        raise ValueError("value must be nonnegative")
-    root = math.isqrt(value)
-    if root * root == value:
-        return SquareRootCertificate(value, root)
-    return None

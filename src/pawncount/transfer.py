@@ -20,48 +20,19 @@ stays the route for every pattern set and the check on the colour split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .errors import GuardExceeded, NonConverged
 from .oracle import M_SET, ForbiddenPatternSet
 
-DEFAULT_DENSE_GUARD = 14
+DEFAULT_DENSE_GUARD = 12
 #: Widest column profile the command line sweeps (2^22 states).
 MAX_WIDTH = 22
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
-
-
-@dataclass(frozen=True)
-class ColumnMask:
-    """m-bit column state; bit (m - i) holds row i (1-based, top first)."""
-
-    m: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("column height must be >= 1")
-        if not 0 <= self.bits < (1 << self.m):
-            raise ValueError(f"bits {self.bits} out of range for height {self.m}")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[int]) -> "ColumnMask":
-        bits = 0
-        for r in rows:
-            bits = (bits << 1) | r
-        return cls(len(rows), bits)
-
-    def row(self, i: int) -> int:
-        """Row i of the column, 1-based from the top."""
-        return (self.bits >> (self.m - i)) & 1
-
-    def __str__(self) -> str:
-        return format(self.bits, f"0{self.m}b")
 
 
 def _profile_tables(m: int, pats: ForbiddenPatternSet
@@ -136,41 +107,11 @@ def profile_step(x: np.ndarray, width: int, allowed: np.ndarray,
     return y
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Dense 0/1 adjacency over admissible columns, in mask-index order."""
-
-    m: int
-    pats: ForbiddenPatternSet
-    vertices: tuple[ColumnMask, ...]
-    rows: tuple[int, ...]  # rows[i] bit j: vertices[i] may precede vertices[j]
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def to_dense(self) -> np.ndarray:
-        size = self.size
-        dense = np.zeros((size, size), dtype=np.float64)
-        for i, bits in enumerate(self.rows):
-            for j in range(size):
-                if (bits >> j) & 1:
-                    dense[i, j] = 1.0
-        return dense
-
-    def render(self) -> str:
-        """Rows of space-separated 0/1 in mask-index order."""
-        return "\n".join(
-            " ".join(str(self.entry(i, j)) for j in range(self.size))
-            for i in range(self.size))
-
-
 def build_transfer(m: int, pats: ForbiddenPatternSet = M_SET,
-                   guard: int = DEFAULT_DENSE_GUARD) -> TransferMatrix:
-    """Materialize the transfer matrix for height m."""
+                   guard: int = DEFAULT_DENSE_GUARD) -> np.ndarray:
+    """The 0/1 transfer matrix for height m as an int8 array over the
+    admissible columns in ascending mask order: entry (i, j) is 1 iff
+    column i may sit left of column j."""
     if m < 1:
         raise ValueError("height must be >= 1")
     if m > guard:
@@ -179,12 +120,8 @@ def build_transfer(m: int, pats: ForbiddenPatternSet = M_SET,
             "use count_via_transfer, which never materializes the matrix",
             hint="count_via_transfer")
     allowed, keep = _profile_tables(m, pats)
-    verts = np.arange(1 << m) if keep is None else np.flatnonzero(keep)
-    fits = allowed[verts]
-    rows = tuple(sum(1 << int(j) for j in np.flatnonzero((v & fits) == v))
-                 for v in verts)
-    return TransferMatrix(m, pats, tuple(ColumnMask(m, int(v)) for v in verts),
-                          rows)
+    v = np.arange(1 << m) if keep is None else np.flatnonzero(keep)
+    return ((v[:, None] & allowed[v]) == v[:, None]).astype(np.int8)
 
 
 def _states(m: int, pats: ForbiddenPatternSet) -> Iterator[np.ndarray]:
@@ -296,7 +233,7 @@ def spectrum_small(m: int, pats: ForbiddenPatternSet = M_SET,
     Symmetric adjacency gets the symmetric eigensolver; otherwise the
     general solver is used and real parts are reported.
     """
-    dense = build_transfer(m, pats, guard=guard).to_dense()
+    dense = build_transfer(m, pats, guard=guard).astype(np.float64)
     if np.array_equal(dense, dense.T):
         values = np.linalg.eigvalsh(dense)
     else:

@@ -116,8 +116,12 @@ def _dims_within(cells: int):
 
 
 def check_transfer_reference(params: dict) -> CheckResult:
-    ok2 = build_transfer(2, M_SET).render() == REFERENCE_T2
-    ok3 = build_transfer(3, M_SET).render() == REFERENCE_T3
+    def render(m: int) -> str:
+        return "\n".join(" ".join(map(str, row))
+                         for row in build_transfer(m, M_SET))
+
+    ok2 = render(2) == REFERENCE_T2
+    ok3 = render(3) == REFERENCE_T3
     return CheckResult(
         "transfer-reference", ok2 and ok3,
         "heights 2 and 3 reproduce the 4x4 and 8x8 reference matrices "
@@ -221,9 +225,10 @@ def check_perfect_square(params: dict) -> CheckResult:
     for m in (2, 4, 6):
         seq = count_sequence(m, max_n, M_SET)
         for n in range(1, max_n + 1):
-            cert = dc.perfect_square_root(seq[n])
-            obs = dc.verify_observation(m, n)
-            if cert is None or obs.black != obs.white or not obs.product_ok:
+            black, white = map(dc.count_independent_sets, dc.split_by_color(m, n))
+            value = seq[n]
+            if (math.isqrt(value) ** 2 != value or black != white
+                    or black * white != value):
                 bad.append((m, n))
     return CheckResult(
         "perfect-square", not bad,

@@ -168,6 +168,7 @@ class TestGuards:
         (("eigen", "-m", "23"), 3),
         (("count", "-m", "100", "-n", "1", "--method", "decomposition"), 0),
         (("count", "-m", "26", "-n", "3", "--method", "decomposition"), 0),
+        (("eigen", "-m", "13", "--spectrum"), 3),
     ])
     def test_answers_within_a_second(self, argv, code, capsys):
         start = time.perf_counter()
@@ -390,3 +391,12 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "M(2,2) = 9" in result.stdout
+
+
+def test_mpmath_is_not_imported():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pawncount.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.strip() == "False"

@@ -303,6 +303,28 @@ class TestAsymptotics:
         assert golden_ratio_gap(1, 1) == pytest.approx(2 - (1 + math.sqrt(5)) / 2,
                                                        abs=1e-12)
 
+    @pytest.mark.parametrize("n,expected", [
+        (10, 1.2267195969482663),
+        (20, 1.226742009238603),
+        (40, 1.2267420107203533),
+    ])
+    def test_growth_ratio_pinned(self, n, expected):
+        # reference values computed in 60-digit arithmetic
+        assert fib_product_growth_ratio(n) == pytest.approx(expected, rel=1e-12)
+
+    def test_growth_ratio_at_two_hundred_terms(self):
+        assert abs(fib_product_growth_ratio(200) - FIB_PRODUCT_CONSTANT) < 1e-10
+
+    @pytest.mark.parametrize("n,expected", [
+        (10, 0.050502601436887666),
+        (20, 0.02538830154475716),
+        (40, 0.012726875236217848),
+        (150, 0.003400059627754407),
+    ])
+    def test_golden_gap_pinned(self, n, expected):
+        # reference values computed in 60-digit arithmetic
+        assert golden_ratio_gap(n, n) == pytest.approx(expected, rel=0, abs=1e-14)
+
     def test_golden_gap_shrinks_along_diagonal(self):
         g10, g20, g40 = (golden_ratio_gap(10, 10), golden_ratio_gap(20, 20),
                          golden_ratio_gap(40, 40))

@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
+from pawncount import verify
 from pawncount.decomposition import (ShapeGraph, count_independent_sets,
-                                     perfect_square_root, split_by_color,
-                                     verify_observation)
+                                     split_by_color)
 from pawncount.errors import GuardExceeded
 from pawncount.oracle import M_SET
 from pawncount.transfer import (colour_split_sequence, count_sequence,
@@ -100,6 +102,16 @@ class TestColourSplitSweep:
                 assert white[n] == count_independent_sets(white_shape), (m, n)
 
 
+def colour_counts(m: int, n: int) -> tuple[int, int]:
+    """Independent-set counts of the black and white shapes of an m-by-n board."""
+    black, white = split_by_color(m, n)
+    return count_independent_sets(black), count_independent_sets(white)
+
+
+def is_square(value: int) -> bool:
+    return math.isqrt(value) ** 2 == value
+
+
 class TestObservation:
     @pytest.mark.parametrize("m,n,black,white", [
         (3, 1, 4, 2),
@@ -107,42 +119,50 @@ class TestObservation:
         (4, 3, 22, 22),
     ])
     def test_spot_products(self, m, n, black, white):
-        result = verify_observation(m, n)
-        assert (result.black, result.white) == (black, white)
-        assert result.product_ok
+        assert colour_counts(m, n) == (black, white)
+        assert black * white == count_via_transfer(m, n, M_SET)
 
     def test_product_on_grid(self):
         for m in range(1, 7):
             for n in range(1, 7):
-                assert verify_observation(m, n).product_ok
+                black, white = colour_counts(m, n)
+                assert black * white == count_via_transfer(m, n, M_SET), (m, n)
 
     def test_empty_board(self):
-        result = verify_observation(0, 4)
-        assert (result.black, result.white, result.total) == (1, 1, 1)
-        assert result.product_ok
+        # a 0-by-4 board has two empty shapes; its transpose, 4 by 0, counts 1
+        assert colour_counts(0, 4) == (1, 1)
+        assert count_via_transfer(4, 0, M_SET) == 1
 
 
 class TestPerfectSquare:
     def test_certificates(self):
-        cert = perfect_square_root(484)
-        assert cert is not None and cert.root == 22
-        assert perfect_square_root(0).root == 0
+        # M(4, 3) = 484 = 22^2, and the root is each colour class's count
+        value = count_via_transfer(4, 3, M_SET)
+        assert value == 484 and math.isqrt(value) == 22
+        assert colour_counts(4, 3) == (22, 22)
 
     def test_non_square(self):
-        assert perfect_square_root(156) is None
-        assert perfect_square_root(2) is None
+        # odd heights split unevenly: M(3, 1) = 4 * 2 and M(1, 1) = 2 * 1
+        for m, n in ((3, 1), (1, 1)):
+            black, white = colour_counts(m, n)
+            assert black != white
+            assert not is_square(count_via_transfer(m, n, M_SET))
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            perfect_square_root(-4)
+    def test_negative_rejected(self, monkeypatch):
+        # the battery check fails once a count stops being a square
+        def tampered(m, n_max, pats):
+            return [v + 1 for v in count_sequence(m, n_max, pats)]
+
+        monkeypatch.setattr(verify, "count_sequence", tampered)
+        assert not verify.check_perfect_square(verify.QUICK).passed
 
     def test_even_heights_are_squares_with_equal_colors(self):
         for m in (2, 4, 6):
             seq = count_sequence(m, 8, M_SET)
             for n in range(1, 9):
-                result = verify_observation(m, n)
-                assert result.black == result.white
-                assert perfect_square_root(seq[n]) is not None
+                black, white = colour_counts(m, n)
+                assert black == white
+                assert is_square(seq[n]) and black * white == seq[n]
 
 
 class TestShapeRecurrences:

@@ -5,8 +5,9 @@ import pytest
 
 from pawncount.errors import GuardExceeded, NonConverged
 from pawncount.oracle import (L_SET, M_SET, U_SET, BinaryMatrix,
-                              count_by_enumeration, matrix_avoids, uk_set)
-from pawncount.transfer import (ColumnMask, build_transfer,
+                              count_by_enumeration, enumerate_legal,
+                              matrix_avoids, uk_set)
+from pawncount.transfer import (build_transfer,
                                 colour_split_sequence, count_sequence,
                                 count_via_transfer, dominant_eigenvalue,
                                 profile_step, spectrum_small)
@@ -30,25 +31,26 @@ T3_REFERENCE = """\
 PHI = (1 + math.sqrt(5)) / 2
 
 
-class TestColumnMask:
-    def test_rows_read_top_to_bottom(self):
-        v = ColumnMask(3, 0b101)
-        assert (v.row(1), v.row(2), v.row(3)) == (1, 0, 1)
-        assert str(v) == "101"
+def admissible(m: int, pats) -> list[int]:
+    """Masks of the legal m-by-1 boards in ascending order, top row as the
+    most significant bit: the vertices of the height-m transfer matrix."""
+    return sorted(int("".join(map(str, board.cells)), 2)
+                  for board in enumerate_legal(m, 1, pats))
 
-    def test_from_rows(self):
-        assert ColumnMask.from_rows([1, 0, 1]) == ColumnMask(3, 0b101)
 
-    def test_range_checked(self):
-        with pytest.raises(ValueError):
-            ColumnMask(2, 4)
+def rows_of(v: int, m: int) -> list[int]:
+    """The cells of mask v from the top row down."""
+    return [int(ch) for ch in format(v, f"0{m}b")]
+
+
+def render(matrix: np.ndarray) -> str:
+    return "\n".join(" ".join(map(str, row)) for row in matrix)
 
 
 def compatible(v: int, w: int, m: int, pats) -> bool:
     """Adjacency entry for masks v, w at height m, read off build_transfer."""
-    tm = build_transfer(m, pats)
-    index = {col.bits: i for i, col in enumerate(tm.vertices)}
-    return bool(tm.entry(index[v], index[w]))
+    index = {mask: i for i, mask in enumerate(admissible(m, pats))}
+    return bool(build_transfer(m, pats)[index[v], index[w]])
 
 
 class TestCompatible:
@@ -71,42 +73,46 @@ class TestCompatible:
         assert compatible(0b01, 0b10, 2, U_SET)
 
     def test_admissible_column_needs_no_vertical_pair(self):
-        isolated = {col.bits for col in build_transfer(3, L_SET).vertices}
+        isolated = admissible(3, L_SET)
         assert 0b101 in isolated and 0b110 not in isolated
-        assert len(build_transfer(3, M_SET).vertices) == 8
+        assert build_transfer(3, L_SET).shape == (5, 5)
+        assert build_transfer(3, M_SET).shape == (8, 8)
 
 
 class TestBuildTransfer:
     def test_t2_matches_reference(self):
-        assert build_transfer(2, M_SET).render() == T2_REFERENCE
+        assert render(build_transfer(2, M_SET)) == T2_REFERENCE
 
     def test_t3_matches_reference(self):
-        assert build_transfer(3, M_SET).render() == T3_REFERENCE
+        assert render(build_transfer(3, M_SET)) == T3_REFERENCE
 
     def test_height_one_is_all_ones(self):
-        tm = build_transfer(1, M_SET)
-        assert tm.render() == "1 1\n1 1"
+        matrix = build_transfer(1, M_SET)
+        assert matrix.dtype == np.int8
+        assert render(matrix) == "1 1\n1 1"
 
     def test_isolated_vertices_and_degrees(self):
-        tm = build_transfer(3, L_SET)
-        assert [str(v) for v in tm.vertices] == ["000", "001", "010", "100", "101"]
-        degrees = sorted((bin(r).count("1") for r in tm.rows), reverse=True)
+        assert [format(v, "03b") for v in admissible(3, L_SET)] == [
+            "000", "001", "010", "100", "101"]
+        degrees = sorted(build_transfer(3, L_SET).sum(axis=1), reverse=True)
         assert degrees == [5, 2, 2, 1, 1]
 
     def test_adjacency_agrees_with_compatible(self):
         # v may precede w iff the two-column board [v w] avoids the patterns
-        for pats in (M_SET, U_SET, L_SET):
-            tm = build_transfer(3, pats)
-            for i, v in enumerate(tm.vertices):
-                for j, w in enumerate(tm.vertices):
-                    board = BinaryMatrix.from_rows(
-                        [(v.row(r), w.row(r)) for r in range(1, 4)])
-                    assert tm.entry(i, j) == int(matrix_avoids(board, pats))
+        for m in range(1, 5):
+            for pats in (M_SET, U_SET, L_SET):
+                matrix = build_transfer(m, pats)
+                masks = admissible(m, pats)
+                assert matrix.shape == (len(masks), len(masks))
+                for i, v in enumerate(masks):
+                    for j, w in enumerate(masks):
+                        board = BinaryMatrix.from_rows(
+                            list(zip(rows_of(v, m), rows_of(w, m))))
+                        assert matrix[i, j] == int(matrix_avoids(board, pats))
 
     def test_symmetry(self):
-        def symmetric(tm):
-            dense = tm.to_dense()
-            return np.array_equal(dense, dense.T)
+        def symmetric(matrix):
+            return np.array_equal(matrix, matrix.T)
 
         assert symmetric(build_transfer(4, M_SET))
         assert symmetric(build_transfer(4, L_SET))
@@ -114,14 +120,16 @@ class TestBuildTransfer:
 
     def test_dense_guard(self):
         with pytest.raises(GuardExceeded):
-            build_transfer(15, M_SET)
+            build_transfer(13, M_SET)
+        assert build_transfer(12, M_SET).shape == (4096, 4096)
 
     def test_long_runs_rejected(self):
         with pytest.raises(ValueError):
             build_transfer(3, uk_set(3))
 
     def test_run_of_two_equals_single_diagonal(self):
-        assert build_transfer(3, uk_set(2)).render() == build_transfer(3, U_SET).render()
+        assert np.array_equal(build_transfer(3, uk_set(2)),
+                              build_transfer(3, U_SET))
 
 
 class TestCounting:
