@@ -18,11 +18,10 @@ that needs a sweep; and ``eigen``, whose power iteration runs the two-step
 colour operator on 2^floor(m/2) states.  ``--method transfer`` is the full
 2^m column profile for every quantity.
 
-One width guard covers every column-profile sweep: ``count``, ``table``
-and ``eigen`` refuse a profile taller than 22 rows with exit 3 before any
-work starts.  ``count`` runs M and L profiles along the longer side of
-the board, so only the shorter side meets the guard; ``table`` sweeps each
-row at its own height, and ``eigen`` at height m.
+Each sweep refuses a state array above 2^22 entries (exit 3) before it
+allocates one: 22 rows for the full profile, 44 for M's colour split.
+``count`` runs M and L along the longer side of the board, so only the
+shorter side meets the limit; ``table`` sweeps its tallest row first.
 Exact counts are serialized as decimal strings in JSON (they outgrow
 doubles quickly), in full however many digits they have; floats appear
 only for eigenvalues and asymptotics.
@@ -44,9 +43,9 @@ from .errors import (GuardExceeded, IllegalMatrix, InvalidTiling,
                      NonIntegerResult)
 from .oracle import (L_SET, M_SET, U_SET, BinaryMatrix, count_by_enumeration,
                      uk_set)
-from .transfer import (DEFAULT_MAX_ITER, DEFAULT_TOL, check_width,
-                       colour_split_sequence, count_sequence,
-                       count_via_transfer, dominant_eigenvalue, spectrum_small)
+from .transfer import (DEFAULT_MAX_ITER, DEFAULT_TOL, colour_split_sequence,
+                       count_sequence, count_via_transfer, dominant_eigenvalue,
+                       spectrum_small)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -122,13 +121,11 @@ def _route(quantity: str, m: int, n: int, k: int | None,
             return "closed", value, annotations
         if method == "closed":
             raise GuardExceeded(
-                f"no closed form covers a {m}x{n} board; use --method transfer",
-                hint="transfer")
+                f"no closed form covers a {m}x{n} board; use --method transfer")
     # M and L counts are transpose symmetric: run the column profile along
     # the longer side, so its width is the shorter one
     if quantity in ("M", "L") and n < m:
         m, n = n, m
-    check_width(m)
     if method == "transfer" or quantity != "M":
         return "transfer", count_via_transfer(m, n, pats), ()
     black, white = colour_split_sequence(m, n)
@@ -159,7 +156,6 @@ def cmd_count(args) -> int:
 def cmd_eigen(args) -> int:
     if args.m < 1:
         raise UsageError("-m must be >= 1")
-    check_width(args.m)
     extra = {}
     if args.spectrum:
         extra["spectrum"] = [float(v) for v in spectrum_small(args.m, M_SET)]
@@ -187,13 +183,12 @@ def _sweep(quantity: str, m: int, n_max: int) -> list[int]:
 
 def _table_cells(quantity: str, max_m: int, max_n: int) -> list[tuple[int, int, int]]:
     """Each cell takes its first closed form; every other cell of row m is
-    read off one sweep at height m.  All widths are checked before any
-    count starts."""
+    read off one sweep at height m.  The tallest row is swept first, so
+    a row too tall for its sweep is refused before any count starts."""
     cells = {(m, n): cf.closed_forms(quantity, m, n)
              for m in range(1, max_m + 1) for n in range(1, max_n + 1)}
-    swept = sorted({m for (m, _), forms in cells.items() if not forms})
-    for m in swept:
-        check_width(m)
+    swept = sorted({m for (m, _), forms in cells.items() if not forms},
+                   reverse=True)
     sweeps = {m: _sweep(quantity, m, max_n) for m in swept}
     return [(m, n, forms[0]()[0] if forms else sweeps[m][n])
             for (m, n), forms in cells.items()]

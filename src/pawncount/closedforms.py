@@ -10,10 +10,12 @@ never a rounding accident.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
 from .decomposition import count_independent_sets, split_by_color
 from .errors import InvalidK, NoFitFound, NonIntegerResult
@@ -24,14 +26,19 @@ FIB_PRODUCT_CONSTANT = 1.2267420107203532444176302
 _PHI = (1 + math.sqrt(5)) / 2
 
 
+def _k_fibonacci_terms(k: int) -> Iterator[int]:
+    """F(k, 0), F(k, 1), ...: each term sums the k before it."""
+    window = deque([0] * (k - 1) + [1], maxlen=k)  # F(k, i-k+1) .. F(k, i)
+    while True:
+        yield window[-1]
+        window.append(sum(window))
+
+
 def fibonacci(i: int) -> int:
     """Fibonacci number with F(0) = F(1) = 1."""
     if i < 0:
         raise ValueError("index must be >= 0")
-    a, b = 1, 1
-    for _ in range(i):
-        a, b = b, a + b
-    return a
+    return next(islice(_k_fibonacci_terms(2), i, None))
 
 
 def k_fibonacci(k: int, i: int) -> int:
@@ -41,11 +48,7 @@ def k_fibonacci(k: int, i: int) -> int:
         raise InvalidK(f"k must be >= 2, got {k}")
     if i < 0:
         return 0
-    window = [0] * (k - 1) + [1]  # F(k, i-k+1) .. F(k, i) rolling
-    for _ in range(i):
-        window.append(sum(window[-k:]))
-        window.pop(0)
-    return window[-1]
+    return next(islice(_k_fibonacci_terms(k), i, None))
 
 
 def fib_product(count: int) -> int:
@@ -53,12 +56,7 @@ def fib_product(count: int) -> int:
     i.e. 1 * 2 * 3 * 5 * 8 * ...; empty product is 1."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    total = 1
-    a, b = 1, 2
-    for _ in range(count):
-        total *= a
-        a, b = b, a + b
-    return total
+    return math.prod(islice(_k_fibonacci_terms(2), 1, count + 1))
 
 
 def upper_bound_U(m: int, n: int) -> int:
@@ -69,13 +67,7 @@ def upper_bound_U(m: int, n: int) -> int:
     with no adjacent 1s; multiply the per-row counts F(len + 1): two rows
     of each length 1..min-1 and |n - m| + 1 rows of length min(m, n).
     """
-    if m < 0 or n < 0:
-        raise ValueError("dimensions must be nonnegative")
-    lo = min(m, n)
-    prod = 1
-    for i in range(lo + 1):
-        prod *= fibonacci(i)
-    return fibonacci(lo + 1) ** (abs(n - m) + 1) * prod * prod
+    return _sheared_rows(m, n, 2)
 
 
 def upper_bound_U_k(m: int, n: int, k: int) -> int:
@@ -83,13 +75,16 @@ def upper_bound_U_k(m: int, n: int, k: int) -> int:
     same shape as upper_bound_U with k-generalized Fibonacci numbers."""
     if k < 2:
         raise InvalidK(f"k must be >= 2, got {k}")
+    return _sheared_rows(m, n, k)
+
+
+def _sheared_rows(m: int, n: int, k: int) -> int:
+    """U_k(m, n) from one walk over F(k, 0..min(m, n) + 1): a sheared row
+    of length l has F(k, l + 1) fillings."""
     if m < 0 or n < 0:
         raise ValueError("dimensions must be nonnegative")
-    lo = min(m, n)
-    prod = 1
-    for i in range(lo + 1):
-        prod *= k_fibonacci(k, i)
-    return k_fibonacci(k, lo + 1) ** (abs(n - m) + 1) * prod * prod
+    *rows, longest = islice(_k_fibonacci_terms(k), min(m, n) + 2)
+    return longest ** (abs(n - m) + 1) * math.prod(rows) ** 2
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GuardExceeded
 from .oracle import BoardDims
-from .transfer import profile_step
+from .transfer import check_width, profile_step
 
 DEFAULT_SHAPE_GUARD = 40
 
@@ -72,12 +72,12 @@ def count_independent_sets(shape: ShapeGraph,
     """
     if shape.vertex_count > guard:
         raise GuardExceeded(
-            f"shape has {shape.vertex_count} cells, above the {guard}-cell guard",
-            hint="count_via_transfer")
+            f"shape has {shape.vertex_count} cells, above the {guard}-cell guard")
     prev_col: int | None = None
     prev_rows: list[int] = []
     dp = np.ones(1, dtype=object)
     for col, rows in shape._columns():
+        check_width(len(rows))
         # blocked[s]: cells of the previous column that conflict with subset s
         blocked = np.zeros(1, dtype=np.int64)
         for r in rows:

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types; ``cli.main`` maps each to an exit code."""
 
 from __future__ import annotations
 
@@ -8,19 +8,12 @@ class PawncountError(Exception):
 
 
 class GuardExceeded(PawncountError):
-    """A size guard was exceeded; ``hint`` names a viable alternative route."""
-
-    def __init__(self, message: str, hint: str | None = None):
-        super().__init__(message)
-        self.hint = hint
+    """A size guard refused an input before its arrays were allocated;
+    the message names a viable route, if there is one."""
 
 
 class NonConverged(PawncountError):
     """Power iteration failed to converge within the iteration budget."""
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(message)
-        self.iterations = iterations
 
 
 class IllegalMatrix(PawncountError):

@@ -240,8 +240,7 @@ def _check_guard(dims: BoardDims, guard: int) -> None:
     if dims.cells > guard:
         raise GuardExceeded(
             f"enumerating 2^{dims.cells} candidate matrices exceeds the "
-            f"{guard}-cell guard; use the transfer engine for boards this large",
-            hint="transfer")
+            f"{guard}-cell guard; use the transfer engine for boards this large")
 
 
 def count_by_enumeration(m: int, n: int, pats: ForbiddenPatternSet,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import GuardExceeded, IllegalMatrix, InvalidTiling
 from .oracle import L_SET, BinaryMatrix, BoardDims, find_violation, matrix_avoids
-from .transfer import profile_step
+from .transfer import check_width, profile_step
 
 DEFAULT_TILING_GUARD = 30
 
@@ -111,6 +111,7 @@ def _pair_union_masks(rows: int) -> tuple[int, ...]:
 def _profile_count(rows: int, cols: int) -> int:
     """State w: the cells of the next column that 2x2 tiles already cover.
     New tiles protrude by a coverage mask disjoint from the current state."""
+    check_width(rows)
     size = 1 << rows
     allowed = (size - 1) ^ np.arange(size)
     keep = np.zeros(size, dtype=bool)
@@ -144,7 +145,7 @@ def enumerate_tilings(rows: int, cols: int,
     if rows * cols > guard:
         raise GuardExceeded(
             f"enumerating tilings of {rows}x{cols} exceeds the {guard}-cell "
-            "guard; count_tilings handles larger boards", hint="count_tilings")
+            "guard; count_tilings handles larger boards")
     return _walk_tilings(rows, cols)
 
 

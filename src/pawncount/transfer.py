@@ -16,6 +16,8 @@ M(m, n) = B * W.  ``colour_split_sequence`` sweeps each class on half-height
 columns of 2^ceil(m/2) and 2^floor(m/2) states; ``dominant_eigenvalue``
 iterates the two-step operator on the even-row states.  The full 2^m sweep
 stays the route for every pattern set and the check on the colour split.
+``check_width`` guards every 2^w state array where its tables are built,
+so the full sweep stops at m = 22 and the colour split at m = 44.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import GuardExceeded, NonConverged
 from .oracle import M_SET, ForbiddenPatternSet
 
 DEFAULT_DENSE_GUARD = 12
-#: Widest column profile the command line sweeps (2^22 states).
+#: Widest column profile any sweep allocates (2^22 states per array).
 MAX_WIDTH = 22
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
@@ -48,6 +50,7 @@ def _profile_tables(m: int, pats: ForbiddenPatternSet
         raise ValueError(
             "the transfer construction handles two-cell patterns only; "
             f"diagonal runs of length {k} are counted by formula or enumeration")
+    check_width(m)
     w = np.arange(1 << m)
     blocked = np.zeros_like(w)
     if pats.diag_down or k == 2:
@@ -73,6 +76,7 @@ def _colour_steps(m: int) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray
     and an odd state s leaves the even cells off s | s >> 1.
     """
     odd, even = (m + 1) // 2, m // 2
+    check_width(odd)
     s = np.arange(1 << even)
     to_even = ((1 << odd) - 1) & ~(s | s << 1)
     s = np.arange(1 << odd)
@@ -85,8 +89,8 @@ def check_width(width: int) -> None:
     2^width arrays exist."""
     if width > MAX_WIDTH:
         raise GuardExceeded(
-            f"a column profile of height {width} needs 2^{width} states, above "
-            f"the 2^{MAX_WIDTH} limit; no exact route covers this size")
+            f"a column profile of {width} cells needs 2^{width} states, above "
+            f"the 2^{MAX_WIDTH} limit")
 
 
 def profile_step(x: np.ndarray, width: int, allowed: np.ndarray,
@@ -116,12 +120,15 @@ def build_transfer(m: int, pats: ForbiddenPatternSet = M_SET,
         raise ValueError("height must be >= 1")
     if m > guard:
         raise GuardExceeded(
-            f"dense transfer at height {m} needs up to 2^{m} vertices; "
-            "use count_via_transfer, which never materializes the matrix",
-            hint="count_via_transfer")
+            f"dense transfer at height {m} needs up to 2^{m} vertices, above "
+            f"the 2^{guard} limit; eigen without --spectrum gives the dominant "
+            "eigenvalue by power iteration")
     allowed, keep = _profile_tables(m, pats)
-    v = np.arange(1 << m) if keep is None else np.flatnonzero(keep)
-    return ((v[:, None] & allowed[v]) == v[:, None]).astype(np.int8)
+    # narrow unsigned masks keep the broadcast's square temporary small
+    mask = np.min_scalar_type((1 << m) - 1)
+    v = (np.arange(1 << m) if keep is None else np.flatnonzero(keep)).astype(mask)
+    left = v[:, None]
+    return ((left & allowed[v].astype(mask)) == left).astype(np.int8)
 
 
 def _states(m: int, pats: ForbiddenPatternSet) -> Iterator[np.ndarray]:
@@ -223,7 +230,7 @@ def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,
         x = y / np.max(y)
     raise NonConverged(
         f"power iteration did not converge within {max_iter} iterations "
-        f"(tol={tol}); raise max_iter", iterations=max_iter)
+        f"(tol={tol}); raise max_iter")
 
 
 def spectrum_small(m: int, pats: ForbiddenPatternSet = M_SET,

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ import pytest
 from pawncount import closedforms as cf
 from pawncount import verify as vf
 from pawncount.cli import main
+from pawncount.decomposition import count_independent_sets, split_by_color
 from pawncount.errors import NoFitFound, NonIntegerResult
 from pawncount.oracle import M_SET
 from pawncount.transfer import count_via_transfer
@@ -165,10 +167,14 @@ class TestGuards:
 
     @pytest.mark.parametrize("argv,code", [
         (("table", "--quantity", "L", "--max-m", "23"), 3),
-        (("eigen", "-m", "23"), 3),
+        (("eigen", "-m", "45"), 3),
         (("count", "-m", "100", "-n", "1", "--method", "decomposition"), 0),
         (("count", "-m", "26", "-n", "3", "--method", "decomposition"), 0),
         (("eigen", "-m", "13", "--spectrum"), 3),
+        (("table", "--quantity", "M", "--max-m", "45", "--max-n", "10"), 3),
+        (("count", "-m", "45", "-n", "45"), 3),
+        (("count", "-m", "23", "-n", "23", "--method", "transfer"), 3),
+        (("eigen", "-m", "23"), 0),
     ])
     def test_answers_within_a_second(self, argv, code, capsys):
         start = time.perf_counter()
@@ -184,6 +190,16 @@ class TestGuards:
         _, auto, _ = run_cli("count", "-m", "26", "-n", "3", "--json",
                              capsys=capsys)
         assert json.loads(out)["value"] == json.loads(auto)["value"]
+
+    def test_colour_split_counts_past_the_full_profile(self, capsys):
+        code, out, _ = run_cli("count", "-m", "24", "-n", "24", "--json",
+                               capsys=capsys)
+        assert code == 0
+        value = int(json.loads(out)["value"])
+        black, white = split_by_color(24, 24)
+        assert value == (count_independent_sets(black, guard=300)
+                         * count_independent_sets(white, guard=300))
+        assert math.isqrt(value) ** 2 == value
 
 
 class TestRoutes:

@@ -74,8 +74,8 @@ class TestUpperBound:
     def test_k_variant(self):
         assert upper_bound_U_k(2, 2, 3) == 16
         assert upper_bound_U_k(3, 3, 3) == 448
-        for m in range(5):
-            for n in range(5):
+        for m in range(30):
+            for n in range(30):
                 assert upper_bound_U_k(m, n, 2) == upper_bound_U(m, n)
 
     def test_k_variant_equals_oracle(self):

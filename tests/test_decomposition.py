@@ -86,6 +86,10 @@ class TestCountIndependentSets:
         with pytest.raises(GuardExceeded):
             count_independent_sets(big)
         assert count_independent_sets(big, guard=50) > 0
+        # a single 23-cell column passes the cell guard but not the width guard
+        column = ShapeGraph(tuple((r, 1) for r in range(1, 24)))
+        with pytest.raises(GuardExceeded):
+            count_independent_sets(column, guard=50)
 
     def test_duplicate_cells_rejected(self):
         with pytest.raises(ValueError):

@@ -121,6 +121,10 @@ class TestCountTilings:
                 assert (count_tilings(rows, cols)
                         == sum(1 for _ in enumerate_tilings(rows, cols)))
 
+    def test_width_guard(self):
+        with pytest.raises(GuardExceeded):
+            count_tilings(23, 23)
+
 
 class TestEnumerateTilings:
     def test_unique_tilings(self):

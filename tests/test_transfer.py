@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -130,6 +131,23 @@ class TestBuildTransfer:
     def test_run_of_two_equals_single_diagonal(self):
         assert np.array_equal(build_transfer(3, uk_set(2)),
                               build_transfer(3, U_SET))
+
+
+class TestWidthGuard:
+    """Each sweep refuses a 2^23-state array before allocating it: the
+    full profile at height 23, the colour split at height 45."""
+
+    @pytest.mark.parametrize("sweep", [
+        lambda: count_via_transfer(23, 2),
+        lambda: count_sequence(23, 2),
+        lambda: colour_split_sequence(45, 2),
+        lambda: dominant_eigenvalue(45),
+    ])
+    def test_refused_at_once(self, sweep):
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded):
+            sweep()
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCounting:
