@@ -5,27 +5,55 @@ its one-diagonal relaxation U and fully-isolated restriction L) through
 several independent routes, brute force, transfer matrices, closed
 formulas, black/white shape products and a square-tiling bijection, and
 cross-validates them against each other.
+
+The exports below resolve lazily (PEP 562): ``from pawncount import X``
+imports only the submodule that defines X, so a closed-form or bijection
+call never loads numpy, which only the sweeps and the enumeration need.
 """
 
-from .closedforms import (FIB_PRODUCT_CONSTANT, LinearRecurrence,
-                          QuadraticValue, ShapeFormulaM, closed_form_L,
-                          closed_form_M, estimate_c, fib_product,
-                          fib_product_growth_ratio, fibonacci,
-                          fit_linear_recurrence, golden_ratio_gap,
-                          k_fibonacci, l3_root_closed_form, shape_formula_M,
-                          upper_bound_U, upper_bound_U_k)
-from .decomposition import ShapeGraph, count_independent_sets, split_by_color
-from .errors import (GuardExceeded, IllegalMatrix, InvalidK, InvalidTiling,
-                     MatrixFormatError, NoFitFound, NonConverged,
-                     NonIntegerResult, PawncountError)
-from .oracle import (L_SET, M_SET, U_SET, BinaryMatrix, BoardDims,
-                     ForbiddenPatternSet, count_by_enumeration,
-                     enumerate_legal, find_violation, matrix_avoids, uk_set)
-from .tiling import (Tiling, count_tilings, enumerate_tilings, render_ascii,
-                     theta_forward, theta_inverse, tiling_from_json,
-                     tiling_to_json)
-from .transfer import (build_transfer, count_sequence, count_via_transfer,
-                       dominant_eigenvalue, spectrum_small)
-from .verify import CheckResult, VerificationReport, run_verification
+from importlib import import_module
 
+_EXPORTS = {
+    "closedforms": (
+        "FIB_PRODUCT_CONSTANT", "LinearRecurrence", "QuadraticValue",
+        "ShapeFormulaM", "closed_form_L", "closed_form_M", "estimate_c",
+        "fib_product", "fib_product_growth_ratio", "fibonacci",
+        "fit_linear_recurrence", "golden_ratio_gap", "k_fibonacci",
+        "l3_root_closed_form", "shape_formula_M", "upper_bound_U",
+        "upper_bound_U_k"),
+    "decomposition": ("ShapeGraph", "count_independent_sets", "split_by_color"),
+    "errors": (
+        "GuardExceeded", "IllegalMatrix", "InvalidK", "InvalidTiling",
+        "MatrixFormatError", "NoFitFound", "NonConverged", "NonIntegerResult",
+        "PawncountError"),
+    "oracle": (
+        "L_SET", "M_SET", "U_SET", "BinaryMatrix", "BoardDims",
+        "ForbiddenPatternSet", "count_by_enumeration", "enumerate_legal",
+        "find_violation", "matrix_avoids", "uk_set"),
+    "tiling": (
+        "Tiling", "count_tilings", "enumerate_tilings", "render_ascii",
+        "theta_forward", "theta_inverse", "tiling_from_json",
+        "tiling_to_json"),
+    "transfer": (
+        "build_transfer", "count_sequence", "count_via_transfer",
+        "dominant_eigenvalue", "spectrum_small"),
+    "verify": ("CheckResult", "VerificationReport", "run_verification"),
+}
+
+#: Exported name -> the submodule that defines it.
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

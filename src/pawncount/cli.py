@@ -25,6 +25,11 @@ shorter side meets the limit; ``table`` sweeps its tallest row first.
 Exact counts are serialized as decimal strings in JSON (they outgrow
 doubles quickly), in full however many digits they have; floats appear
 only for eigenvalues and asymptotics.
+
+The sweeps (``transfer``) and the battery (``verify``) are imported inside
+the commands that run them, after the closed forms are tried, so a
+closed-form count, U and U_k, a U table and ``bijection`` start without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -37,15 +42,11 @@ from pathlib import Path
 
 from . import closedforms as cf
 from . import tiling as tl
-from . import verify as vf
 from .errors import (GuardExceeded, IllegalMatrix, InvalidTiling,
                      MatrixFormatError, NoFitFound, NonConverged,
                      NonIntegerResult)
 from .oracle import (L_SET, M_SET, U_SET, BinaryMatrix, count_by_enumeration,
                      uk_set)
-from .transfer import (DEFAULT_MAX_ITER, DEFAULT_TOL, colour_split_sequence,
-                       count_sequence, count_via_transfer, dominant_eigenvalue,
-                       spectrum_small)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -122,6 +123,8 @@ def _route(quantity: str, m: int, n: int, k: int | None,
         if method == "closed":
             raise GuardExceeded(
                 f"no closed form covers a {m}x{n} board; use --method transfer")
+    from .transfer import colour_split_sequence, count_via_transfer
+
     # M and L counts are transpose symmetric: run the column profile along
     # the longer side, so its width is the shorter one
     if quantity in ("M", "L") and n < m:
@@ -156,11 +159,16 @@ def cmd_count(args) -> int:
 def cmd_eigen(args) -> int:
     if args.m < 1:
         raise UsageError("-m must be >= 1")
+    from .transfer import dominant_eigenvalue, spectrum_small
+
     extra = {}
     if args.spectrum:
         extra["spectrum"] = [float(v) for v in spectrum_small(args.m, M_SET)]
-    value = dominant_eigenvalue(args.m, M_SET, tol=args.tol,
-                                max_iter=args.max_iter)
+    # flags left unset fall back on dominant_eigenvalue's own defaults
+    given = {name: flag for name, flag in
+             (("tol", args.tol), ("max_iter", args.max_iter))
+             if flag is not None}
+    value = dominant_eigenvalue(args.m, M_SET, **given)
     record = _record("eigen", quantity="alpha", m=args.m, method="power-iteration",
                      value=value, **extra, annotations=())
     if args.json:
@@ -175,6 +183,8 @@ def cmd_eigen(args) -> int:
 def _sweep(quantity: str, m: int, n_max: int) -> list[int]:
     """Counts of height m for n = 0..n_max: the colour split for M, the
     transfer sweep otherwise."""
+    from .transfer import colour_split_sequence, count_sequence
+
     if quantity == "M":
         black, white = colour_split_sequence(m, n_max)
         return [b * w for b, w in zip(black, white)]
@@ -239,7 +249,9 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = vf.run_verification(args.level)
+    from .verify import run_verification
+
+    report = run_verification(args.level)
     if args.json:
         print(json.dumps(report.to_dict()))
     else:
@@ -276,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eigen = sub.add_parser("eigen", help="dominant transfer eigenvalue")
     p_eigen.add_argument("-m", type=int, required=True)
-    p_eigen.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_eigen.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p_eigen.add_argument("--tol", type=float, default=None)
+    p_eigen.add_argument("--max-iter", type=int, default=None)
     p_eigen.add_argument("--spectrum", action="store_true",
                          help="also print the full spectrum (dense sizes only)")
     p_eigen.add_argument("--json", action="store_true")

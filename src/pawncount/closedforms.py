@@ -17,7 +17,6 @@ from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator
 
-from .decomposition import count_independent_sets, split_by_color
 from .errors import InvalidK, NoFitFound, NonIntegerResult
 
 #: Infinite-product constant governing Fibonacci factorial growth,
@@ -364,6 +363,9 @@ def corrected_five_row_shapes() -> tuple[LinearRecurrence, LinearRecurrence]:
     """Generating functions for the five-row black/white shape counts,
     fitted from direct independent-set counts (the published pair fails
     from n = 2 on)."""
+    # the shape DP sweeps with numpy; no other closed form needs it
+    from .decomposition import count_independent_sets, split_by_color
+
     terms = 20
     alpha: list[int] = []
     beta: list[int] = []

@@ -4,18 +4,21 @@ Boards are binary matrices with 1-based cells, row 1 at the top.  A
 ForbiddenPatternSet names small forbidden configurations (diagonal pairs,
 axis pairs, diagonal runs); this module counts the matrices avoiding them
 by scanning all 2^(m*n) candidates, vectorized in chunks.  Every other
-counting route in the package is validated against this one.
+counting route in the package is validated against this one.  numpy is
+imported only by the scan, so the pattern sets and the matrix type load
+without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import GuardExceeded, InvalidK, MatrixFormatError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ENUMERATION_GUARD = 25
 _CHUNK = 1 << 20
@@ -227,6 +230,8 @@ def find_violation(mat: BinaryMatrix,
 
 
 def _legal_chunk(xs: np.ndarray, checks) -> np.ndarray:
+    import numpy as np
+
     legal = np.ones(xs.shape, dtype=bool)
     for shifts, mask in checks:
         acc = xs
@@ -249,6 +254,8 @@ def count_by_enumeration(m: int, n: int, pats: ForbiddenPatternSet,
 
     Empty boards count 1.  Raises GuardExceeded beyond ``guard`` cells.
     """
+    import numpy as np
+
     dims = BoardDims(m, n)
     if dims.cells == 0:
         return 1
@@ -272,6 +279,8 @@ def enumerate_legal(m: int, n: int, pats: ForbiddenPatternSet,
 
 
 def _enumerate(dims: BoardDims, pats: ForbiddenPatternSet) -> Iterator[BinaryMatrix]:
+    import numpy as np
+
     if dims.cells == 0:
         yield BinaryMatrix(dims, ())
         return

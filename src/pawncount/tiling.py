@@ -10,7 +10,8 @@ transfer engine (``transfer.profile_step``), but its state model, which
 cells of the next column 2x2 tiles already cover, is its own, so a tiling
 count is still an independent check on the isolated-matrix counts.  The
 step itself is checked independently by the brute-force oracle and the
-closed forms.
+closed forms.  Only the counter imports numpy and the step; the bijection
+and the JSON format load without them.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-import numpy as np
-
 from .errors import GuardExceeded, IllegalMatrix, InvalidTiling
 from .oracle import L_SET, BinaryMatrix, BoardDims, find_violation, matrix_avoids
-from .transfer import check_width, profile_step
 
 DEFAULT_TILING_GUARD = 30
 
@@ -91,26 +89,28 @@ def theta_inverse(tiling: Tiling) -> BinaryMatrix:
 def _pair_union_masks(rows: int) -> tuple[int, ...]:
     """Masks decomposable into disjoint adjacent-bit pairs (all runs of 1s
     have even length); each is a possible 2x2 coverage of one column."""
-    out = []
-    for mask in range(1 << rows):
-        run = 0
-        ok = True
-        for b in range(rows + 1):
-            if b < rows and mask & (1 << b):
-                run += 1
-            else:
-                if run % 2:
-                    ok = False
-                    break
-                run = 0
-        if ok:
-            out.append(mask)
-    return tuple(out)
+    import numpy as np
+
+    masks = np.arange(1 << rows)
+    odd = np.zeros(masks.shape, dtype=bool)  # current run of 1s is odd
+    ok = np.ones(masks.shape, dtype=bool)
+    # run parity, bit by bit over all masks at once: a 0 bit (or the top
+    # edge) ends the run below it, which must be even
+    for b in range(rows):
+        bit = ((masks >> b) & 1).astype(bool)
+        ok &= bit | ~odd
+        odd = bit & ~odd
+    ok &= ~odd
+    return tuple(masks[ok].tolist())
 
 
 def _profile_count(rows: int, cols: int) -> int:
     """State w: the cells of the next column that 2x2 tiles already cover.
     New tiles protrude by a coverage mask disjoint from the current state."""
+    import numpy as np
+
+    from .transfer import check_width, profile_step
+
     check_width(rows)
     size = 1 << rows
     allowed = (size - 1) ^ np.arange(size)

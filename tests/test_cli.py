@@ -388,14 +388,14 @@ class TestVerify:
         assert all(c["elapsed_s"] >= 0 for c in report["checks"])
 
     def test_failed_check_exits_1(self, capsys, monkeypatch):
-        from pawncount import cli as cli_mod
         from pawncount.verify import CheckResult, VerificationReport
 
         def fake_run(level):
             return VerificationReport(level, (
                 CheckResult("doomed", False, "synthetic failure"),))
 
-        monkeypatch.setattr(cli_mod.vf, "run_verification", fake_run)
+        # cli imports verify when the command runs, so patch it at home
+        monkeypatch.setattr("pawncount.verify.run_verification", fake_run)
         code, out, _ = run_cli("verify", capsys=capsys)
         assert code == 1
         assert "[FAIL] doomed" in out
@@ -416,3 +416,81 @@ def test_mpmath_is_not_imported():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.strip() == "False"
+
+
+# Runs one CLI call in a fresh interpreter and reports its exit code, its
+# output and whether numpy was loaded by the time it returned.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from pawncount.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), "numpy" in sys.modules]))
+"""
+
+
+def _probe(*argv):
+    result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+@pytest.mark.parametrize("statement", ["import pawncount",
+                                       "import pawncount.cli"])
+def test_numpy_is_not_imported_by_the_package(statement):
+    result = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; {statement}; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "-m", "3", "-n", "5"),
+    ("count", "-m", "4", "-n", "20"),
+    ("count", "-m", "100", "-n", "100", "--quantity", "U"),
+    ("count", "-m", "2", "-n", "2", "--quantity", "U", "--k", "3"),
+    ("table", "--quantity", "U", "--max-m", "6", "--max-n", "10"),
+])
+def test_closed_form_calls_skip_numpy(argv):
+    code, out, numpy_loaded = _probe(*argv)
+    assert code == 0 and out
+    assert not numpy_loaded
+
+
+def test_bijection_skips_numpy(tmp_path):
+    matrix = tmp_path / "mat.txt"
+    matrix.write_text("10010\n00000\n01001")
+    code, out, numpy_loaded = _probe("bijection", "--matrix-file", str(matrix))
+    assert code == 0 and not numpy_loaded
+    tiling = tmp_path / "tiling.json"
+    tiling.write_text(out)
+    code, out, numpy_loaded = _probe("bijection", "--tiling-json", str(tiling),
+                                     "--invert")
+    assert code == 0 and not numpy_loaded
+    assert out.rstrip("\n") == matrix.read_text()
+
+
+def test_five_row_shape_dp_still_loads_on_demand():
+    code, out, numpy_loaded = _probe("count", "-m", "5", "-n", "2",
+                                     "--method", "closed", "--json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["value"] == "169"
+    assert any("156" in note for note in record["annotations"])
+    assert numpy_loaded
+
+
+def test_lazy_package_exports():
+    import pawncount
+
+    for name in pawncount.__all__:
+        assert getattr(pawncount, name) is not None
+    assert set(pawncount.__all__) <= set(dir(pawncount))
+    from pawncount import count_via_transfer as exported
+    assert exported is count_via_transfer
+    with pytest.raises(AttributeError):
+        pawncount.no_such_export

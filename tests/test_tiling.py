@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from pawncount.errors import GuardExceeded, IllegalMatrix, InvalidTiling
 from pawncount.oracle import (L_SET, BinaryMatrix, count_by_enumeration,
                               enumerate_legal, matrix_avoids)
-from pawncount.tiling import (Tiling, count_tilings, enumerate_tilings,
-                              render_ascii, theta_forward, theta_inverse,
-                              tiling_from_json, tiling_to_json)
+from pawncount.tiling import (Tiling, _pair_union_masks, count_tilings,
+                              enumerate_tilings, render_ascii, theta_forward,
+                              theta_inverse, tiling_from_json, tiling_to_json)
 from pawncount.transfer import count_via_transfer
 
 
@@ -120,6 +120,23 @@ class TestCountTilings:
             for cols in range(0, 5):
                 assert (count_tilings(rows, cols)
                         == sum(1 for _ in enumerate_tilings(rows, cols)))
+
+    @pytest.mark.parametrize("rows", range(15))
+    def test_pair_union_masks_match_bit_loop(self, rows):
+        def every_run_even(mask):
+            run = 0
+            for b in range(rows + 1):
+                if b < rows and mask >> b & 1:
+                    run += 1
+                elif run % 2:
+                    return False
+                else:
+                    run = 0
+            return True
+
+        expected = tuple(mask for mask in range(1 << rows)
+                         if every_run_even(mask))
+        assert _pair_union_masks(rows) == expected
 
     def test_width_guard(self):
         with pytest.raises(GuardExceeded):
