@@ -33,10 +33,10 @@ _EXPORTS = {
     "tiling": (
         "Tiling", "count_tilings", "enumerate_tilings", "render_ascii",
         "theta_forward", "theta_inverse", "tiling_from_json",
-        "tiling_to_json"),
+        "tiling_sequence", "tiling_to_json"),
     "transfer": (
         "build_transfer", "count_sequence", "count_via_transfer",
-        "dominant_eigenvalue", "spectrum_small"),
+        "dominant_eigenvalue", "isolated_sequence", "spectrum_small"),
     "verify": ("CheckResult", "VerificationReport", "run_verification"),
 }
 

@@ -15,13 +15,17 @@ M counts run on the colour split (M = B * W, each factor a sweep over
 half-height columns): ``count`` under ``auto`` when no closed form covers
 the board, and under ``--method decomposition``; every M row of ``table``
 that needs a sweep; and ``eigen``, whose power iteration runs the two-step
-colour operator on 2^floor(m/2) states.  ``--method transfer`` is the full
-2^m column profile for every quantity.
+colour operator on 2^floor(m/2) states.  L counts run on the frontier
+sweep, one cell at a time over the legal frontiers only: ``count`` under
+``auto`` when no closed form covers the board (its JSON ``method`` stays
+``transfer``), and every L row of ``table`` that needs a sweep.
+``--method transfer`` is the full 2^m column profile for every quantity.
 
 Each sweep refuses a state array above 2^22 entries (exit 3) before it
-allocates one: 22 rows for the full profile, 44 for M's colour split.
-``count`` runs M and L along the longer side of the board, so only the
-shorter side meets the limit; ``table`` sweeps its tallest row first.
+allocates one: 22 rows for the full profile, 30 for L's frontier sweep
+(whose guard counts frontiers, not column cells), 44 for M's colour
+split.  ``count`` runs M and L along the longer side of the board, so only
+the shorter side meets the limit; ``table`` sweeps its tallest row first.
 Exact counts are serialized as decimal strings in JSON (they outgrow
 doubles quickly), in full however many digits they have; floats appear
 only for eigenvalues and asymptotics.
@@ -98,8 +102,8 @@ def _route(quantity: str, m: int, n: int, k: int | None,
            method: str) -> tuple[str, int, tuple[str, ...]]:
     """Pick the route for one count and run it: (method used, value,
     annotations).  ``auto`` takes the first closed form that covers the
-    board and falls back to the colour split for M and to the transfer
-    engine for U and L."""
+    board and falls back to the colour split for M, the frontier sweep
+    for L and the transfer engine for U."""
     if quantity == "Uk":
         if method in ("auto", "closed"):
             return "closed", cf.upper_bound_U_k(m, n, k), ()
@@ -123,14 +127,17 @@ def _route(quantity: str, m: int, n: int, k: int | None,
         if method == "closed":
             raise GuardExceeded(
                 f"no closed form covers a {m}x{n} board; use --method transfer")
-    from .transfer import colour_split_sequence, count_via_transfer
+    from .transfer import (colour_split_sequence, count_via_transfer,
+                           isolated_sequence)
 
     # M and L counts are transpose symmetric: run the column profile along
     # the longer side, so its width is the shorter one
     if quantity in ("M", "L") and n < m:
         m, n = n, m
-    if method == "transfer" or quantity != "M":
+    if method == "transfer" or quantity == "U":
         return "transfer", count_via_transfer(m, n, pats), ()
+    if quantity == "L":
+        return "transfer", isolated_sequence(m, n)[n], ()
     black, white = colour_split_sequence(m, n)
     b, w = black[n], white[n]
     annotations = ()
@@ -182,12 +189,15 @@ def cmd_eigen(args) -> int:
 
 def _sweep(quantity: str, m: int, n_max: int) -> list[int]:
     """Counts of height m for n = 0..n_max: the colour split for M, the
-    transfer sweep otherwise."""
-    from .transfer import colour_split_sequence, count_sequence
+    frontier sweep for L, the transfer sweep for U."""
+    from .transfer import (colour_split_sequence, count_sequence,
+                           isolated_sequence)
 
     if quantity == "M":
         black, white = colour_split_sequence(m, n_max)
         return [b * w for b, w in zip(black, white)]
+    if quantity == "L":
+        return isolated_sequence(m, n_max)
     return count_sequence(m, n_max, _PATTERNS[quantity])
 
 

@@ -342,9 +342,12 @@ def fit_linear_recurrence(seq, max_order: int) -> LinearRecurrence:
 
 # Shape generating functions for the per-height pawn formulas.  The
 # five-row pair is kept in its published (erroneous) form for comparison;
-# the corrected pair is fitted lazily from direct shape counts.
+# the corrected pair is the fit of corrected_five_row_shapes, stored so a
+# height-5 count needs no shape DP (the battery refits and compares it).
 GF_FOUR_ROW_ALPHA = LinearRecurrence((1, 2, -2), (1, -2, -2, 2))
 GF_SIX_ROW_ALPHA = LinearRecurrence((1, 5, -9, -5, 6), (1, -3, -6, 11, 5, -6))
+GF_FIVE_ROW_A = LinearRecurrence((1, 8, 1, -23, 0, 5), (1, 0, -12, 0, 24, 0, -5))
+GF_FIVE_ROW_B = LinearRecurrence((1, 4, 1, -19, 0, 5), (1, 0, -12, 0, 24, 0, -5))
 PUBLISHED_FIVE_ROW_A = LinearRecurrence((1, 7, -4, -7, 5), (1, -1, -8, 4, 6, -4))
 PUBLISHED_FIVE_ROW_B = LinearRecurrence((1, 3, 1, -5, 4), (1, -1, -8, 4, 6, -4))
 
@@ -362,8 +365,8 @@ def _gf_term(rec: LinearRecurrence, n: int) -> int:
 def corrected_five_row_shapes() -> tuple[LinearRecurrence, LinearRecurrence]:
     """Generating functions for the five-row black/white shape counts,
     fitted from direct independent-set counts (the published pair fails
-    from n = 2 on)."""
-    # the shape DP sweeps with numpy; no other closed form needs it
+    from n = 2 on); they must equal GF_FIVE_ROW_A and GF_FIVE_ROW_B."""
+    # the shape DP sweeps with numpy; no closed form needs it
     from .decomposition import count_independent_sets, split_by_color
 
     terms = 20
@@ -425,8 +428,7 @@ def shape_formula_M(m: int, n: int) -> ShapeFormulaM:
     if m == 6:
         a = _gf_term(GF_SIX_ROW_ALPHA, n)
         return ShapeFormulaM(m, n, a * a, "shape generating function")
-    fit_a, fit_b = corrected_five_row_shapes()
-    value = _gf_term(fit_a, n) * _gf_term(fit_b, n)
+    value = _gf_term(GF_FIVE_ROW_A, n) * _gf_term(GF_FIVE_ROW_B, n)
     published = (_gf_term(PUBLISHED_FIVE_ROW_A, n)
                  * _gf_term(PUBLISHED_FIVE_ROW_B, n))
     annotations: tuple[str, ...] = ()

@@ -104,9 +104,15 @@ def _pair_union_masks(rows: int) -> tuple[int, ...]:
     return tuple(masks[ok].tolist())
 
 
-def _profile_count(rows: int, cols: int) -> int:
-    """State w: the cells of the next column that 2x2 tiles already cover.
-    New tiles protrude by a coverage mask disjoint from the current state."""
+def tiling_sequence(rows: int, cols_max: int) -> list[int]:
+    """Tilings of the rows-by-c boards for c = 0..cols_max (index by c),
+    from one column-profile sweep of height rows.
+
+    State w: the cells of the next column that 2x2 tiles already cover.
+    New tiles protrude by a coverage mask disjoint from the current state,
+    and after c columns state 0 counts the tilings of rows x c."""
+    if rows < 0 or cols_max < 0:
+        raise ValueError("dimensions must be nonnegative")
     import numpy as np
 
     from .transfer import check_width, profile_step
@@ -118,9 +124,11 @@ def _profile_count(rows: int, cols: int) -> int:
     keep[list(_pair_union_masks(rows))] = True
     dp = np.zeros(size, dtype=object)
     dp[0] = 1
-    for _ in range(cols):
+    counts = [1]
+    for _ in range(cols_max):
         dp = profile_step(dp, rows, allowed, keep)
-    return dp[0]
+        counts.append(int(dp[0]))
+    return counts
 
 
 def count_tilings(rows: int, cols: int) -> int:
@@ -130,11 +138,7 @@ def count_tilings(rows: int, cols: int) -> int:
     The profile runs over the smaller dimension (counts are symmetric)."""
     if rows < 0 or cols < 0:
         raise ValueError("dimensions must be nonnegative")
-    if rows == 0 or cols == 0:
-        return 1
-    if rows <= cols:
-        return _profile_count(rows, cols)
-    return _profile_count(cols, rows)
+    return tiling_sequence(min(rows, cols), max(rows, cols))[-1]
 
 
 def enumerate_tilings(rows: int, cols: int,

@@ -18,6 +18,15 @@ iterates the two-step operator on the even-row states.  The full 2^m sweep
 stays the route for every pattern set and the check on the colour split.
 ``check_width`` guards every 2^w state array where its tables are built,
 so the full sweep stops at m = 22 and the colour split at m = 44.
+
+For L a legal column has no two vertical neighbours, so only F(m+1) of
+its 2^m states can be non-zero (F(0) = F(1) = 1, as in ``closedforms``).
+``isolated_sequence`` sweeps the board one cell at a time (a broken
+profile) over the legal frontiers only: the m latest cells, one per row,
+plus the cell left of the newest one, which its lower neighbour still
+touches diagonally.  There are at most F(m+1) + F(m-1) of them, and the
+sweep holds that count to the same 2^22 bound, so L runs to m = 30.  The
+full sweep stays the independent check on it up to m = 22.
 """
 
 from __future__ import annotations
@@ -27,41 +36,46 @@ from typing import Iterator
 
 import numpy as np
 
+from .closedforms import fibonacci
 from .errors import GuardExceeded, NonConverged
 from .oracle import M_SET, ForbiddenPatternSet
 
 DEFAULT_DENSE_GUARD = 12
 #: Widest column profile any sweep allocates (2^22 states per array).
 MAX_WIDTH = 22
+#: Most entries any one state or gather table holds.
+MAX_STATES = 1 << MAX_WIDTH
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
 
 
-def _profile_tables(m: int, pats: ForbiddenPatternSet
-                    ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The forbidden-pair rule for height m as two kernel tables.
-
-    allowed[w] holds the cells a left neighbour of column w may fill;
-    keep[w] says whether column w is legal on its own, and is None when
-    every column is (no vertical pair is forbidden).
-    """
+def _keep_table(m: int, pats: ForbiddenPatternSet) -> np.ndarray | None:
+    """keep[w] says whether column w of height m is legal on its own; None
+    when every column is (no vertical pair is forbidden)."""
     k = pats.diag_run_k
     if k is not None and k > 2:
         raise ValueError(
             "the transfer construction handles two-cell patterns only; "
             f"diagonal runs of length {k} are counted by formula or enumeration")
     check_width(m)
+    if not pats.vert_pair:
+        return None
+    w = np.arange(1 << m)
+    return (w & (w >> 1)) == 0
+
+
+def _allowed_table(m: int, pats: ForbiddenPatternSet) -> np.ndarray:
+    """allowed[w] holds the cells a left neighbour of column w may fill
+    (call after ``_keep_table``, which validates the pattern set)."""
     w = np.arange(1 << m)
     blocked = np.zeros_like(w)
-    if pats.diag_down or k == 2:
+    if pats.diag_down or pats.diag_run_k == 2:
         blocked |= w << 1
     if pats.diag_up:
         blocked |= w >> 1
     if pats.horiz_pair:
         blocked |= w
-    allowed = ((1 << m) - 1) & ~blocked
-    keep = (w & (w >> 1)) == 0 if pats.vert_pair else None
-    return allowed, keep
+    return ((1 << m) - 1) & ~blocked
 
 
 def _colour_steps(m: int) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]:
@@ -91,6 +105,13 @@ def check_width(width: int) -> None:
         raise GuardExceeded(
             f"a column profile of {width} cells needs 2^{width} states, above "
             f"the 2^{MAX_WIDTH} limit")
+
+
+def isolated_frontiers(m: int) -> int:
+    """Most legal frontiers the L sweep of height m holds after one cell:
+    F(m+1) path independent sets, plus F(m-1) with the extra cell set
+    (after the cell in row 0, whose extra cell needs rows 0 and 1 clear)."""
+    return fibonacci(m + 1) + fibonacci(m - 1)
 
 
 def profile_step(x: np.ndarray, width: int, allowed: np.ndarray,
@@ -123,7 +144,8 @@ def build_transfer(m: int, pats: ForbiddenPatternSet = M_SET,
             f"dense transfer at height {m} needs up to 2^{m} vertices, above "
             f"the 2^{guard} limit; eigen without --spectrum gives the dominant "
             "eigenvalue by power iteration")
-    allowed, keep = _profile_tables(m, pats)
+    keep = _keep_table(m, pats)
+    allowed = _allowed_table(m, pats)
     # narrow unsigned masks keep the broadcast's square temporary small
     mask = np.min_scalar_type((1 << m) - 1)
     v = (np.arange(1 << m) if keep is None else np.flatnonzero(keep)).astype(mask)
@@ -134,14 +156,17 @@ def build_transfer(m: int, pats: ForbiddenPatternSet = M_SET,
 def _states(m: int, pats: ForbiddenPatternSet) -> Iterator[np.ndarray]:
     """Column-profile states for n = 1, 2, ...: entry w counts the m-by-n
     boards whose last column is w.  Each state is consumed in place by the
-    step that makes the next one."""
-    allowed, keep = _profile_tables(m, pats)
+    step that makes the next one; the step table is built only once a step
+    is taken, so n = 1 costs one pass over the legal columns."""
+    keep = _keep_table(m, pats)
     x = np.ones(1 << m, dtype=object)
     if keep is not None:
         x[~keep] = 0
+    yield x
+    allowed = _allowed_table(m, pats)
     while True:
-        yield x
         x = profile_step(x, m, allowed, keep)
+        yield x
 
 
 def count_via_transfer(m: int, n: int, pats: ForbiddenPatternSet = M_SET) -> int:
@@ -197,6 +222,100 @@ def colour_split_sequence(m: int, n_max: int) -> tuple[list[int], list[int]]:
         return [1] + [int(x.sum()) for x in islice(_colour_states(step, other), n_max)]
 
     return counts(from_odd, from_even), counts(from_even, from_odd)
+
+
+def _path_sets(m: int) -> np.ndarray:
+    """The m-bit masks with no two adjacent bits set, ascending: those
+    below 2^(m-1), then 2^(m-1) joined to the (m-2)-bit ones."""
+    shorter, masks = np.zeros(1, dtype=np.int64), np.arange(2, dtype=np.int64)
+    for top in range(1, m):
+        shorter, masks = masks, np.concatenate((masks, shorter | 1 << top))
+    return masks
+
+
+def _frontiers(paths: np.ndarray, m: int, r: int) -> np.ndarray:
+    """Sorted keys 2f + e of the legal L frontiers once the cell in row r
+    is placed, then one sentinel above them all.
+
+    Bit i of f (row 0 in the low bit) holds row i of the newest column for
+    i <= r and of the one before it for i > r.  The cells of adjacent bits
+    touch, so f is a path independent set.  e is the cell left of row r,
+    legal only where rows r-1, r and r+1 of f are clear.
+    """
+    near = (7 << r >> 1) & ((1 << m) - 1)
+    keys = np.repeat(paths << 1, 1 + ((paths & near) == 0))
+    # the second copy of a key is its e = 1 frontier
+    keys[1:] += keys[1:] == keys[:-1]
+    return np.append(keys, 1 << (m + 1))
+
+
+def _cell_step(before: np.ndarray, keys: np.ndarray, r: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Gather tables (lo, hi) of the step that places the cell in row r:
+    the count of frontier keys[i] is x[lo[i]] + x[hi[i]] over the
+    frontiers ``before`` it, and both tables map sentinel to sentinel.
+
+    Placing cell c in row r moves the old row-r cell into e and c into
+    bit r, so the frontier before it is f with bit r set to e, under
+    either old e: lo is old e = 0, hi old e = 1.  The old e is the cell
+    up and to the left, so hi drops out where c = 1 (except in row 0,
+    whose old e lies at the foot of a column two back), and where that
+    frontier is illegal.
+    """
+    f, e = keys[:-1] >> 1, keys[:-1] & 1
+    source = (f & ~(1 << r) | e << r) << 1
+    lo = np.searchsorted(before, source)
+    fits = before[lo + 1] == source + 1
+    if r:
+        fits &= (f >> r & 1) == 0
+    sentinel = len(before) - 1
+    hi = np.where(fits, lo + 1, sentinel)
+    return np.append(lo, sentinel), np.append(hi, sentinel)
+
+
+def _isolated_steps(paths: np.ndarray, m: int
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Gather tables of the m cell steps of one column, top row first."""
+    before = _frontiers(paths, m, m - 1)
+    for r in range(m):
+        keys = _frontiers(paths, m, r)
+        yield _cell_step(before, keys, r)
+        before = keys
+
+
+def isolated_sequence(m: int, n_max: int) -> list[int]:
+    """Exact L counts (no two 1s touch, diagonals included) of the m-by-n
+    boards for n = 0..n_max (index by n), by a cell-by-cell sweep over the
+    legal frontiers.
+
+    The frontier count is held to MAX_STATES before any array exists, so
+    L runs to m = 30.  The board starts from an empty column 0.  The
+    gather tables of one column are kept for the whole sweep when they fit
+    in MAX_STATES entries (to m = 24); past that they are rebuilt for each
+    column.
+    """
+    if m < 1:
+        raise ValueError("height must be >= 1")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    frontiers = isolated_frontiers(m)
+    if frontiers > MAX_STATES:
+        raise GuardExceeded(
+            f"the L sweep at height {m} holds {frontiers} frontiers, above "
+            f"the 2^{MAX_WIDTH} limit")
+    paths = _path_sets(m)
+    column = None
+    if m * frontiers <= MAX_STATES:
+        column = list(_isolated_steps(paths, m))
+    # the frontiers after the foot of a column, as many as after its head
+    x = np.zeros(frontiers + 1, dtype=object)
+    x[0] = 1
+    counts = [1]
+    for _ in range(n_max):
+        for lo, hi in column or _isolated_steps(paths, m):
+            x = x[lo] + x[hi]
+        counts.append(int(x.sum()))
+    return counts
 
 
 def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,

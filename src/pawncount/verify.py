@@ -17,7 +17,8 @@ from . import decomposition as dc
 from . import tiling as tl
 from .oracle import L_SET, M_SET, U_SET, count_by_enumeration, enumerate_legal, uk_set
 from .transfer import (build_transfer, colour_split_sequence, count_sequence,
-                       count_via_transfer, dominant_eigenvalue, spectrum_small)
+                       count_via_transfer, dominant_eigenvalue,
+                       isolated_sequence, spectrum_small)
 
 REFERENCE_T2 = """\
 1 1 1 1
@@ -47,6 +48,8 @@ QUICK = dict(
     shape_max_n=8,
     tiling_cells=10,
     roundtrip_cells=9,
+    frontier_max_m=8,
+    frontier_max_n=12,
     closed_l_max_n=10,
     ratio_n=100,
     ratio_max_m=3,
@@ -66,6 +69,8 @@ FULL = dict(
     shape_max_n=12,
     tiling_cells=20,
     roundtrip_cells=16,
+    frontier_max_m=12,
+    frontier_max_n=12,
     closed_l_max_n=15,
     ratio_n=200,
     ratio_max_m=4,
@@ -130,10 +135,14 @@ def check_transfer_reference(params: dict) -> CheckResult:
 
 
 def check_three_way_agreement(params: dict) -> CheckResult:
+    cells = params["three_way_cells"]
+    # L along the longer side, as ``count`` runs it: one sweep per height
+    isolated = {h: isolated_sequence(h, cells // h)
+                for h in range(1, math.isqrt(cells) + 1)}
     mismatches = []
     cells_checked = 0
     for quantity, pats in (("M", M_SET), ("U", U_SET), ("L", L_SET)):
-        for m, n in _dims_within(params["three_way_cells"]):
+        for m, n in _dims_within(cells):
             oracle = count_by_enumeration(m, n, pats)
             via_transfer = count_via_transfer(m, n, pats)
             closed = [form()[0] for form in cf.closed_forms(quantity, m, n)]
@@ -141,13 +150,16 @@ def check_three_way_agreement(params: dict) -> CheckResult:
             if quantity == "M":
                 black, white = colour_split_sequence(m, n)
                 values.add(black[n] * white[n])
+            if quantity == "L":
+                values.add(isolated[min(m, n)][max(m, n)])
             cells_checked += 1
             if len(values) != 1:
                 mismatches.append(f"{quantity}({m},{n}): {sorted(values)}")
     return CheckResult(
         "three-way-agreement", not mismatches,
         f"{cells_checked} (quantity, m, n) cells agree across enumeration, "
-        "transfer and closed forms (M also via the colour split)"
+        "transfer and closed forms (M also via the colour split, L via the "
+        "frontier sweep)"
         + (f"; mismatches: {mismatches[:5]}" if mismatches else ""))
 
 
@@ -244,6 +256,8 @@ def check_shape_formulas(params: dict) -> CheckResult:
         for n in range(max_n + 1):
             if cf.shape_formula_M(m, n).value != seq[n]:
                 bad.append((m, n))
+    if cf.corrected_five_row_shapes() != (cf.GF_FIVE_ROW_A, cf.GF_FIVE_ROW_B):
+        bad.append("stored five-row pair differs from its refit")
     published_52 = cf.shape_formula_M(5, 2).published_value
     erratum_seen = published_52 == 156 and cf.shape_formula_M(5, 2).value == 169
     deviations = ()
@@ -281,12 +295,20 @@ def check_tilings(params: dict) -> CheckResult:
             bad.append(("L1", n))
         if cf.closed_form_L(2, n) != tl.count_tilings(3, n + 1):
             bad.append(("L2", n))
+    top_m, top_n = params["frontier_max_m"], params["frontier_max_n"]
+    for m in range(1, top_m + 1):
+        tilings = tl.tiling_sequence(m + 1, top_n + 1)[1:]
+        if not (isolated_sequence(m, top_n) == count_sequence(m, top_n, L_SET)
+                == tilings):
+            bad.append(("frontier", m))
     return CheckResult(
         "tiling-bijection", not bad,
         f"tiling counts equal isolated-matrix counts for mn <= "
         f"{params['tiling_cells']}; bijection round-trips all "
         f"{roundtrips} legal matrices with mn <= {params['roundtrip_cells']}; "
-        f"height 1/2 closed forms match for n <= {params['closed_l_max_n']}"
+        f"height 1/2 closed forms match for n <= {params['closed_l_max_n']}; "
+        f"the frontier sweep equals the full transfer and the tiling counts "
+        f"for heights 1..{top_m}, n <= {top_n}"
         + (f"; failures: {bad[:5]}" if bad else ""))
 
 

@@ -166,7 +166,7 @@ class TestGuards:
     """Each guard answers at once: no 2^width state array is built."""
 
     @pytest.mark.parametrize("argv,code", [
-        (("table", "--quantity", "L", "--max-m", "23"), 3),
+        (("table", "--quantity", "L", "--max-m", "31"), 3),
         (("eigen", "-m", "45"), 3),
         (("count", "-m", "100", "-n", "1", "--method", "decomposition"), 0),
         (("count", "-m", "26", "-n", "3", "--method", "decomposition"), 0),
@@ -175,6 +175,7 @@ class TestGuards:
         (("count", "-m", "45", "-n", "45"), 3),
         (("count", "-m", "23", "-n", "23", "--method", "transfer"), 3),
         (("eigen", "-m", "23"), 0),
+        (("count", "-m", "31", "-n", "31", "--quantity", "L"), 3),
     ])
     def test_answers_within_a_second(self, argv, code, capsys):
         start = time.perf_counter()
@@ -451,6 +452,7 @@ def test_numpy_is_not_imported_by_the_package(statement):
 @pytest.mark.parametrize("argv", [
     ("count", "-m", "3", "-n", "5"),
     ("count", "-m", "4", "-n", "20"),
+    ("count", "-m", "5", "-n", "2"),
     ("count", "-m", "100", "-n", "100", "--quantity", "U"),
     ("count", "-m", "2", "-n", "2", "--quantity", "U", "--k", "3"),
     ("table", "--quantity", "U", "--max-m", "6", "--max-n", "10"),
@@ -481,6 +483,13 @@ def test_five_row_shape_dp_still_loads_on_demand():
     record = json.loads(out)
     assert record["value"] == "169"
     assert any("156" in note for note in record["annotations"])
+    # the stored corrected pair answers without the shape DP
+    assert not numpy_loaded
+
+
+def test_sweeping_call_loads_numpy():
+    code, out, numpy_loaded = _probe("count", "-m", "7", "-n", "7")
+    assert code == 0 and out
     assert numpy_loaded
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pawncount.closedforms import (FIB_PRODUCT_CONSTANT, LinearRecurrence,
+from pawncount.closedforms import (FIB_PRODUCT_CONSTANT, GF_FIVE_ROW_A,
+                                   GF_FIVE_ROW_B, LinearRecurrence,
                                    PUBLISHED_FIVE_ROW_A, PUBLISHED_FIVE_ROW_B,
                                    QuadraticValue, closed_form_L,
                                    closed_form_M, corrected_five_row_shapes,
@@ -274,6 +275,9 @@ class TestShapeFormulas:
             black, white = split_by_color(5, n)
             assert fit_a.expand(n + 1)[n] == count_independent_sets(black)
             assert fit_b.expand(n + 1)[n] == count_independent_sets(white)
+
+    def test_stored_pair_equals_the_refit(self):
+        assert corrected_five_row_shapes() == (GF_FIVE_ROW_A, GF_FIVE_ROW_B)
 
     def test_out_of_range_height(self):
         with pytest.raises(ValueError):

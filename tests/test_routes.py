@@ -1,0 +1,57 @@
+"""Route agreement: every route that can count a board gives one value,
+and every route past its size guard exits 3."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pawncount.cli import EXIT_GUARD, main
+from pawncount.closedforms import closed_forms
+from pawncount.oracle import L_SET, M_SET, U_SET, count_by_enumeration
+from pawncount.transfer import (colour_split_sequence, count_via_transfer,
+                                isolated_sequence)
+
+PATTERNS = {"M": M_SET, "U": U_SET, "L": L_SET}
+
+
+@st.composite
+def boards(draw):
+    """(quantity, m, n) with mn <= 20, so the oracle can enumerate it."""
+    quantity = draw(st.sampled_from(sorted(PATTERNS)))
+    m = draw(st.integers(1, 20))
+    return quantity, m, draw(st.integers(0, 20 // m))
+
+
+@settings(max_examples=60, deadline=5000)
+@given(boards())
+def test_every_route_agrees(board):
+    quantity, m, n = board
+    pats = PATTERNS[quantity]
+    values = {count_by_enumeration(m, n, pats), count_via_transfer(m, n, pats)}
+    values |= {form()[0] for form in closed_forms(quantity, m, n)}
+    if quantity == "M":
+        black, white = colour_split_sequence(m, n)
+        values.add(black[n] * white[n])
+    if quantity == "L":
+        values.add(isolated_sequence(m, n)[n])
+    assert len(values) == 1, values
+
+
+# (quantity, method, the first height each route refuses)
+GUARDED_ROUTES = [
+    ("M", "auto", 45),
+    ("M", "decomposition", 45),
+    ("M", "transfer", 23),
+    ("U", "transfer", 23),
+    ("L", "auto", 31),
+    ("L", "transfer", 23),
+]
+
+
+@settings(max_examples=30, deadline=5000)
+@given(st.sampled_from(GUARDED_ROUTES), st.integers(0, 100),
+       st.integers(0, 100))
+def test_over_limit_width_exits_3(route, extra_m, extra_n):
+    quantity, method, limit = route
+    argv = ["count", "-m", str(limit + extra_m), "-n", str(limit + extra_n),
+            "--quantity", quantity, "--method", method]
+    assert main(argv) == EXIT_GUARD

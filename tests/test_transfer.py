@@ -4,13 +4,16 @@ import time
 import numpy as np
 import pytest
 
+from pawncount.closedforms import closed_form_L
+from pawncount import transfer
 from pawncount.errors import GuardExceeded, NonConverged
 from pawncount.oracle import (L_SET, M_SET, U_SET, BinaryMatrix,
                               count_by_enumeration, enumerate_legal,
                               matrix_avoids, uk_set)
-from pawncount.transfer import (build_transfer,
+from pawncount.transfer import (_frontiers, _path_sets, build_transfer,
                                 colour_split_sequence, count_sequence,
                                 count_via_transfer, dominant_eigenvalue,
+                                isolated_frontiers, isolated_sequence,
                                 profile_step, spectrum_small)
 
 T2_REFERENCE = """\
@@ -134,14 +137,16 @@ class TestBuildTransfer:
 
 
 class TestWidthGuard:
-    """Each sweep refuses a 2^23-state array before allocating it: the
-    full profile at height 23, the colour split at height 45."""
+    """Each sweep refuses more than 2^22 states before allocating them:
+    the full profile at height 23, the L frontier sweep at height 31 and
+    the colour split at height 45."""
 
     @pytest.mark.parametrize("sweep", [
         lambda: count_via_transfer(23, 2),
         lambda: count_sequence(23, 2),
         lambda: colour_split_sequence(45, 2),
         lambda: dominant_eigenvalue(45),
+        lambda: isolated_sequence(31, 2),
     ])
     def test_refused_at_once(self, sweep):
         start = time.perf_counter()
@@ -242,6 +247,60 @@ class TestColourSplit:
             colour_split_sequence(0, 3)
         with pytest.raises(ValueError):
             colour_split_sequence(3, -1)
+
+
+class TestIsolatedSequence:
+    def test_equals_full_transfer(self):
+        for m in range(1, 13):
+            assert isolated_sequence(m, 15) == count_sequence(m, 15, L_SET), m
+        assert isolated_sequence(16, 20)[20] == count_via_transfer(16, 20, L_SET)
+
+    def test_past_the_full_profile(self):
+        # no 2^m route reaches height 23; the transposed closed forms do
+        for m in (23, 24):
+            assert isolated_sequence(m, 3) == [1] + [closed_form_L(n, m)
+                                                     for n in (1, 2, 3)]
+
+    def test_frontiers_equal_the_filtered_masks(self):
+        for m in range(1, 17):
+            paths = [w for w in range(1 << m) if not w & w >> 1]
+            assert _path_sets(m).tolist() == paths
+            for r in range(m):
+                near = (7 << r >> 1) & ((1 << m) - 1)
+                keys = sorted(2 * w + e for w in paths for e in (0, 1)
+                              if not e or not w & near)
+                frontiers = _frontiers(_path_sets(m), m, r).tolist()
+                assert frontiers[:-1] == keys
+                assert frontiers[-1] > keys[-1]
+                assert len(keys) <= isolated_frontiers(m)
+            for r in (0, m - 1):
+                frontiers = _frontiers(_path_sets(m), m, r)
+                assert len(frontiers) - 1 == isolated_frontiers(m)
+
+    def test_tables_rebuilt_per_column_past_the_bound(self, monkeypatch):
+        # at a bound of 1000 entries, height 10 holds 199 frontiers but not
+        # the 1990 entries of one column's gather tables
+        built = []
+        steps = transfer._isolated_steps
+        monkeypatch.setattr(transfer, "MAX_STATES", 1000)
+        monkeypatch.setattr(transfer, "_isolated_steps",
+                            lambda *args: built.append(args) or steps(*args))
+        assert isolated_sequence(10, 12) == count_sequence(10, 12, L_SET)
+        assert len(built) == 12
+
+    def test_frontier_counts(self):
+        assert [isolated_frontiers(m) for m in (14, 20, 30, 31)] == [
+            1364, 24476, 3010349, 4870847]
+
+    def test_short_sequences(self):
+        assert isolated_sequence(3, 0) == [1]
+        assert isolated_sequence(1, 4) == [1, 2, 3, 5, 8]
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            isolated_sequence(0, 3)
+        with pytest.raises(ValueError):
+            isolated_sequence(3, -1)
 
 
 class TestEigenvalues:
