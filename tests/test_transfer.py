@@ -4,8 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from pawncount.closedforms import closed_form_L
 from pawncount import transfer
+from pawncount.closedforms import closed_form_L
 from pawncount.errors import GuardExceeded, NonConverged
 from pawncount.oracle import (L_SET, M_SET, U_SET, BinaryMatrix,
                               count_by_enumeration, enumerate_legal,
@@ -265,17 +265,17 @@ class TestIsolatedSequence:
         for m in range(1, 17):
             paths = [w for w in range(1 << m) if not w & w >> 1]
             assert _path_sets(m).tolist() == paths
+            sizes = []
             for r in range(m):
-                near = (7 << r >> 1) & ((1 << m) - 1)
+                # the cell left of row r touches rows r-1, r and r+1
+                near = sum(1 << i for i in (r - 1, r, r + 1) if 0 <= i < m)
                 keys = sorted(2 * w + e for w in paths for e in (0, 1)
                               if not e or not w & near)
                 frontiers = _frontiers(_path_sets(m), m, r).tolist()
                 assert frontiers[:-1] == keys
                 assert frontiers[-1] > keys[-1]
-                assert len(keys) <= isolated_frontiers(m)
-            for r in (0, m - 1):
-                frontiers = _frontiers(_path_sets(m), m, r)
-                assert len(frontiers) - 1 == isolated_frontiers(m)
+                sizes.append(len(keys))
+            assert max(sizes) == sizes[0] == sizes[-1] == isolated_frontiers(m)
 
     def test_tables_rebuilt_per_column_past_the_bound(self, monkeypatch):
         # at a bound of 1000 entries, height 10 holds 199 frontiers but not
