@@ -11,21 +11,23 @@ Exit codes:
     4  power iteration did not converge
     5  bad input file
 
-M counts run on the colour split (M = B * W, each factor a sweep over
-half-height columns): ``count`` under ``auto`` when no closed form covers
-the board, and under ``--method decomposition``; every M row of ``table``
-that needs a sweep; and ``eigen``, whose power iteration runs the two-step
-colour operator on 2^floor(m/2) states.  L counts run on the frontier
-sweep, one cell at a time over the legal frontiers only: ``count`` under
-``auto`` when no closed form covers the board (its JSON ``method`` stays
-``transfer``), and every L row of ``table`` that needs a sweep.
-``--method transfer`` is the full 2^m column profile for every quantity.
+``count`` under ``auto`` and ``table`` give each board the first closed
+form that covers it.  M, U and L are transpose symmetric, so every other
+board is read off a sweep along its shorter side h: one sweep per h, run
+to the longest side that h needs, tallest h first.  M sweeps on the
+colour split (M = B * W, each factor a sweep over half-height columns),
+L on the frontier sweep, one cell at a time over the legal frontiers only
+(its JSON ``method`` stays ``transfer``); every U board has a closed
+form.  ``--method decomposition`` (the colour split) and ``--method
+transfer`` (the full 2^h column profile, for every quantity) sweep along
+the shorter side too.  ``eigen``'s power iteration runs the two-step
+colour operator on 2^floor(m/2) states.
 
 Each sweep refuses a state array above 2^22 entries (exit 3) before it
 allocates one: 22 rows for the full profile, 30 for L's frontier sweep
 (whose guard counts frontiers, not column cells), 44 for M's colour
-split.  ``count`` runs M and L along the longer side of the board, so only
-the shorter side meets the limit; ``table`` sweeps its tallest row first.
+split.  Only the shorter side of a board meets that limit, and a table
+too tall for its sweep is refused before any count starts.
 Exact counts are serialized as decimal strings in JSON (they outgrow
 doubles quickly), in full however many digits they have; floats appear
 only for eigenvalues and asymptotics.
@@ -98,12 +100,39 @@ def _emit(record: dict, as_json: bool) -> None:
         print(f"note: {note}")
 
 
+def _plan(quantity: str, cells: list[tuple[int, int]]
+          ) -> list[tuple[str, int, tuple[str, ...]]]:
+    """(method used, value, annotations) for each m-by-n cell: its first
+    closed form, else a sweep along its shorter side h.  M, U and L are
+    transpose symmetric, so one sweep per h, run to the longest side that
+    h needs, covers all its cells: the colour split for M, the frontier
+    sweep for L (every U cell has a closed form).  The tallest h is swept
+    first, so a board too tall for its sweep is refused before any count
+    starts."""
+    boards = [(cf.closed_forms(quantity, m, n), *sorted((m, n))) for m, n in cells]
+    lengths: dict[int, int] = {}
+    for forms, h, length in boards:
+        if not forms:
+            lengths[h] = max(lengths.get(h, 0), length)
+    if lengths:
+        from .transfer import colour_split_sequence, isolated_sequence
+    sweeps = {}
+    for h in sorted(lengths, reverse=True):
+        if quantity == "L":
+            sweeps[h] = isolated_sequence(h, lengths[h])
+        else:
+            black, white = colour_split_sequence(h, lengths[h])
+            sweeps[h] = [b * w for b, w in zip(black, white)]
+    swept_by = "transfer" if quantity == "L" else "decomposition"
+    return [("closed", *forms[0]()) if forms else (swept_by, sweeps[h][length], ())
+            for forms, h, length in boards]
+
+
 def _route(quantity: str, m: int, n: int, k: int | None,
            method: str) -> tuple[str, int, tuple[str, ...]]:
     """Pick the route for one count and run it: (method used, value,
-    annotations).  ``auto`` takes the first closed form that covers the
-    board and falls back to the colour split for M, the frontier sweep
-    for L and the transfer engine for U."""
+    annotations).  ``auto`` is the planner on this one board;
+    ``transfer`` and ``decomposition`` sweep along its shorter side."""
     if quantity == "Uk":
         if method in ("auto", "closed"):
             return "closed", cf.upper_bound_U_k(m, n, k), ()
@@ -119,31 +148,21 @@ def _route(quantity: str, m: int, n: int, k: int | None,
         raise UsageError("--method decomposition applies to quantity M only")
     if m == 0 or n == 0:
         return method if method != "auto" else "closed", 1, ()
+    if method == "closed" and not cf.closed_forms(quantity, m, n):
+        raise GuardExceeded(
+            f"no closed form covers a {m}x{n} board; use --method transfer")
     if method in ("auto", "closed"):
-        forms = cf.closed_forms(quantity, m, n)
-        if forms:
-            value, annotations = forms[0]()
-            return "closed", value, annotations
-        if method == "closed":
-            raise GuardExceeded(
-                f"no closed form covers a {m}x{n} board; use --method transfer")
-    from .transfer import (colour_split_sequence, count_via_transfer,
-                           isolated_sequence)
+        return _plan(quantity, [(m, n)])[0]
+    from .transfer import colour_split_sequence, count_via_transfer
 
-    # M and L counts are transpose symmetric: run the column profile along
-    # the longer side, so its width is the shorter one
-    if quantity in ("M", "L") and n < m:
-        m, n = n, m
-    if method == "transfer" or quantity == "U":
+    # the column profile runs along the longer side, so its width is the
+    # shorter one
+    m, n = sorted((m, n))
+    if method == "transfer":
         return "transfer", count_via_transfer(m, n, pats), ()
-    if quantity == "L":
-        return "transfer", isolated_sequence(m, n)[n], ()
     black, white = colour_split_sequence(m, n)
-    b, w = black[n], white[n]
-    annotations = ()
-    if method == "decomposition":
-        annotations = (f"black/white shape counts: B={b}, W={w}",)
-    return "decomposition", b * w, annotations
+    return "decomposition", black[n] * white[n], (
+        f"black/white shape counts: B={black[n]}, W={white[n]}",)
 
 
 def cmd_count(args) -> int:
@@ -187,48 +206,23 @@ def cmd_eigen(args) -> int:
     return EXIT_OK
 
 
-def _sweep(quantity: str, m: int, n_max: int) -> list[int]:
-    """Counts of height m for n = 0..n_max: the colour split for M, the
-    frontier sweep for L, the transfer sweep for U."""
-    from .transfer import (colour_split_sequence, count_sequence,
-                           isolated_sequence)
-
-    if quantity == "M":
-        black, white = colour_split_sequence(m, n_max)
-        return [b * w for b, w in zip(black, white)]
-    if quantity == "L":
-        return isolated_sequence(m, n_max)
-    return count_sequence(m, n_max, _PATTERNS[quantity])
-
-
-def _table_cells(quantity: str, max_m: int, max_n: int) -> list[tuple[int, int, int]]:
-    """Each cell takes its first closed form; every other cell of row m is
-    read off one sweep at height m.  The tallest row is swept first, so
-    a row too tall for its sweep is refused before any count starts."""
-    cells = {(m, n): cf.closed_forms(quantity, m, n)
-             for m in range(1, max_m + 1) for n in range(1, max_n + 1)}
-    swept = sorted({m for (m, _), forms in cells.items() if not forms},
-                   reverse=True)
-    sweeps = {m: _sweep(quantity, m, max_n) for m in swept}
-    return [(m, n, forms[0]()[0] if forms else sweeps[m][n])
-            for (m, n), forms in cells.items()]
-
-
 def cmd_table(args) -> int:
     if args.max_m < 1 or args.max_n < 1:
         raise UsageError("--max-m and --max-n must be >= 1")
-    cells = _table_cells(args.quantity, args.max_m, args.max_n)
+    cells = [(m, n) for m in range(1, args.max_m + 1)
+             for n in range(1, args.max_n + 1)]
+    values = {cell: value for cell, (_, value, _) in
+              zip(cells, _plan(args.quantity, cells))}
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["m", "n", "quantity", "value"])
-        for m, n, value in cells:
+        for (m, n), value in values.items():
             writer.writerow([m, n, args.quantity, str(value)])
     elif args.format == "json":
         rows = [{"m": m, "n": n, "quantity": args.quantity, "value": str(value)}
-                for m, n, value in cells]
+                for (m, n), value in values.items()]
         print(json.dumps(rows))
     else:
-        values = {(m, n): value for m, n, value in cells}
         header = ["m\\n"] + [str(n) for n in range(1, args.max_n + 1)]
         print("| " + " | ".join(header) + " |")
         print("|" + "|".join([" --- "] * len(header)) + "|")

@@ -79,6 +79,10 @@ def theta_inverse(tiling: Tiling) -> BinaryMatrix:
     """Map a tiling back to the matrix with a 1 on every 2x2 anchor, after
     trimming the last row and column.  Inverse of theta_forward."""
     m, n = tiling.rows - 1, tiling.cols - 1
+    if m < 0 or n < 0:
+        raise InvalidTiling(
+            f"a {tiling.rows}x{tiling.cols} tiling has no matrix: theta adds "
+            "one row and one column")
     cells = [0] * (m * n)
     for (r, c) in tiling.anchors:
         cells[(r - 1) * n + (c - 1)] = 1
@@ -224,8 +228,13 @@ def tiling_from_json(text: str) -> Tiling:
         raw_anchors = data["anchors"]
     except KeyError as exc:
         raise InvalidTiling(f"missing key {exc}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int):
+    # bool is an int subclass; JSON true is no board size
+    if type(rows) is not int or type(cols) is not int:
         raise InvalidTiling("rows and cols must be integers")
+    if rows < 1 or cols < 1:
+        raise InvalidTiling(
+            f"a {rows}x{cols} tiling has no matrix: theta adds one row and "
+            "one column")
     if not isinstance(raw_anchors, list):
         raise InvalidTiling("anchors must be a list of [row, col] pairs")
     anchors = []

@@ -116,6 +116,12 @@ class TestCount:
         code, out, _ = run_cli("count", "-m", "2", "-n", "19", "--json",
                                capsys=capsys)
         assert value == int(json.loads(out)["value"])
+        # U sweeps along the shorter side too: 24 rows pass the 22-row limit
+        code, out, _ = run_cli("count", "-m", "24", "-n", "3", "--quantity",
+                               "U", "--json", "--method", "transfer",
+                               capsys=capsys)
+        assert code == 0
+        assert int(json.loads(out)["value"]) == cf.upper_bound_U(24, 3)
 
     def test_tall_isolated_board_uses_transposed_closed_form(self, capsys):
         code, out, _ = run_cli("count", "-m", "5", "-n", "2", "--quantity", "L",
@@ -166,16 +172,18 @@ class TestGuards:
     """Each guard answers at once: no 2^width state array is built."""
 
     @pytest.mark.parametrize("argv,code", [
-        (("table", "--quantity", "L", "--max-m", "31"), 3),
+        (("table", "--quantity", "L", "--max-m", "31", "--max-n", "31"), 3),
         (("eigen", "-m", "45"), 3),
         (("count", "-m", "100", "-n", "1", "--method", "decomposition"), 0),
         (("count", "-m", "26", "-n", "3", "--method", "decomposition"), 0),
         (("eigen", "-m", "13", "--spectrum"), 3),
-        (("table", "--quantity", "M", "--max-m", "45", "--max-n", "10"), 3),
+        (("table", "--quantity", "M", "--max-m", "45", "--max-n", "45"), 3),
         (("count", "-m", "45", "-n", "45"), 3),
         (("count", "-m", "23", "-n", "23", "--method", "transfer"), 3),
         (("eigen", "-m", "23"), 0),
         (("count", "-m", "31", "-n", "31", "--quantity", "L"), 3),
+        (("table", "--quantity", "M", "--max-m", "40", "--max-n", "8"), 0),
+        (("table", "--quantity", "L", "--max-m", "24", "--max-n", "4"), 0),
     ])
     def test_answers_within_a_second(self, argv, code, capsys):
         start = time.perf_counter()
@@ -206,17 +214,19 @@ class TestGuards:
 class TestRoutes:
     @pytest.mark.parametrize("quantity", ["M", "U", "L"])
     def test_table_cells_equal_count(self, quantity, capsys):
-        code, out, _ = run_cli("table", "--quantity", quantity, "--max-m", "8",
-                               "--max-n", "8", "--format", "json",
-                               capsys=capsys)
-        assert code == 0
-        rows = json.loads(out)
-        assert len(rows) == 64
-        for row in rows:
-            _, single, _ = run_cli("count", "-m", str(row["m"]), "-n",
-                                   str(row["n"]), "--quantity", quantity,
-                                   "--json", capsys=capsys)
-            assert json.loads(single)["value"] == row["value"], row
+        # the 20x5 grid reads its cells with m > n off shorter-side sweeps
+        for max_m, max_n in ((8, 8), (20, 5)):
+            code, out, _ = run_cli("table", "--quantity", quantity, "--max-m",
+                                   str(max_m), "--max-n", str(max_n),
+                                   "--format", "json", capsys=capsys)
+            assert code == 0
+            rows = json.loads(out)
+            assert len(rows) == max_m * max_n
+            for row in rows:
+                _, single, _ = run_cli("count", "-m", str(row["m"]), "-n",
+                                       str(row["n"]), "--quantity", quantity,
+                                       "--json", capsys=capsys)
+                assert json.loads(single)["value"] == row["value"], row
 
     def test_three_way_check_covers_transposed_closed_forms(self, monkeypatch):
         covered = {}
@@ -339,12 +349,22 @@ class TestBijection:
         assert code == 5
         assert "(1, 1)" in err
 
-    def test_bad_tiling_exit_5(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        '{"rows": 2, "cols": 2, "anchors": [[5, 5]]}',
+        '{"rows": -1, "cols": 2, "anchors": []}',
+        '{"rows": 0, "cols": 0, "anchors": []}',
+        '{"rows": 1, "cols": 0, "anchors": []}',
+        '{"rows": true, "cols": 3, "anchors": []}',
+    ], ids=["anchor-off-board", "negative-rows", "zero-by-zero", "zero-cols",
+            "bool-rows"])
+    def test_bad_tiling_exit_5(self, text, tmp_path, capsys):
         src = tmp_path / "tiling.json"
-        src.write_text('{"rows": 2, "cols": 2, "anchors": [[5, 5]]}')
-        code, _, _ = run_cli("bijection", "--tiling-json", str(src),
-                             capsys=capsys)
+        src.write_text(text)
+        code, out, err = run_cli("bijection", "--tiling-json", str(src),
+                                 capsys=capsys)
         assert code == 5
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_missing_file_exit_5(self, capsys):
         code, _, _ = run_cli("bijection", "--matrix-file", "/nonexistent",

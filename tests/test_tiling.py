@@ -178,6 +178,10 @@ class TestSerialization:
         '{"rows": 2, "cols": 2, "anchors": [["a", 1]]}',
         '{"rows": "2", "cols": 2, "anchors": []}',
         '[1, 2]',
+        '{"rows": -1, "cols": 2, "anchors": []}',
+        '{"rows": 0, "cols": 0, "anchors": []}',
+        '{"rows": 1, "cols": 0, "anchors": []}',
+        '{"rows": true, "cols": 3, "anchors": []}',
     ])
     def test_bad_json_rejected(self, text):
         with pytest.raises(InvalidTiling):
