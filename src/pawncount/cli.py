@@ -5,11 +5,15 @@ Exit codes:
 
     0  ok
     1  verification failure, or an exact route failed its own integrality
-       or recurrence-fit self-check
-    2  usage error
-    3  a size guard was exceeded
-    4  power iteration did not converge
-    5  bad input file
+       or recurrence-fit self-check (``NonIntegerResult``, ``NoFitFound``)
+    2  usage error: argparse, any ``ValueError`` (``InvalidK`` among them)
+    3  a size guard was exceeded (``GuardExceeded``)
+    4  power iteration did not converge (``NonConverged``)
+    5  bad input file: ``OSError``, ``IllegalMatrix``, ``InvalidTiling``,
+       ``MatrixFormatError``
+
+Each package error names its own code (``exit_code`` in ``errors``);
+``main`` adds only ``OSError`` (5) and ``ValueError`` (2).
 
 ``count`` under ``auto`` and ``table`` give each board the first closed
 form that covers it.  M, U and L are transpose symmetric, so every other
@@ -27,7 +31,8 @@ Each sweep refuses a state array above 2^22 entries (exit 3) before it
 allocates one: 22 rows for the full profile, 30 for L's frontier sweep
 (whose guard counts frontiers, not column cells), 44 for M's colour
 split.  Only the shorter side of a board meets that limit, and a table
-too tall for its sweep is refused before any count starts.
+too tall for its sweep is refused before any count starts.  ``bijection
+--invert`` holds the matrix a tiling names to the same 2^22 cells.
 Exact counts are serialized as decimal strings in JSON (they outgrow
 doubles quickly), in full however many digits they have; floats appear
 only for eigenvalues and asymptotics.
@@ -48,39 +53,25 @@ from pathlib import Path
 
 from . import closedforms as cf
 from . import tiling as tl
-from .errors import (GuardExceeded, IllegalMatrix, InvalidTiling,
-                     MatrixFormatError, NoFitFound, NonConverged,
-                     NonIntegerResult)
+from .errors import GuardExceeded, PawncountError
 from .oracle import (L_SET, M_SET, U_SET, BinaryMatrix, count_by_enumeration,
                      uk_set)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
-EXIT_GUARD = 3
-EXIT_NONCONVERGED = 4
 EXIT_BAD_INPUT = 5
 
 _PATTERNS = {"M": M_SET, "U": U_SET, "L": L_SET}
 
 
-class UsageError(Exception):
-    pass
-
-
-def _record(command: str, **fields) -> dict:
-    """OutputRecord with a stable key order; None fields are dropped and
-    annotations always present."""
+def _record(command: str, annotations=(), **fields) -> dict:
+    """OutputRecord: the fields in the order the caller gives them, None
+    ones dropped, then the annotations, always present."""
     record: dict = {"command": command}
-    for key in ("quantity", "m", "n", "k", "method", "value"):
-        if key in fields and fields[key] is not None:
-            record[key] = fields[key]
-    for key, value in fields.items():
-        if key in ("quantity", "m", "n", "k", "method", "value"):
-            continue
-        if value is not None:
-            record[key] = value
-    record["annotations"] = list(fields.get("annotations") or ())
+    record.update((key, value) for key, value in fields.items()
+                  if value is not None)
+    record["annotations"] = list(annotations)
     return record
 
 
@@ -138,14 +129,14 @@ def _route(quantity: str, m: int, n: int, k: int | None,
             return "closed", cf.upper_bound_U_k(m, n, k), ()
         if method == "oracle":
             return "oracle", count_by_enumeration(m, n, uk_set(k)), ()
-        raise UsageError(
+        raise ValueError(
             f"method {method!r} does not support diagonal runs; "
             "use auto, closed or oracle")
     pats = _PATTERNS[quantity]
     if method == "oracle":
         return "oracle", count_by_enumeration(m, n, pats), ()
     if method == "decomposition" and quantity != "M":
-        raise UsageError("--method decomposition applies to quantity M only")
+        raise ValueError("--method decomposition applies to quantity M only")
     if m == 0 or n == 0:
         return method if method != "auto" else "closed", 1, ()
     if method == "closed" and not cf.closed_forms(quantity, m, n):
@@ -167,12 +158,12 @@ def _route(quantity: str, m: int, n: int, k: int | None,
 
 def cmd_count(args) -> int:
     if args.m < 0 or args.n < 0:
-        raise UsageError("dimensions must be nonnegative")
+        raise ValueError("dimensions must be nonnegative")
     quantity = args.quantity
     k = args.k
     if k is not None:
         if quantity != "U":
-            raise UsageError("--k applies to --quantity U (diagonal runs) only")
+            raise ValueError("--k applies to --quantity U (diagonal runs) only")
         quantity = "Uk"
     method, value, annotations = _route(quantity, args.m, args.n, k,
                                         args.method)
@@ -184,7 +175,7 @@ def cmd_count(args) -> int:
 
 def cmd_eigen(args) -> int:
     if args.m < 1:
-        raise UsageError("-m must be >= 1")
+        raise ValueError("-m must be >= 1")
     from .transfer import dominant_eigenvalue, spectrum_small
 
     extra = {}
@@ -196,19 +187,16 @@ def cmd_eigen(args) -> int:
              if flag is not None}
     value = dominant_eigenvalue(args.m, M_SET, **given)
     record = _record("eigen", quantity="alpha", m=args.m, method="power-iteration",
-                     value=value, **extra, annotations=())
-    if args.json:
-        print(json.dumps(record))
-    else:
-        print(f"alpha({args.m}) = {value!r}")
-        if args.spectrum:
-            print("spectrum:", " ".join(f"{v:.12g}" for v in extra["spectrum"]))
+                     value=value, **extra)
+    _emit(record, args.json)
+    if args.spectrum and not args.json:
+        print("spectrum:", " ".join(f"{v:.12g}" for v in extra["spectrum"]))
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
     if args.max_m < 1 or args.max_n < 1:
-        raise UsageError("--max-m and --max-n must be >= 1")
+        raise ValueError("--max-m and --max-n must be >= 1")
     cells = [(m, n) for m in range(1, args.max_m + 1)
              for n in range(1, args.max_n + 1)]
     values = {cell: value for cell, (_, value, _) in
@@ -234,9 +222,9 @@ def cmd_table(args) -> int:
 
 def cmd_bijection(args) -> int:
     if (args.matrix_file is None) == (args.tiling_json is None):
-        raise UsageError("give exactly one of --matrix-file or --tiling-json")
+        raise ValueError("give exactly one of --matrix-file or --tiling-json")
     if args.invert and args.matrix_file is not None:
-        raise UsageError("--invert takes a tiling (--tiling-json), not a matrix")
+        raise ValueError("--invert takes a tiling (--tiling-json), not a matrix")
     if args.matrix_file is not None:
         text = Path(args.matrix_file).read_text()
         matrix = BinaryMatrix.from_text(text)
@@ -339,26 +327,15 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except NonConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
-    except (NonIntegerResult, NoFitFound) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
-    except (IllegalMatrix, InvalidTiling, MatrixFormatError, OSError) as exc:
+    except (PawncountError, OSError, ValueError) as exc:
         position = getattr(exc, "position", None)
         where = f" at {position}" if position else ""
         print(f"error: {exc}{where}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # a package error names its own code; MatrixFormatError and InvalidK
+        # are ValueErrors too, so this test comes first
+        if isinstance(exc, PawncountError):
+            return exc.exit_code
+        return EXIT_BAD_INPUT if isinstance(exc, OSError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

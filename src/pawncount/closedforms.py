@@ -40,16 +40,6 @@ def fibonacci(i: int) -> int:
     return next(islice(_k_fibonacci_terms(2), i, None))
 
 
-def k_fibonacci(k: int, i: int) -> int:
-    """k-generalized Fibonacci: order-k sum recurrence with F(k, 0) = 1
-    and zero for negative indices."""
-    if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
-    if i < 0:
-        return 0
-    return next(islice(_k_fibonacci_terms(k), i, None))
-
-
 def fib_product(count: int) -> int:
     """Product of the first ``count`` Fibonacci numbers F(1)..F(count),
     i.e. 1 * 2 * 3 * 5 * 8 * ...; empty product is 1."""
@@ -110,8 +100,6 @@ class QuadraticValue:
         return QuadraticValue(self.rational + other.rational,
                               self.radical + other.radical, self.d)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._coerce(other, self.d)
         self._require_same_field(other)
@@ -125,8 +113,6 @@ class QuadraticValue:
             self.rational * other.rational + self.d * self.radical * other.radical,
             self.rational * other.radical + self.radical * other.rational,
             self.d)
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "QuadraticValue":
         if exponent < 0:
@@ -260,10 +246,6 @@ class LinearRecurrence:
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
 
-    @property
-    def order(self) -> int:
-        return len(self.denominator) - 1
-
     def expand(self, count: int) -> list[int]:
         """First ``count`` Taylor coefficients, exact integers."""
         num, den = self.numerator, self.denominator
@@ -379,18 +361,6 @@ def corrected_five_row_shapes() -> tuple[LinearRecurrence, LinearRecurrence]:
     return (fit_linear_recurrence(alpha, 8), fit_linear_recurrence(beta, 8))
 
 
-@dataclass(frozen=True)
-class ShapeFormulaM:
-    """Pawn count from the per-height shape formulas, with provenance."""
-
-    m: int
-    n: int
-    value: int
-    provenance: str
-    published_value: int | None = None
-    annotations: tuple[str, ...] = ()
-
-
 def _three_row_t(i: int) -> int:
     """t(i) = 5t(i-1) - 3t(i-2) with t(0) = 1, t(1) = 5; t(-1) = 0."""
     if i < 0:
@@ -401,8 +371,9 @@ def _three_row_t(i: int) -> int:
     return a
 
 
-def shape_formula_M(m: int, n: int) -> ShapeFormulaM:
-    """Pawn count for heights 2..6 via black/white shape formulas.
+def shape_formula_M(m: int, n: int) -> tuple[int, tuple[str, ...]]:
+    """Pawn count for heights 2..6 via black/white shape formulas, as
+    (value, annotations).
 
     Height 5 is special: the published generating-function pair is wrong
     from n = 2 on, so the corrected fitted pair supplies the value and the
@@ -413,36 +384,27 @@ def shape_formula_M(m: int, n: int) -> ShapeFormulaM:
     if n < 0:
         raise ValueError("n must be >= 0")
     if m == 2:
-        s = fibonacci(n + 1)
-        return ShapeFormulaM(m, n, s * s, "square of path independent-set count")
+        # square of the path independent-set count
+        return fibonacci(n + 1) ** 2, ()
     if m == 3:
+        # interleaved two-shape recurrence
+        t = _three_row_t(n // 2)
         if n % 2 == 0:
-            t = _three_row_t(n // 2)
-            return ShapeFormulaM(m, n, t * t, "interleaved two-shape recurrence")
-        t, prev = _three_row_t(n // 2), _three_row_t(n // 2 - 1)
-        value = (4 * t - 3 * prev) * (2 * t - 3 * prev)
-        return ShapeFormulaM(m, n, value, "interleaved two-shape recurrence")
+            return t * t, ()
+        prev = _three_row_t(n // 2 - 1)
+        return (4 * t - 3 * prev) * (2 * t - 3 * prev), ()
     if m == 4:
-        a = _gf_term(GF_FOUR_ROW_ALPHA, n)
-        return ShapeFormulaM(m, n, a * a, "order-3 shape recurrence")
+        return _gf_term(GF_FOUR_ROW_ALPHA, n) ** 2, ()
     if m == 6:
-        a = _gf_term(GF_SIX_ROW_ALPHA, n)
-        return ShapeFormulaM(m, n, a * a, "shape generating function")
+        return _gf_term(GF_SIX_ROW_ALPHA, n) ** 2, ()
     value = _gf_term(GF_FIVE_ROW_A, n) * _gf_term(GF_FIVE_ROW_B, n)
     published = (_gf_term(PUBLISHED_FIVE_ROW_A, n)
                  * _gf_term(PUBLISHED_FIVE_ROW_B, n))
-    annotations: tuple[str, ...] = ()
-    if published != value:
-        annotations = (
-            f"published five-row generating functions give {published} at "
-            f"(5,{n}); corrected fitted pair gives {value}",)
-    return ShapeFormulaM(m, n, value, "corrected fitted shape pair",
-                         published_value=published, annotations=annotations)
-
-
-def _shape_count(m: int, n: int) -> tuple[int, tuple[str, ...]]:
-    result = shape_formula_M(m, n)
-    return result.value, result.annotations
+    if published == value:
+        return value, ()
+    return value, (
+        f"published five-row generating functions give {published} at "
+        f"(5,{n}); corrected fitted pair gives {value}",)
 
 
 def closed_forms(quantity: str, m: int, n: int) -> list[Callable[[], tuple]]:
@@ -459,7 +421,7 @@ def closed_forms(quantity: str, m: int, n: int) -> list[Callable[[], tuple]]:
         if quantity == "M" and 1 <= rows <= 3:
             forms.append(lambda r=rows, c=cols: (closed_form_M(r, c), ()))
         if quantity == "M" and 2 <= rows <= 6:
-            forms.append(lambda r=rows, c=cols: _shape_count(r, c))
+            forms.append(lambda r=rows, c=cols: shape_formula_M(r, c))
         if quantity == "L" and 1 <= rows <= 3:
             forms.append(lambda r=rows, c=cols: (closed_form_L(r, c), ()))
     return forms

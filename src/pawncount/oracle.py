@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import GuardExceeded, InvalidK, MatrixFormatError
 
@@ -95,15 +95,6 @@ class BinaryMatrix:
                 f"got {len(self.cells)}")
         if any(c not in (0, 1) for c in self.cells):
             raise ValueError("cells must be 0 or 1")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[str | Sequence[int]]) -> "BinaryMatrix":
-        parsed = [tuple(int(ch) for ch in row) for row in rows]
-        n = len(parsed[0]) if parsed else 0
-        if any(len(r) != n for r in parsed):
-            raise ValueError("ragged rows")
-        cells = tuple(c for r in parsed for c in r)
-        return cls(BoardDims(len(parsed), n), cells)
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import GuardExceeded, IllegalMatrix, InvalidTiling
+from .errors import (MAX_STATES, MAX_WIDTH, GuardExceeded, IllegalMatrix,
+                     InvalidTiling)
 from .oracle import L_SET, BinaryMatrix, BoardDims, find_violation, matrix_avoids
 
 DEFAULT_TILING_GUARD = 30
@@ -67,7 +68,7 @@ def theta_forward(mat: BinaryMatrix) -> Tiling:
         pattern, pos = violation
         raise IllegalMatrix(
             f"matrix has forbidden {pattern} at {pos}; only fully-isolated "
-            "matrices map to tilings", position=pos, pattern=pattern)
+            "matrices map to tilings", position=pos)
     m, n = mat.dims.m, mat.dims.n
     anchors = tuple((i, j)
                     for i in range(1, m + 1) for j in range(1, n + 1)
@@ -77,12 +78,19 @@ def theta_forward(mat: BinaryMatrix) -> Tiling:
 
 def theta_inverse(tiling: Tiling) -> BinaryMatrix:
     """Map a tiling back to the matrix with a 1 on every 2x2 anchor, after
-    trimming the last row and column.  Inverse of theta_forward."""
+    trimming the last row and column.  Inverse of theta_forward.
+
+    A matrix of more than MAX_STATES cells is refused before it is made:
+    a few bytes of tiling JSON can name any board size."""
     m, n = tiling.rows - 1, tiling.cols - 1
     if m < 0 or n < 0:
         raise InvalidTiling(
             f"a {tiling.rows}x{tiling.cols} tiling has no matrix: theta adds "
             "one row and one column")
+    if m * n > MAX_STATES:
+        raise GuardExceeded(
+            f"a {tiling.rows}x{tiling.cols} tiling maps to a {m}x{n} matrix of "
+            f"{m * n} cells, above the 2^{MAX_WIDTH} limit")
     cells = [0] * (m * n)
     for (r, c) in tiling.anchors:
         cells[(r - 1) * n + (c - 1)] = 1
@@ -240,7 +248,7 @@ def tiling_from_json(text: str) -> Tiling:
     anchors = []
     for item in raw_anchors:
         if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(x, int) for x in item)):
+                or not all(type(x) is int for x in item)):
             raise InvalidTiling(f"bad anchor entry {item!r}")
         anchors.append((item[0], item[1]))
     return Tiling(rows, cols, tuple(anchors))

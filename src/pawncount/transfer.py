@@ -31,20 +31,17 @@ full sweep stays the independent check on it up to m = 22.
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
 from .closedforms import fibonacci
-from .errors import GuardExceeded, NonConverged
+from .errors import MAX_STATES, MAX_WIDTH, GuardExceeded, NonConverged
 from .oracle import M_SET, ForbiddenPatternSet
 
 DEFAULT_DENSE_GUARD = 12
-#: Widest column profile any sweep allocates (2^22 states per array).
-MAX_WIDTH = 22
-#: Most entries any one state or gather table holds.
-MAX_STATES = 1 << MAX_WIDTH
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
 
@@ -337,6 +334,9 @@ def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,
         raise ValueError("the dominant eigenvalue is computed for M only")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    # a NaN tolerance never stops the loop, an infinite one stops it at once
+    if not math.isfinite(tol):
+        raise ValueError("tolerance must be finite")
     from_odd, from_even = _colour_steps(m)
     x = np.ones(1 << from_even[0])
     prev = None

@@ -254,12 +254,13 @@ def check_shape_formulas(params: dict) -> CheckResult:
     for m in (2, 3, 4, 5, 6):
         seq = count_sequence(m, max_n, M_SET)
         for n in range(max_n + 1):
-            if cf.shape_formula_M(m, n).value != seq[n]:
+            if cf.shape_formula_M(m, n)[0] != seq[n]:
                 bad.append((m, n))
     if cf.corrected_five_row_shapes() != (cf.GF_FIVE_ROW_A, cf.GF_FIVE_ROW_B):
         bad.append("stored five-row pair differs from its refit")
-    published_52 = cf.shape_formula_M(5, 2).published_value
-    erratum_seen = published_52 == 156 and cf.shape_formula_M(5, 2).value == 169
+    published_52 = (cf.PUBLISHED_FIVE_ROW_A.expand(3)[2]
+                    * cf.PUBLISHED_FIVE_ROW_B.expand(3)[2])
+    erratum_seen = published_52 == 156 and cf.shape_formula_M(5, 2)[0] == 169
     deviations = ()
     if erratum_seen:
         deviations = (

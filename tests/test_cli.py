@@ -10,7 +10,9 @@ from pawncount import closedforms as cf
 from pawncount import verify as vf
 from pawncount.cli import main
 from pawncount.decomposition import count_independent_sets, split_by_color
-from pawncount.errors import NoFitFound, NonIntegerResult
+from pawncount.errors import (GuardExceeded, IllegalMatrix, InvalidK,
+                              InvalidTiling, MatrixFormatError, NoFitFound,
+                              NonConverged, NonIntegerResult, PawncountError)
 from pawncount.oracle import M_SET
 from pawncount.transfer import count_via_transfer
 
@@ -168,6 +170,28 @@ class TestCount:
         assert out == f"U(150,150) = {cf.upper_bound_U(150, 150)}\n"
 
 
+#: The README's exit-code table, one row per package error.
+EXIT_CODES = {NonIntegerResult: 1, NoFitFound: 1, InvalidK: 2,
+              GuardExceeded: 3, NonConverged: 4, IllegalMatrix: 5,
+              InvalidTiling: 5, MatrixFormatError: 5}
+
+
+def test_exit_code_table_covers_every_package_error():
+    assert set(EXIT_CODES) == set(PawncountError.__subclasses__())
+
+
+@pytest.mark.parametrize("error", EXIT_CODES, ids=lambda e: e.__name__)
+def test_package_error_exits_with_its_code(error, monkeypatch, capsys):
+    def broken():
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(cf, "closed_forms", lambda *args: [broken])
+    code, out, err = run_cli("count", "-m", "3", "-n", "5", capsys=capsys)
+    assert code == EXIT_CODES[error]
+    assert out == ""
+    assert err == "error: synthetic failure\n"
+
+
 class TestGuards:
     """Each guard answers at once: no 2^width state array is built."""
 
@@ -270,6 +294,18 @@ class TestEigen:
         assert code == 4
         assert "converge" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tolerance_exit_2(self, tol, capsys):
+        # a NaN tolerance never met would run every default iteration, and
+        # an infinite one would stop after the first estimate
+        start = time.perf_counter()
+        code, out, err = run_cli("eigen", "-m", "3", "--tol", tol,
+                                 capsys=capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be")
+
 
 class TestTable:
     def test_csv_format(self, capsys):
@@ -355,8 +391,9 @@ class TestBijection:
         '{"rows": 0, "cols": 0, "anchors": []}',
         '{"rows": 1, "cols": 0, "anchors": []}',
         '{"rows": true, "cols": 3, "anchors": []}',
+        '{"rows": 3, "cols": 3, "anchors": [[true, true]]}',
     ], ids=["anchor-off-board", "negative-rows", "zero-by-zero", "zero-cols",
-            "bool-rows"])
+            "bool-rows", "bool-anchor"])
     def test_bad_tiling_exit_5(self, text, tmp_path, capsys):
         src = tmp_path / "tiling.json"
         src.write_text(text)
@@ -365,6 +402,18 @@ class TestBijection:
         assert code == 5
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_oversized_tiling_exit_3(self, tmp_path, capsys):
+        # 43 bytes that name a 3000x3000 matrix, above the 2^22-cell bound
+        src = tmp_path / "tiling.json"
+        src.write_text('{"rows": 3001, "cols": 3001, "anchors": []}')
+        start = time.perf_counter()
+        code, out, err = run_cli("bijection", "--tiling-json", str(src),
+                                 capsys=capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "3000x3000" in err
 
     def test_missing_file_exit_5(self, capsys):
         code, _, _ = run_cli("bijection", "--matrix-file", "/nonexistent",

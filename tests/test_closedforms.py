@@ -13,7 +13,7 @@ from pawncount.closedforms import (FIB_PRODUCT_CONSTANT, GF_FIVE_ROW_A,
                                    estimate_c, fib_product,
                                    fib_product_growth_ratio, fibonacci,
                                    fit_linear_recurrence, golden_ratio_gap,
-                                   k_fibonacci, l3_root_closed_form,
+                                   l3_root_closed_form,
                                    shape_formula_M, upper_bound_U,
                                    upper_bound_U_k)
 from pawncount.errors import InvalidK, NoFitFound, NonIntegerResult
@@ -32,19 +32,6 @@ class TestFibonacci:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             fibonacci(-1)
-
-    def test_k_fibonacci_seeds(self):
-        assert k_fibonacci(3, 0) == 1
-        assert k_fibonacci(3, 3) == 4
-        assert k_fibonacci(5, -2) == 0
-
-    def test_k_two_collapses_to_fibonacci(self):
-        for i in range(12):
-            assert k_fibonacci(2, i) == fibonacci(i)
-
-    def test_k_fibonacci_bad_k(self):
-        with pytest.raises(InvalidK):
-            k_fibonacci(1, 4)
 
     def test_fib_product(self):
         assert fib_product(0) == 1
@@ -84,6 +71,15 @@ class TestUpperBound:
             for n in range(1, 5):
                 assert (upper_bound_U_k(m, n, 3)
                         == count_by_enumeration(m, n, uk_set(3)))
+
+    @pytest.mark.parametrize("k,m,n", [
+        (3, 4, 4), (4, 4, 4), (4, 4, 5), (4, 5, 4),
+    ])
+    def test_longer_runs_equal_oracle(self, k, m, n):
+        # a sheared row of length l has F(k, l + 1) fillings, fewer than
+        # 2^l once l >= k; these boards have rows of length 4, so they
+        # reach F(3, 5) = 13 and F(4, 5) = 15
+        assert upper_bound_U_k(m, n, k) == count_by_enumeration(m, n, uk_set(k))
 
     def test_bad_k(self):
         with pytest.raises(InvalidK):
@@ -168,7 +164,6 @@ class TestGeneratingFunctions:
         rec = LinearRecurrence((1, 0, 0), (1, -2, 0))
         assert rec.numerator == (1,)
         assert rec.denominator == (1, -2)
-        assert rec.order == 1
 
 
 class TestFitting:
@@ -176,12 +171,10 @@ class TestFitting:
         seq = count_sequence(3, 9, L_SET)
         rec = fit_linear_recurrence(seq, 3)
         assert rec.denominator == (1, -2, -3, 2)
-        assert rec.order == 3
 
     def test_powers_of_two(self):
         rec = fit_linear_recurrence([2 ** i for i in range(8)], 3)
         assert rec.denominator == (1, -2)
-        assert rec.order == 1
 
     def test_four_row_shape_sequence(self):
         rec = fit_linear_recurrence([1, 4, 8, 22, 52, 132, 324, 808, 2000], 3)
@@ -198,7 +191,7 @@ class TestFitting:
         for m, pats in ((2, M_SET), (3, M_SET), (2, L_SET), (3, U_SET)):
             seq = count_sequence(m, 2 * 2 ** m + 2, pats)
             rec = fit_linear_recurrence(seq, 2 ** m)
-            assert rec.order <= 2 ** m
+            assert len(rec.denominator) - 1 <= 2 ** m
             assert rec.expand(len(seq)) == seq
 
     def test_no_fit_for_factorials(self):
@@ -225,8 +218,14 @@ class TestFitting:
             rec = fit_linear_recurrence(seq, order)
         except NoFitFound:
             pytest.fail("generated sequence must admit a fit within its order")
-        assert rec.order <= order
+        assert len(rec.denominator) - 1 <= order
         assert rec.expand(len(seq)) == seq
+
+
+def published_five_row(n):
+    """The five-row count from the published (erroneous) pair."""
+    return (PUBLISHED_FIVE_ROW_A.expand(n + 1)[n]
+            * PUBLISHED_FIVE_ROW_B.expand(n + 1)[n])
 
 
 class TestShapeFormulas:
@@ -238,31 +237,33 @@ class TestShapeFormulas:
         (6, 3, 9025),
     ])
     def test_spot_values(self, m, n, expected):
-        assert shape_formula_M(m, n).value == expected
+        assert shape_formula_M(m, n)[0] == expected
 
     def test_matches_transfer(self):
         for m in (2, 3, 4, 5, 6):
             seq = count_sequence(m, 12, M_SET)
             for n in range(13):
-                assert shape_formula_M(m, n).value == seq[n]
+                assert shape_formula_M(m, n)[0] == seq[n]
 
     def test_five_row_erratum_annotated(self):
-        result = shape_formula_M(5, 2)
-        assert result.published_value == 156
-        assert result.value == 169
-        assert result.annotations
+        value, annotations = shape_formula_M(5, 2)
+        assert published_five_row(2) == 156
+        assert value == 169
+        assert annotations == (
+            "published five-row generating functions give 156 at (5,2); "
+            "corrected fitted pair gives 169",)
 
     def test_five_row_agrees_before_diverging(self):
         for n in (0, 1):
-            result = shape_formula_M(5, n)
-            assert result.published_value == result.value
-            assert not result.annotations
+            value, annotations = shape_formula_M(5, n)
+            assert published_five_row(n) == value
+            assert not annotations
 
     def test_five_row_published_pair_deviates_from_two_on(self):
         for n in range(2, 13):
-            result = shape_formula_M(5, n)
-            assert result.published_value != result.value
-            assert result.annotations
+            value, annotations = shape_formula_M(5, n)
+            assert published_five_row(n) != value
+            assert f"give {published_five_row(n)} at (5,{n})" in annotations[0]
 
     def test_published_five_row_pair_expansions(self):
         assert PUBLISHED_FIVE_ROW_A.expand(4) == [1, 8, 12, 65]

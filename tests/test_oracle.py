@@ -56,7 +56,7 @@ class TestPatternSet:
 
 class TestMatrixAvoids:
     def test_worked_3x6_board_is_legal(self):
-        mat = BinaryMatrix.from_rows(["101101", "100000", "001011"])
+        mat = BinaryMatrix.from_text("101101\n100000\n001011")
         assert matrix_avoids(mat, M_SET)
 
     @pytest.mark.parametrize("pats", [M_SET, U_SET, L_SET, uk_set(3)])
@@ -66,17 +66,17 @@ class TestMatrixAvoids:
         assert matrix_avoids(BinaryMatrix(BoardDims(m, n), (0,) * (m * n)), pats)
 
     def test_down_diagonal_pair_detected(self):
-        mat = BinaryMatrix.from_rows(["10", "01"])
+        mat = BinaryMatrix.from_text("10\n01")
         assert not matrix_avoids(mat, M_SET)
         assert find_violation(mat, M_SET) == ("diag_down", (1, 1))
 
     def test_run_of_three_cannot_fit_on_2x2(self):
-        mat = BinaryMatrix.from_rows(["11", "11"])
+        mat = BinaryMatrix.from_text("11\n11")
         assert matrix_avoids(mat, uk_set(3))
         assert not matrix_avoids(mat, uk_set(2))
 
     def test_up_diagonal(self):
-        mat = BinaryMatrix.from_rows(["01", "10"])
+        mat = BinaryMatrix.from_text("01\n10")
         assert not matrix_avoids(mat, M_SET)
         assert matrix_avoids(mat, U_SET)
 
@@ -201,6 +201,6 @@ class TestMatrixText:
             BinaryMatrix.from_text("10\n\n01")
 
     def test_packed_roundtrip(self):
-        mat = BinaryMatrix.from_rows(["101", "010"])
+        mat = BinaryMatrix.from_text("101\n010")
         assert BinaryMatrix.from_packed(2, 3, mat.packed) == mat
         assert mat.packed == 0b101010

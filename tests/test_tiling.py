@@ -34,7 +34,7 @@ class TestThetaForward:
         with pytest.raises(IllegalMatrix) as info:
             theta_forward(BinaryMatrix.from_text("11"))
         assert info.value.position == (1, 1)
-        assert info.value.pattern == "horiz_pair"
+        assert "forbidden horiz_pair at (1, 1)" in str(info.value)
 
 
 class TestThetaInverse:

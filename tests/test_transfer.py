@@ -42,9 +42,9 @@ def admissible(m: int, pats) -> list[int]:
                   for board in enumerate_legal(m, 1, pats))
 
 
-def rows_of(v: int, m: int) -> list[int]:
+def rows_of(v: int, m: int) -> str:
     """The cells of mask v from the top row down."""
-    return [int(ch) for ch in format(v, f"0{m}b")]
+    return format(v, f"0{m}b")
 
 
 def render(matrix: np.ndarray) -> str:
@@ -110,8 +110,8 @@ class TestBuildTransfer:
                 assert matrix.shape == (len(masks), len(masks))
                 for i, v in enumerate(masks):
                     for j, w in enumerate(masks):
-                        board = BinaryMatrix.from_rows(
-                            list(zip(rows_of(v, m), rows_of(w, m))))
+                        board = BinaryMatrix.from_text("\n".join(
+                            map("".join, zip(rows_of(v, m), rows_of(w, m)))))
                         assert matrix[i, j] == int(matrix_avoids(board, pats))
 
     def test_symmetry(self):
