@@ -9,11 +9,14 @@ Exit codes:
     2  usage error: argparse, any ``ValueError`` (``InvalidK`` among them)
     3  a size guard was exceeded (``GuardExceeded``)
     4  power iteration did not converge (``NonConverged``)
-    5  bad input file: ``OSError``, ``IllegalMatrix``, ``InvalidTiling``,
-       ``MatrixFormatError``
+    5  bad input file: ``OSError``, bytes that are not UTF-8,
+       ``IllegalMatrix``, ``InvalidTiling``, ``MatrixFormatError``
 
 Each package error names its own code (``exit_code`` in ``errors``);
-``main`` adds only ``OSError`` (5) and ``ValueError`` (2).
+``main`` adds only ``OSError`` and ``UnicodeDecodeError`` (5: both input
+files are UTF-8 text) and other ``ValueError``s (2).  A matrix is one
+packed int, and one pattern table serves the enumeration, ``matrix_avoids``
+and ``find_violation``.
 
 ``count`` under ``auto`` and ``table`` give each board the first closed
 form that covers it.  M, U and L are transpose symmetric, so every other
@@ -226,7 +229,7 @@ def cmd_bijection(args) -> int:
     if args.invert and args.matrix_file is not None:
         raise ValueError("--invert takes a tiling (--tiling-json), not a matrix")
     if args.matrix_file is not None:
-        text = Path(args.matrix_file).read_text()
+        text = Path(args.matrix_file).read_text(encoding="utf-8")
         matrix = BinaryMatrix.from_text(text)
         result = tl.theta_forward(matrix)
         if args.ascii_art:
@@ -234,7 +237,7 @@ def cmd_bijection(args) -> int:
         else:
             print(tl.tiling_to_json(result))
     else:
-        text = Path(args.tiling_json).read_text()
+        text = Path(args.tiling_json).read_text(encoding="utf-8")
         tiling = tl.tiling_from_json(text)
         print(tl.theta_inverse(tiling).to_text())
     return EXIT_OK
@@ -332,10 +335,12 @@ def main(argv: list[str] | None = None) -> int:
         where = f" at {position}" if position else ""
         print(f"error: {exc}{where}", file=sys.stderr)
         # a package error names its own code; MatrixFormatError and InvalidK
-        # are ValueErrors too, so this test comes first
+        # are ValueErrors too, so this test comes first.  Only input files
+        # are decoded, so a UnicodeDecodeError is a bad file.
         if isinstance(exc, PawncountError):
             return exc.exit_code
-        return EXIT_BAD_INPUT if isinstance(exc, OSError) else EXIT_USAGE
+        bad_file = isinstance(exc, (OSError, UnicodeDecodeError))
+        return EXIT_BAD_INPUT if bad_file else EXIT_USAGE
 
 
 if __name__ == "__main__":

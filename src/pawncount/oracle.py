@@ -1,9 +1,12 @@
 """Ground-truth enumeration of pattern-avoiding binary matrices.
 
-Boards are binary matrices with 1-based cells, row 1 at the top.  A
-ForbiddenPatternSet names small forbidden configurations (diagonal pairs,
-axis pairs, diagonal runs); this module counts the matrices avoiding them
-by scanning all 2^(m*n) candidates, vectorized in chunks.  Every other
+Boards are binary matrices with 1-based cells, row 1 at the top; a matrix
+is one packed int, row-major with row 1 column 1 in the most significant
+bit.  A ForbiddenPatternSet names small forbidden configurations (diagonal
+pairs, axis pairs, diagonal runs), and one pattern table of shifts and
+masks on the packed int serves the enumeration, ``matrix_avoids`` and
+``find_violation``.  This module counts the matrices avoiding a set by
+scanning all 2^(m*n) candidates, vectorized in chunks.  Every other
 counting route in the package is validated against this one.  numpy is
 imported only by the scan, so the pattern sets and the matrix type load
 without it.
@@ -83,114 +86,81 @@ def uk_set(k: int) -> ForbiddenPatternSet:
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """Row-major bit grid; ``cells[(i-1)*n + (j-1)]`` is cell (i, j)."""
+    """Bit grid packed row-major into one int: cell (i, j) is bit
+    m*n - (i-1)*n - j, so row 1 column 1 is the most significant."""
 
     dims: BoardDims
-    cells: tuple[int, ...]
+    packed: int
 
     def __post_init__(self) -> None:
-        if len(self.cells) != self.dims.cells:
+        if not 0 <= self.packed < 1 << self.dims.cells:
             raise ValueError(
-                f"expected {self.dims.cells} cells for {self.dims.m}x{self.dims.n}, "
-                f"got {len(self.cells)}")
-        if any(c not in (0, 1) for c in self.cells):
-            raise ValueError("cells must be 0 or 1")
+                f"{self.packed} does not fit the {self.dims.cells} cells of a "
+                f"{self.dims.m}x{self.dims.n} matrix")
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":
         """Parse the matrix text format: one '0'/'1' line per row, row 1 first."""
         stripped = text.rstrip("\n")
         if not stripped:
-            return cls(BoardDims(0, 0), ())
+            return cls(BoardDims(0, 0), 0)
         lines = stripped.split("\n")
         n = len(lines[0])
-        cells: list[int] = []
         for i, line in enumerate(lines, start=1):
             if len(line) != n or n == 0:
                 raise MatrixFormatError(f"row {i} has length {len(line)}, expected {n}")
             for j, ch in enumerate(line, start=1):
-                if ch == "0":
-                    cells.append(0)
-                elif ch == "1":
-                    cells.append(1)
-                else:
+                if ch not in "01":
                     raise MatrixFormatError(f"row {i} column {j}: {ch!r} is not 0/1")
-        return cls(BoardDims(len(lines), n), tuple(cells))
+        return cls(BoardDims(len(lines), n), int("".join(lines), 2))
 
     def to_text(self) -> str:
-        n = self.dims.n
-        return "\n".join(
-            "".join(str(c) for c in self.cells[r * n:(r + 1) * n])
-            for r in range(self.dims.m))
+        m, n = self.dims.m, self.dims.n
+        bits = format(self.packed, f"0{m * n}b")
+        return "\n".join(bits[r * n:(r + 1) * n] for r in range(m))
 
     def cell(self, i: int, j: int) -> int:
         """Cell value at 1-based (row, column)."""
-        return self.cells[(i - 1) * self.dims.n + (j - 1)]
-
-    @property
-    def packed(self) -> int:
-        """Cells as one integer, first cell in the most significant bit."""
-        value = 0
-        for c in self.cells:
-            value = (value << 1) | c
-        return value
-
-    @classmethod
-    def from_packed(cls, m: int, n: int, value: int) -> "BinaryMatrix":
-        mn = m * n
-        cells = tuple((value >> (mn - 1 - p)) & 1 for p in range(mn))
-        return cls(BoardDims(m, n), cells)
+        return (self.packed >> (self.dims.cells - (i - 1) * self.dims.n - j)) & 1
 
 
 @lru_cache(maxsize=512)
-def _violation_checks(m: int, n: int,
-                      pats: ForbiddenPatternSet) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(shifts, mask) pairs: a packed matrix violates some pattern iff
-    ANDing (packed >> s for s in shifts) hits the mask.
+def _violation_checks(m: int, n: int, pats: ForbiddenPatternSet
+                      ) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
+    """The pattern table: one (name, shifts, mask, offset) row per banned
+    pattern, in the order find_violation breaks ties.
 
-    With MSB-first packing, a cell pair at row-major offset d lands on the
-    bit of the later cell after ANDing with the d-shifted value; the mask
-    keeps only placements that fit on the board.
+    A packed x holds the pattern where x & mask & (x >> s for s in shifts)
+    has a hit bit: with MSB-first packing, x >> d moves each cell d places
+    later in row-major order, so the hit lands on the pattern's last cell,
+    and the mask keeps the placements that fit on the board.  A hit bit
+    plus offset is the bit of the occurrence's top-left corner.
     """
     mn = m * n
-    checks: list[tuple[tuple[int, ...], int]] = []
+    checks: list[tuple[str, tuple[int, ...], int, int]] = []
 
-    def add(shifts: tuple[int, ...], firsts: list[int], span: int) -> None:
+    def add(name: str, height: int, width: int, cells: tuple[int, ...]) -> None:
+        # cells: row-major offsets of the pattern's cells from its corner
+        last = cells[-1]
         mask = 0
-        for p in firsts:
-            mask |= 1 << (mn - 1 - p - span)
+        for r in range(m - height + 1):
+            for c in range(n - width + 1):
+                mask |= 1 << (mn - 1 - r * n - c - last)
         if mask:
-            checks.append((shifts, mask))
+            checks.append((name, tuple(last - d for d in cells[:-1]), mask, last))
 
     if pats.diag_down:
-        add((0, n + 1),
-            [r * n + c for r in range(m - 1) for c in range(n - 1)], n + 1)
-    if pats.diag_up and n >= 2:
-        add((0, n - 1),
-            [r * n + c + 1 for r in range(m - 1) for c in range(n - 1)], n - 1)
+        add("diag_down", 2, 2, (0, n + 1))
+    if pats.diag_up:
+        add("diag_up", 2, 2, (1, n))
     if pats.horiz_pair:
-        add((0, 1), [r * n + c for r in range(m) for c in range(n - 1)], 1)
+        add("horiz_pair", 1, 2, (0, 1))
     if pats.vert_pair:
-        add((0, n), [r * n + c for r in range(m - 1) for c in range(n)], n)
+        add("vert_pair", 2, 1, (0, n))
     k = pats.diag_run_k
-    if k is not None and m >= k and n >= k:
-        d = n + 1
-        add(tuple(j * d for j in range(k)),
-            [r * n + c for r in range(m - k + 1) for c in range(n - k + 1)],
-            (k - 1) * d)
+    if k is not None:
+        add(f"diag_run_{k}", k, k, tuple(t * (n + 1) for t in range(k)))
     return tuple(checks)
-
-
-def matrix_avoids(mat: BinaryMatrix, pats: ForbiddenPatternSet) -> bool:
-    """True iff no forbidden configuration from pats occurs anywhere in mat."""
-    x = mat.packed
-    for shifts, mask in _violation_checks(mat.dims.m, mat.dims.n, pats):
-        acc = x
-        for s in shifts[1:]:
-            acc &= x >> s
-        if acc & mask:
-            return False
-    return True
 
 
 def find_violation(mat: BinaryMatrix,
@@ -198,38 +168,30 @@ def find_violation(mat: BinaryMatrix,
     """First forbidden occurrence, scanning row-major, or None if legal.
 
     Returns the pattern name and the 1-based top-left corner of the
-    occurrence's bounding box.
+    occurrence's bounding box.  Each row of the pattern table finds its
+    own first occurrence in its highest hit bit; the smallest corner wins,
+    ties going to the earlier row.
     """
     m, n = mat.dims.m, mat.dims.n
-    cell = mat.cell
-    k = pats.diag_run_k
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            if i < m and j < n:
-                if pats.diag_down and cell(i, j) and cell(i + 1, j + 1):
-                    return ("diag_down", (i, j))
-                if pats.diag_up and cell(i + 1, j) and cell(i, j + 1):
-                    return ("diag_up", (i, j))
-            if pats.horiz_pair and j < n and cell(i, j) and cell(i, j + 1):
-                return ("horiz_pair", (i, j))
-            if pats.vert_pair and i < m and cell(i, j) and cell(i + 1, j):
-                return ("vert_pair", (i, j))
-            if k is not None and i + k - 1 <= m and j + k - 1 <= n:
-                if all(cell(i + t, j + t) for t in range(k)):
-                    return (f"diag_run_{k}", (i, j))
-    return None
+    x = mat.packed
+    first = None
+    for name, shifts, mask, offset in _violation_checks(m, n, pats):
+        hits = x & mask
+        for s in shifts:
+            hits &= x >> s
+        if hits:
+            corner = m * n - hits.bit_length() - offset
+            if first is None or corner < first[0]:
+                first = (corner, name)
+    if first is None:
+        return None
+    row, col = divmod(first[0], n)
+    return first[1], (row + 1, col + 1)
 
 
-def _legal_chunk(xs: np.ndarray, checks) -> np.ndarray:
-    import numpy as np
-
-    legal = np.ones(xs.shape, dtype=bool)
-    for shifts, mask in checks:
-        acc = xs
-        for s in shifts[1:]:
-            acc = acc & (xs >> np.uint64(s))
-        legal &= (acc & np.uint64(mask)) == 0
-    return legal
+def matrix_avoids(mat: BinaryMatrix, pats: ForbiddenPatternSet) -> bool:
+    """True iff no forbidden configuration from pats occurs anywhere in mat."""
+    return find_violation(mat, pats) is None
 
 
 def _check_guard(dims: BoardDims, guard: int) -> None:
@@ -237,6 +199,25 @@ def _check_guard(dims: BoardDims, guard: int) -> None:
         raise GuardExceeded(
             f"enumerating 2^{dims.cells} candidate matrices exceeds the "
             f"{guard}-cell guard; use the transfer engine for boards this large")
+
+
+def _scan(dims: BoardDims, pats: ForbiddenPatternSet
+          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(candidates, legal) for each chunk of the 2^(m*n) packed matrices in
+    ascending order; an empty board is the single candidate 0."""
+    import numpy as np
+
+    checks = _violation_checks(dims.m, dims.n, pats)
+    size = 1 << dims.cells
+    for start in range(0, size, _CHUNK):
+        xs = np.arange(start, min(start + _CHUNK, size), dtype=np.uint64)
+        legal = np.ones(xs.shape, dtype=bool)
+        for _, shifts, mask, _ in checks:
+            hits = xs & np.uint64(mask)
+            for s in shifts:
+                hits &= xs >> np.uint64(s)
+            legal &= hits == 0
+        yield xs, legal
 
 
 def count_by_enumeration(m: int, n: int, pats: ForbiddenPatternSet,
@@ -248,16 +229,8 @@ def count_by_enumeration(m: int, n: int, pats: ForbiddenPatternSet,
     import numpy as np
 
     dims = BoardDims(m, n)
-    if dims.cells == 0:
-        return 1
     _check_guard(dims, guard)
-    checks = _violation_checks(m, n, pats)
-    size = 1 << dims.cells
-    total = 0
-    for start in range(0, size, _CHUNK):
-        xs = np.arange(start, min(start + _CHUNK, size), dtype=np.uint64)
-        total += int(np.count_nonzero(_legal_chunk(xs, checks)))
-    return total
+    return sum(int(np.count_nonzero(legal)) for _, legal in _scan(dims, pats))
 
 
 def enumerate_legal(m: int, n: int, pats: ForbiddenPatternSet,
@@ -266,19 +239,5 @@ def enumerate_legal(m: int, n: int, pats: ForbiddenPatternSet,
     row-major bit string.  Stream length equals count_by_enumeration."""
     dims = BoardDims(m, n)
     _check_guard(dims, guard)
-    return _enumerate(dims, pats)
-
-
-def _enumerate(dims: BoardDims, pats: ForbiddenPatternSet) -> Iterator[BinaryMatrix]:
-    import numpy as np
-
-    if dims.cells == 0:
-        yield BinaryMatrix(dims, ())
-        return
-    m, n = dims.m, dims.n
-    checks = _violation_checks(m, n, pats)
-    size = 1 << dims.cells
-    for start in range(0, size, _CHUNK):
-        xs = np.arange(start, min(start + _CHUNK, size), dtype=np.uint64)
-        for v in xs[_legal_chunk(xs, checks)]:
-            yield BinaryMatrix.from_packed(m, n, int(v))
+    return (BinaryMatrix(dims, v) for xs, legal in _scan(dims, pats)
+            for v in xs[legal].tolist())

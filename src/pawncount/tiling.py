@@ -19,12 +19,14 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import (MAX_STATES, MAX_WIDTH, GuardExceeded, IllegalMatrix,
                      InvalidTiling)
-from .oracle import L_SET, BinaryMatrix, BoardDims, find_violation, matrix_avoids
+from .oracle import L_SET, BinaryMatrix, BoardDims, find_violation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TILING_GUARD = 30
 
@@ -63,7 +65,7 @@ class Tiling:
 def theta_forward(mat: BinaryMatrix) -> Tiling:
     """Map a fully-isolated matrix to the tiling of the board one row and
     one column larger, with a 2x2 tile anchored on every 1."""
-    violation = None if matrix_avoids(mat, L_SET) else find_violation(mat, L_SET)
+    violation = find_violation(mat, L_SET)
     if violation is not None:
         pattern, pos = violation
         raise IllegalMatrix(
@@ -91,29 +93,21 @@ def theta_inverse(tiling: Tiling) -> BinaryMatrix:
         raise GuardExceeded(
             f"a {tiling.rows}x{tiling.cols} tiling maps to a {m}x{n} matrix of "
             f"{m * n} cells, above the 2^{MAX_WIDTH} limit")
-    cells = [0] * (m * n)
+    packed = 0
     for (r, c) in tiling.anchors:
-        cells[(r - 1) * n + (c - 1)] = 1
-    return BinaryMatrix(BoardDims(m, n), tuple(cells))
+        packed |= 1 << (m * n - (r - 1) * n - c)
+    return BinaryMatrix(BoardDims(m, n), packed)
 
 
-@lru_cache(maxsize=32)
-def _pair_union_masks(rows: int) -> tuple[int, ...]:
-    """Masks decomposable into disjoint adjacent-bit pairs (all runs of 1s
-    have even length); each is a possible 2x2 coverage of one column."""
+def _pair_union_masks(rows: int) -> np.ndarray:
+    """keep[w]: mask w is a union of disjoint adjacent-bit pairs, a possible
+    2x2 coverage of one column.  Such a w is 3p = p | p << 1 (no carries)
+    for a p with no two adjacent bits, and every such 3p is one."""
     import numpy as np
 
-    masks = np.arange(1 << rows)
-    odd = np.zeros(masks.shape, dtype=bool)  # current run of 1s is odd
-    ok = np.ones(masks.shape, dtype=bool)
-    # run parity, bit by bit over all masks at once: a 0 bit (or the top
-    # edge) ends the run below it, which must be even
-    for b in range(rows):
-        bit = ((masks >> b) & 1).astype(bool)
-        ok &= bit | ~odd
-        odd = bit & ~odd
-    ok &= ~odd
-    return tuple(masks[ok].tolist())
+    w = np.arange(1 << rows)
+    p = w // 3
+    return (w % 3 == 0) & ((p & p >> 1) == 0)
 
 
 def tiling_sequence(rows: int, cols_max: int) -> list[int]:
@@ -132,8 +126,7 @@ def tiling_sequence(rows: int, cols_max: int) -> list[int]:
     check_width(rows)
     size = 1 << rows
     allowed = (size - 1) ^ np.arange(size)
-    keep = np.zeros(size, dtype=bool)
-    keep[list(_pair_union_masks(rows))] = True
+    keep = _pair_union_masks(rows)
     dp = np.zeros(size, dtype=object)
     dp[0] = 1
     counts = [1]

@@ -337,6 +337,8 @@ def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,
     # a NaN tolerance never stops the loop, an infinite one stops it at once
     if not math.isfinite(tol):
         raise ValueError("tolerance must be finite")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     from_odd, from_even = _colour_steps(m)
     x = np.ones(1 << from_even[0])
     prev = None

@@ -306,6 +306,14 @@ class TestEigen:
         assert out == ""
         assert err.startswith("error: tolerance must be")
 
+    @pytest.mark.parametrize("max_iter", ["0", "-5"])
+    def test_bad_max_iter_exit_2(self, max_iter, capsys):
+        code, out, err = run_cli("eigen", "-m", "3", "--max-iter", max_iter,
+                                 capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: max_iter must be >= 1, got {max_iter}\n"
+
 
 class TestTable:
     def test_csv_format(self, capsys):
@@ -419,6 +427,15 @@ class TestBijection:
         code, _, _ = run_cli("bijection", "--matrix-file", "/nonexistent",
                              capsys=capsys)
         assert code == 5
+
+    @pytest.mark.parametrize("flag", ["--matrix-file", "--tiling-json"])
+    def test_non_utf8_file_exit_5(self, flag, tmp_path, capsys):
+        src = tmp_path / "input"
+        src.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run_cli("bijection", flag, str(src), capsys=capsys)
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_requires_exactly_one_input(self, tmp_path, capsys):
         code, _, _ = run_cli("bijection", capsys=capsys)

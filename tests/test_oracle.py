@@ -11,27 +11,32 @@ from pawncount.oracle import (L_SET, M_SET, U_SET, BinaryMatrix, BoardDims,
                               uk_set)
 
 
-def naive_avoids(mat: BinaryMatrix, pats: ForbiddenPatternSet) -> bool:
-    """Reference checker: plain nested loops over every placement."""
+def naive_first_violation(mat: BinaryMatrix, pats: ForbiddenPatternSet
+                          ) -> tuple[str, tuple[int, int]] | None:
+    """Reference scan: every top-left corner in row-major order and, at
+    each, the banned patterns in the order ForbiddenPatternSet declares
+    them, cell by cell; the first occurrence as (pattern, corner), or None."""
     m, n = mat.dims.m, mat.dims.n
-    cell = mat.cell
+    k = pats.diag_run_k
+    shapes = [("diag_down", pats.diag_down, [(0, 0), (1, 1)]),
+              ("diag_up", pats.diag_up, [(1, 0), (0, 1)]),
+              ("horiz_pair", pats.horiz_pair, [(0, 0), (0, 1)]),
+              ("vert_pair", pats.vert_pair, [(0, 0), (1, 0)]),
+              (f"diag_run_{k}", k is not None, [(t, t) for t in range(k or 0)])]
     for i in range(1, m + 1):
         for j in range(1, n + 1):
-            if not cell(i, j):
-                continue
-            if pats.diag_down and i < m and j < n and cell(i + 1, j + 1):
-                return False
-            if pats.diag_up and i > 1 and j < n and cell(i - 1, j + 1):
-                return False
-            if pats.horiz_pair and j < n and cell(i, j + 1):
-                return False
-            if pats.vert_pair and i < m and cell(i + 1, j):
-                return False
-            k = pats.diag_run_k
-            if k is not None and i + k - 1 <= m and j + k - 1 <= n:
-                if all(cell(i + t, j + t) for t in range(k)):
-                    return False
-    return True
+            for name, banned, offsets in shapes:
+                if banned and all(i + di <= m and j + dj <= n
+                                  and mat.cell(i + di, j + dj)
+                                  for di, dj in offsets):
+                    return name, (i, j)
+    return None
+
+
+PATTERN_SETS = [M_SET, U_SET, L_SET, uk_set(2), uk_set(3), uk_set(4),
+                ForbiddenPatternSet(diag_up=True),
+                ForbiddenPatternSet(horiz_pair=True, vert_pair=True),
+                ForbiddenPatternSet(diag_up=True, diag_run_k=3)]
 
 
 class TestPatternSet:
@@ -63,7 +68,7 @@ class TestMatrixAvoids:
     @pytest.mark.parametrize("dims", [(1, 1), (3, 4), (5, 2)])
     def test_all_zero_always_legal(self, dims, pats):
         m, n = dims
-        assert matrix_avoids(BinaryMatrix(BoardDims(m, n), (0,) * (m * n)), pats)
+        assert matrix_avoids(BinaryMatrix(BoardDims(m, n), 0), pats)
 
     def test_down_diagonal_pair_detected(self):
         mat = BinaryMatrix.from_text("10\n01")
@@ -91,8 +96,27 @@ class TestMatrixAvoids:
              ForbiddenPatternSet(diag_up=True),
              ForbiddenPatternSet(horiz_pair=True, vert_pair=True)]),
             label="pats")
-        mat = BinaryMatrix.from_packed(m, n, bits)
-        assert matrix_avoids(mat, pats) == naive_avoids(mat, pats)
+        mat = BinaryMatrix(BoardDims(m, n), bits)
+        assert matrix_avoids(mat, pats) == (naive_first_violation(mat, pats) is None)
+
+
+class TestFindViolation:
+    @pytest.mark.parametrize("pats", PATTERN_SETS)
+    def test_first_occurrence_on_every_small_board(self, pats):
+        for m, n in itertools.product(range(4), range(4)):
+            for bits in range(1 << (m * n)):
+                mat = BinaryMatrix(BoardDims(m, n), bits)
+                assert find_violation(mat, pats) == naive_first_violation(mat, pats)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_first_occurrence_up_to_4x4(self, data):
+        m = data.draw(st.integers(0, 4), label="m")
+        n = data.draw(st.integers(0, 4), label="n")
+        bits = data.draw(st.integers(0, 2 ** (m * n) - 1), label="bits")
+        pats = data.draw(st.sampled_from(PATTERN_SETS), label="pats")
+        mat = BinaryMatrix(BoardDims(m, n), bits)
+        assert find_violation(mat, pats) == naive_first_violation(mat, pats)
 
 
 class TestCounting:
@@ -150,7 +174,7 @@ class TestEnumeration:
     def test_2x2_isolated_stream(self):
         mats = list(enumerate_legal(2, 2, L_SET))
         assert len(mats) == 5
-        assert mats[0].cells == (0, 0, 0, 0)
+        assert mats[0].packed == 0
 
     def test_lexicographic_order(self):
         packed = [m.packed for m in enumerate_legal(2, 3, M_SET)]
@@ -159,7 +183,7 @@ class TestEnumeration:
     def test_empty_board_stream(self):
         mats = list(enumerate_legal(0, 5, M_SET))
         assert len(mats) == 1
-        assert mats[0].cells == ()
+        assert mats[0].packed == 0
 
     def test_guard_raised_eagerly(self):
         with pytest.raises(GuardExceeded):
@@ -202,5 +226,10 @@ class TestMatrixText:
 
     def test_packed_roundtrip(self):
         mat = BinaryMatrix.from_text("101\n010")
-        assert BinaryMatrix.from_packed(2, 3, mat.packed) == mat
+        assert BinaryMatrix(BoardDims(2, 3), mat.packed) == mat
         assert mat.packed == 0b101010
+
+    @pytest.mark.parametrize("packed", [-1, 16])
+    def test_packed_outside_the_board_rejected(self, packed):
+        with pytest.raises(ValueError):
+            BinaryMatrix(BoardDims(2, 2), packed)

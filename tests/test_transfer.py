@@ -38,8 +38,7 @@ PHI = (1 + math.sqrt(5)) / 2
 def admissible(m: int, pats) -> list[int]:
     """Masks of the legal m-by-1 boards in ascending order, top row as the
     most significant bit: the vertices of the height-m transfer matrix."""
-    return sorted(int("".join(map(str, board.cells)), 2)
-                  for board in enumerate_legal(m, 1, pats))
+    return sorted(board.packed for board in enumerate_legal(m, 1, pats))
 
 
 def rows_of(v: int, m: int) -> str:
