@@ -6,10 +6,12 @@ bit.  A ForbiddenPatternSet names small forbidden configurations (diagonal
 pairs, axis pairs, diagonal runs), and one pattern table of shifts and
 masks on the packed int serves the enumeration, ``matrix_avoids`` and
 ``find_violation``.  This module counts the matrices avoiding a set by
-scanning all 2^(m*n) candidates, vectorized in chunks.  Every other
-counting route in the package is validated against this one.  numpy is
-imported only by the scan, so the pattern sets and the matrix type load
-without it.
+scanning all 2^(m*n) candidates, vectorized in chunks of 2^16 held in
+the narrowest unsigned word that fits m*n bits (uint32 up to the default
+25-cell guard), so each temporary of the scan is a few hundred KB, not
+the 8 MB of a 2^20 uint64 chunk.  Every other counting route in the
+package is validated against this one.  numpy is imported only by the
+scan, so the pattern sets and the matrix type load without it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_ENUMERATION_GUARD = 25
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,6 @@ class BinaryMatrix:
         bits = format(self.packed, f"0{m * n}b")
         return "\n".join(bits[r * n:(r + 1) * n] for r in range(m))
 
-    def cell(self, i: int, j: int) -> int:
-        """Cell value at 1-based (row, column)."""
-        return (self.packed >> (self.dims.cells - (i - 1) * self.dims.n - j)) & 1
-
 
 @lru_cache(maxsize=512)
 def _violation_checks(m: int, n: int, pats: ForbiddenPatternSet
@@ -141,13 +139,16 @@ def _violation_checks(m: int, n: int, pats: ForbiddenPatternSet
 
     def add(name: str, height: int, width: int, cells: tuple[int, ...]) -> None:
         # cells: row-major offsets of the pattern's cells from its corner
+        if height > m or width > n:
+            return
         last = cells[-1]
-        mask = 0
-        for r in range(m - height + 1):
-            for c in range(n - width + 1):
-                mask |= 1 << (mn - 1 - r * n - c - last)
-        if mask:
-            checks.append((name, tuple(last - d for d in cells[:-1]), mask, last))
+        # the mask as a bit string, row 1 first: one row pattern per row of
+        # corners, moved on by the last cell's offset; what passes mn is
+        # the pad of the final row pattern, never a placement
+        row = "1" * (n - width + 1) + "0" * (width - 1)
+        bits = ("0" * last + row * (m - height + 1))[:mn]
+        checks.append((name, tuple(last - d for d in cells[:-1]),
+                       int(bits.ljust(mn, "0"), 2), last))
 
     if pats.diag_down:
         add("diag_down", 2, 2, (0, n + 1))
@@ -209,13 +210,14 @@ def _scan(dims: BoardDims, pats: ForbiddenPatternSet
 
     checks = _violation_checks(dims.m, dims.n, pats)
     size = 1 << dims.cells
+    word = np.min_scalar_type(size - 1)
     for start in range(0, size, _CHUNK):
-        xs = np.arange(start, min(start + _CHUNK, size), dtype=np.uint64)
+        xs = np.arange(start, min(start + _CHUNK, size), dtype=word)
         legal = np.ones(xs.shape, dtype=bool)
         for _, shifts, mask, _ in checks:
-            hits = xs & np.uint64(mask)
+            hits = xs & word.type(mask)
             for s in shifts:
-                hits &= xs >> np.uint64(s)
+                hits &= xs >> word.type(s)
             legal &= hits == 0
         yield xs, legal
 

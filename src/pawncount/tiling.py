@@ -52,11 +52,15 @@ class Tiling:
                 raise InvalidTiling(
                     f"anchor ({r},{c}) leaves the {self.rows}x{self.cols} board",
                     position=(r, c))
+        taken = set(ordered)
         for idx, (r, c) in enumerate(ordered):
-            for (r2, c2) in ordered[idx + 1:]:
-                if r2 - r > 1:
-                    break
-                if abs(r2 - r) <= 1 and abs(c2 - c) <= 1:
+            # the anchors sorting after (r, c) whose tiles meet its own, in
+            # row-major order: a repeat of it, then its four later neighbours
+            later = [(r, c + 1), (r + 1, c - 1), (r + 1, c), (r + 1, c + 1)]
+            if ordered[idx + 1:idx + 2] == ((r, c),):
+                later.insert(0, (r, c))
+            for (r2, c2) in later:
+                if (r2, c2) in taken:
                     raise InvalidTiling(
                         f"anchors ({r},{c}) and ({r2},{c2}) overlap",
                         position=(r2, c2))
@@ -72,9 +76,9 @@ def theta_forward(mat: BinaryMatrix) -> Tiling:
             f"matrix has forbidden {pattern} at {pos}; only fully-isolated "
             "matrices map to tilings", position=pos)
     m, n = mat.dims.m, mat.dims.n
-    anchors = tuple((i, j)
-                    for i in range(1, m + 1) for j in range(1, n + 1)
-                    if mat.cell(i, j))
+    bits = format(mat.packed, f"0{m * n}b")
+    anchors = tuple((i // n + 1, i % n + 1)
+                    for i, bit in enumerate(bits) if bit == "1")
     return Tiling(m + 1, n + 1, anchors)
 
 
@@ -93,10 +97,10 @@ def theta_inverse(tiling: Tiling) -> BinaryMatrix:
         raise GuardExceeded(
             f"a {tiling.rows}x{tiling.cols} tiling maps to a {m}x{n} matrix of "
             f"{m * n} cells, above the 2^{MAX_WIDTH} limit")
-    packed = 0
+    bits = bytearray(b"0" * (m * n))
     for (r, c) in tiling.anchors:
-        packed |= 1 << (m * n - (r - 1) * n - c)
-    return BinaryMatrix(BoardDims(m, n), packed)
+        bits[(r - 1) * n + c - 1] = ord("1")
+    return BinaryMatrix(BoardDims(m, n), int(bits, 2) if bits else 0)
 
 
 def _pair_union_masks(rows: int) -> np.ndarray:

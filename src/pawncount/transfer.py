@@ -154,13 +154,14 @@ def _states(m: int, pats: ForbiddenPatternSet) -> Iterator[np.ndarray]:
     """Column-profile states for n = 1, 2, ...: entry w counts the m-by-n
     boards whose last column is w.  Each state is consumed in place by the
     step that makes the next one; the step table is built only once a step
-    is taken, so n = 1 costs one pass over the legal columns."""
+    is taken, so n = 1 costs one pass over the legal columns.  The n = 1
+    state is in machine ints (int64: ones, or ``keep``); it becomes exact
+    Python ints (dtype=object) only when the first step is taken."""
     keep = _keep_table(m, pats)
-    x = np.ones(1 << m, dtype=object)
-    if keep is not None:
-        x[~keep] = 0
+    x = np.ones(1 << m, dtype=np.int64) if keep is None else keep.astype(np.int64)
     yield x
     allowed = _allowed_table(m, pats)
+    x = x.astype(object)
     while True:
         x = profile_step(x, m, allowed, keep)
         yield x

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from pawncount.errors import GuardExceeded, InvalidK, MatrixFormatError
 from pawncount.oracle import (L_SET, M_SET, U_SET, BinaryMatrix, BoardDims,
-                              ForbiddenPatternSet, count_by_enumeration,
-                              enumerate_legal, find_violation, matrix_avoids,
-                              uk_set)
+                              ForbiddenPatternSet, _violation_checks,
+                              count_by_enumeration, enumerate_legal,
+                              find_violation, matrix_avoids, uk_set)
+from pawncount.transfer import count_via_transfer
 
 
 def naive_first_violation(mat: BinaryMatrix, pats: ForbiddenPatternSet
@@ -17,20 +18,27 @@ def naive_first_violation(mat: BinaryMatrix, pats: ForbiddenPatternSet
     each, the banned patterns in the order ForbiddenPatternSet declares
     them, cell by cell; the first occurrence as (pattern, corner), or None."""
     m, n = mat.dims.m, mat.dims.n
+    rows = mat.to_text().split("\n")
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            for name, offsets in banned_shapes(pats):
+                if all(i + di <= m and j + dj <= n
+                       and rows[i + di - 1][j + dj - 1] == "1"
+                       for di, dj in offsets):
+                    return name, (i, j)
+    return None
+
+
+def banned_shapes(pats: ForbiddenPatternSet) -> list[tuple[str, list[tuple[int, int]]]]:
+    """(name, cell offsets from the top-left corner) of each banned pattern,
+    in the order ForbiddenPatternSet declares them."""
     k = pats.diag_run_k
     shapes = [("diag_down", pats.diag_down, [(0, 0), (1, 1)]),
               ("diag_up", pats.diag_up, [(1, 0), (0, 1)]),
               ("horiz_pair", pats.horiz_pair, [(0, 0), (0, 1)]),
               ("vert_pair", pats.vert_pair, [(0, 0), (1, 0)]),
               (f"diag_run_{k}", k is not None, [(t, t) for t in range(k or 0)])]
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            for name, banned, offsets in shapes:
-                if banned and all(i + di <= m and j + dj <= n
-                                  and mat.cell(i + di, j + dj)
-                                  for di, dj in offsets):
-                    return name, (i, j)
-    return None
+    return [(name, offsets) for name, banned, offsets in shapes if banned]
 
 
 PATTERN_SETS = [M_SET, U_SET, L_SET, uk_set(2), uk_set(3), uk_set(4),
@@ -118,6 +126,22 @@ class TestFindViolation:
         mat = BinaryMatrix(BoardDims(m, n), bits)
         assert find_violation(mat, pats) == naive_first_violation(mat, pats)
 
+    @pytest.mark.parametrize("pats", PATTERN_SETS)
+    def test_table_matches_corner_loop(self, pats):
+        """Each table row against its shape, one placement at a time."""
+        for m, n in itertools.product(range(8), range(8)):
+            expected = []
+            for name, offsets in banned_shapes(pats):
+                cells = sorted(di * n + dj for di, dj in offsets)
+                mask = 0
+                for r, c in itertools.product(range(m), range(n)):
+                    if all(r + di < m and c + dj < n for di, dj in offsets):
+                        mask |= 1 << (m * n - 1 - r * n - c - cells[-1])
+                if mask:
+                    expected.append((name, tuple(cells[-1] - d for d in cells[:-1]),
+                                     mask, cells[-1]))
+            assert _violation_checks(m, n, pats) == tuple(expected)
+
 
 class TestCounting:
     @pytest.mark.parametrize("dims,pats,expected", [
@@ -198,6 +222,22 @@ class TestEnumeration:
     def test_every_streamed_matrix_is_legal(self):
         for mat in enumerate_legal(3, 3, M_SET):
             assert matrix_avoids(mat, M_SET)
+
+    @pytest.mark.parametrize("dims", [(3, 6), (4, 5), (2, 9)])
+    @pytest.mark.parametrize("pats", [M_SET, U_SET, L_SET])
+    def test_stream_across_chunks(self, dims, pats):
+        """17 to 20 cells: the stream crosses chunk boundaries of the scan."""
+        packed = [mat.packed for mat in enumerate_legal(*dims, pats)]
+        assert all(a < b for a, b in zip(packed, packed[1:]))
+        assert len(packed) == count_via_transfer(*dims, pats)
+
+    def test_stream_past_32_cells(self):
+        """36 cells scan in 64-bit words; only the first chunk is read."""
+        dims = BoardDims(6, 6)
+        naive = (BinaryMatrix(dims, v) for v in itertools.count()
+                 if naive_first_violation(BinaryMatrix(dims, v), M_SET) is None)
+        assert (list(itertools.islice(enumerate_legal(6, 6, M_SET, guard=36), 300))
+                == list(itertools.islice(naive, 300)))
 
 
 class TestMatrixText:

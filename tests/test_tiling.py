@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import islice
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pawncount.errors import GuardExceeded, IllegalMatrix, InvalidTiling
-from pawncount.oracle import (L_SET, BinaryMatrix, count_by_enumeration,
-                              enumerate_legal, matrix_avoids)
+from pawncount.oracle import (L_SET, BinaryMatrix, BoardDims,
+                              count_by_enumeration, enumerate_legal,
+                              matrix_avoids)
 from pawncount.tiling import (Tiling, _pair_union_masks, count_tilings,
                               enumerate_tilings, render_ascii, theta_forward,
                               theta_inverse, tiling_from_json, tiling_to_json)
@@ -63,6 +65,35 @@ class TestThetaInverse:
         with pytest.raises(InvalidTiling):
             Tiling(4, 4, ((1, 1), (1, 1)))
 
+    def test_first_overlap_in_row_major_order(self):
+        """(2,1) and (2,2) overlap too, but (1,5) sorts first."""
+        with pytest.raises(InvalidTiling) as info:
+            Tiling(4, 8, ((2, 6), (2, 2), (1, 5), (2, 1)))
+        assert str(info.value) == "anchors (1,5) and (2,6) overlap"
+        assert info.value.position == (2, 6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=8))
+    def test_overlap_matches_pairwise_scan(self, anchors):
+        """The first overlapping pair, as a scan of every later anchor
+        in row-major order reports it, or None."""
+        ordered = sorted(anchors)
+        expected = next(((a, b) for i, a in enumerate(ordered)
+                         for b in ordered[i + 1:]
+                         if abs(b[0] - a[0]) <= 1 and abs(b[1] - a[1]) <= 1),
+                        None)
+        try:
+            Tiling(6, 6, tuple(anchors))
+            found = None
+        except InvalidTiling as exc:
+            found = exc
+        if expected is None:
+            assert found is None
+        else:
+            (r, c), (r2, c2) = expected
+            assert str(found) == f"anchors ({r},{c}) and ({r2},{c2}) overlap"
+            assert found.position == (r2, c2)
+
 
 class TestRoundtrip:
     def test_exhaustive_small_boards(self):
@@ -73,6 +104,17 @@ class TestRoundtrip:
     def test_tiling_side_roundtrip(self):
         for tiling in enumerate_tilings(4, 3):
             assert theta_forward(theta_inverse(tiling)) == tiling
+
+    def test_large_board_roundtrip(self):
+        """512x512 with a 1 on every odd row and column: 65,536 anchors."""
+        row = "10" * 256
+        bits = (row + "0" * 512) * 256
+        mat = BinaryMatrix(BoardDims(512, 512), int(bits, 2))
+        start = time.perf_counter()
+        tiling = theta_forward(mat)
+        assert theta_inverse(tiling) == mat
+        assert time.perf_counter() - start < 2
+        assert len(tiling.anchors) == 256 * 256
 
     def test_empty_matrix_maps_to_one_cell_board(self):
         empty = BinaryMatrix.from_text("")

@@ -186,6 +186,21 @@ class TestCounting:
     def test_count_sequence_consistent(self):
         seq = count_sequence(3, 8, M_SET)
         assert seq == [count_via_transfer(3, n, M_SET) for n in range(9)]
+        assert all(type(v) is int for v in seq)
+
+    def test_first_column_in_python_ints(self):
+        """n = 1 up to the width guard: 2^m columns for M and U, F(m+1)
+        with no vertical pair for L (F(0) = F(1) = 1)."""
+        fib = [1, 1]
+        while len(fib) < 24:
+            fib.append(fib[-1] + fib[-2])
+        for m in range(1, 23):
+            for pats, expected in ((M_SET, 2 ** m), (U_SET, 2 ** m),
+                                   (L_SET, fib[m + 1])):
+                value = count_via_transfer(m, 1, pats)
+                assert type(value) is int and value == expected, (m, pats)
+                assert count_sequence(m, 1, pats) == [1, expected]
+                assert all(type(v) is int for v in count_sequence(m, 1, pats))
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
