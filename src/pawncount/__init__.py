@@ -28,11 +28,11 @@ _EXPORTS = {
     "oracle": (
         "L_SET", "M_SET", "U_SET", "BinaryMatrix", "BoardDims",
         "ForbiddenPatternSet", "count_by_enumeration", "enumerate_legal",
-        "find_violation", "matrix_avoids", "uk_set"),
+        "find_violation", "uk_set"),
     "tiling": (
-        "Tiling", "count_tilings", "enumerate_tilings", "render_ascii",
-        "theta_forward", "theta_inverse", "tiling_from_json",
-        "tiling_sequence", "tiling_to_json"),
+        "Tiling", "count_tilings", "render_ascii", "theta_forward",
+        "theta_inverse", "tiling_from_json", "tiling_sequence",
+        "tiling_to_json"),
     "transfer": (
         "build_transfer", "count_sequence", "count_via_transfer",
         "dominant_eigenvalue", "isolated_sequence", "spectrum_small"),

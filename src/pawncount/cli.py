@@ -14,9 +14,7 @@ Exit codes:
 
 Each package error names its own code (``exit_code`` in ``errors``);
 ``main`` adds only ``OSError`` and ``UnicodeDecodeError`` (5: both input
-files are UTF-8 text) and other ``ValueError``s (2).  A matrix is one
-packed int, and one pattern table serves the enumeration, ``matrix_avoids``
-and ``find_violation``.
+files are UTF-8 text) and other ``ValueError``s (2).
 
 ``count`` under ``auto`` and ``table`` give each board the first closed
 form that covers it.  M, U and L are transpose symmetric, so every other

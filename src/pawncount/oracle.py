@@ -4,14 +4,14 @@ Boards are binary matrices with 1-based cells, row 1 at the top; a matrix
 is one packed int, row-major with row 1 column 1 in the most significant
 bit.  A ForbiddenPatternSet names small forbidden configurations (diagonal
 pairs, axis pairs, diagonal runs), and one pattern table of shifts and
-masks on the packed int serves the enumeration, ``matrix_avoids`` and
-``find_violation``.  This module counts the matrices avoiding a set by
-scanning all 2^(m*n) candidates, vectorized in chunks of 2^16 held in
-the narrowest unsigned word that fits m*n bits (uint32 up to the default
-25-cell guard), so each temporary of the scan is a few hundred KB, not
-the 8 MB of a 2^20 uint64 chunk.  Every other counting route in the
-package is validated against this one.  numpy is imported only by the
-scan, so the pattern sets and the matrix type load without it.
+masks on the packed int serves the enumeration and ``find_violation``.
+This module counts the matrices avoiding a set by scanning all 2^(m*n)
+candidates, vectorized in chunks of 2^16 held in the narrowest unsigned
+word that fits m*n bits (uint32 up to the 25-cell guard), so each
+temporary of the scan is a few hundred KB, not the 8 MB of a 2^20 uint64
+chunk.  Every other counting route in the package is validated against
+this one.  numpy is imported only by the scan, so the pattern sets and
+the matrix type load without it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import GuardExceeded, InvalidK, MatrixFormatError
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_ENUMERATION_GUARD = 25
+ENUMERATION_GUARD = 25
 _CHUNK = 1 << 16
 
 
@@ -190,16 +190,12 @@ def find_violation(mat: BinaryMatrix,
     return first[1], (row + 1, col + 1)
 
 
-def matrix_avoids(mat: BinaryMatrix, pats: ForbiddenPatternSet) -> bool:
-    """True iff no forbidden configuration from pats occurs anywhere in mat."""
-    return find_violation(mat, pats) is None
-
-
-def _check_guard(dims: BoardDims, guard: int) -> None:
-    if dims.cells > guard:
+def _check_guard(dims: BoardDims) -> None:
+    if dims.cells > ENUMERATION_GUARD:
         raise GuardExceeded(
             f"enumerating 2^{dims.cells} candidate matrices exceeds the "
-            f"{guard}-cell guard; use the transfer engine for boards this large")
+            f"{ENUMERATION_GUARD}-cell guard; use the transfer engine for "
+            "boards this large")
 
 
 def _scan(dims: BoardDims, pats: ForbiddenPatternSet
@@ -222,24 +218,24 @@ def _scan(dims: BoardDims, pats: ForbiddenPatternSet
         yield xs, legal
 
 
-def count_by_enumeration(m: int, n: int, pats: ForbiddenPatternSet,
-                         guard: int = DEFAULT_ENUMERATION_GUARD) -> int:
+def count_by_enumeration(m: int, n: int, pats: ForbiddenPatternSet) -> int:
     """Exact number of m-by-n matrices avoiding pats, by direct enumeration.
 
-    Empty boards count 1.  Raises GuardExceeded beyond ``guard`` cells.
+    Empty boards count 1.  Raises GuardExceeded beyond ENUMERATION_GUARD
+    cells.
     """
     import numpy as np
 
     dims = BoardDims(m, n)
-    _check_guard(dims, guard)
+    _check_guard(dims)
     return sum(int(np.count_nonzero(legal)) for _, legal in _scan(dims, pats))
 
 
-def enumerate_legal(m: int, n: int, pats: ForbiddenPatternSet,
-                    guard: int = DEFAULT_ENUMERATION_GUARD) -> Iterator[BinaryMatrix]:
+def enumerate_legal(m: int, n: int,
+                    pats: ForbiddenPatternSet) -> Iterator[BinaryMatrix]:
     """Yield every legal matrix once, in lexicographic order of the
     row-major bit string.  Stream length equals count_by_enumeration."""
     dims = BoardDims(m, n)
-    _check_guard(dims, guard)
+    _check_guard(dims)
     return (BinaryMatrix(dims, v) for xs, legal in _scan(dims, pats)
             for v in xs[legal].tolist())

@@ -12,6 +12,17 @@ count is still an independent check on the isolated-matrix counts.  The
 step itself is checked independently by the brute-force oracle and the
 closed forms.  Only the counter imports numpy and the step; the bijection
 and the JSON format load without them.
+
+``Tiling`` checks its anchors for overlaps itself rather than building
+the anchor matrix and calling ``oracle.find_violation`` with ``L_SET``.
+Two anchors overlap exactly where that matrix breaks the L rule, so the
+check is a second, independent implementation of the rule, and the tests
+compare the two.  The two also name different pairs: for anchors (1,2),
+(1,3), (2,1) the tiling reports "anchors (1,2) and (1,3) overlap", the
+first anchor in row-major order with a later one on its tile, where
+``find_violation`` reports ``diag_up`` at (1,1).  And the anchor matrix
+would need a size guard on ``Tiling``, which would refuse the forward
+map of matrices above 2^22 cells.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .errors import (MAX_STATES, MAX_WIDTH, GuardExceeded, IllegalMatrix,
                      InvalidTiling)
@@ -27,8 +38,6 @@ from .oracle import L_SET, BinaryMatrix, BoardDims, find_violation
 
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_TILING_GUARD = 30
 
 Anchor = tuple[int, int]
 
@@ -148,52 +157,6 @@ def count_tilings(rows: int, cols: int) -> int:
     if rows < 0 or cols < 0:
         raise ValueError("dimensions must be nonnegative")
     return tiling_sequence(min(rows, cols), max(rows, cols))[-1]
-
-
-def enumerate_tilings(rows: int, cols: int,
-                      guard: int = DEFAULT_TILING_GUARD) -> Iterator[Tiling]:
-    """Yield every tiling exactly once; stream length equals count_tilings."""
-    if rows < 0 or cols < 0:
-        raise ValueError("dimensions must be nonnegative")
-    if rows * cols > guard:
-        raise GuardExceeded(
-            f"enumerating tilings of {rows}x{cols} exceeds the {guard}-cell "
-            "guard; count_tilings handles larger boards")
-    return _walk_tilings(rows, cols)
-
-
-def _walk_tilings(rows: int, cols: int) -> Iterator[Tiling]:
-    if rows == 0 or cols == 0:
-        yield Tiling(rows, cols, ())
-        return
-
-    anchors: list[Anchor] = []
-
-    def anchor_row_sets(blocked: int, start: int) -> Iterator[list[int]]:
-        yield []
-        for r in range(start, rows - 1):
-            if not (blocked >> r) & 3:
-                for rest in anchor_row_sets(blocked | (3 << r), r + 2):
-                    yield [r] + rest
-
-    def walk(col: int, blocked: int) -> Iterator[Tiling]:
-        if col > cols:
-            yield Tiling(rows, cols, tuple(anchors))
-            return
-        if col == cols:
-            choices: Iterator[list[int]] = iter([[]])
-        else:
-            choices = anchor_row_sets(blocked, 0)
-        for row_set in choices:
-            coverage = 0
-            for r in row_set:
-                coverage |= 3 << r
-                anchors.append((r + 1, col))
-            yield from walk(col + 1, coverage)
-            for _ in row_set:
-                anchors.pop()
-
-    yield from walk(1, 0)
 
 
 def render_ascii(tiling: Tiling) -> str:

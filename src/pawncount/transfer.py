@@ -357,14 +357,12 @@ def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,
 
 def spectrum_small(m: int, pats: ForbiddenPatternSet = M_SET,
                    guard: int = DEFAULT_DENSE_GUARD) -> np.ndarray:
-    """All eigenvalues of the dense transfer matrix, descending.
+    """All eigenvalues of the dense M transfer matrix, descending.
 
-    Symmetric adjacency gets the symmetric eigensolver; otherwise the
-    general solver is used and real parts are reported.
+    Swapping two columns swaps the two diagonal pairs, and M bans both,
+    so its adjacency is symmetric and the symmetric eigensolver serves.
     """
+    if pats != M_SET:
+        raise ValueError("the spectrum is computed for M only")
     dense = build_transfer(m, pats, guard=guard).astype(np.float64)
-    if np.array_equal(dense, dense.T):
-        values = np.linalg.eigvalsh(dense)
-    else:
-        values = np.linalg.eigvals(dense).real
-    return np.sort(values)[::-1]
+    return np.linalg.eigvalsh(dense)[::-1]

@@ -10,7 +10,7 @@ mismatches fail a check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import closedforms as cf
 from . import decomposition as dc
@@ -88,13 +88,7 @@ class CheckResult:
     elapsed_s: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-            "deviations": list(self.deviations),
-            "elapsed_s": self.elapsed_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -333,18 +327,14 @@ def published_four_row_eigenvalues() -> list[float]:
     ]
 
 
-def alpha_4_closed_form() -> float:
-    """Largest height-4 eigenvalue: 8/3 + (4/3) sqrt(7) cos(arctan(3 sqrt(111)/67)/3)."""
-    return published_four_row_eigenvalues()[-1]
-
-
 def check_eigenvalues(params: dict) -> CheckResult:
     bad = []
     targets = {
         1: (2.0, 1e-8),
         2: (((1 + math.sqrt(5)) / 2) ** 2, 1e-8),
         3: ((5 + math.sqrt(13)) / 2, 1e-8),
-        4: (alpha_4_closed_form(), 1e-6),
+        # 8/3 + (4/3) sqrt(7) cos(arctan(3 sqrt(111)/67)/3)
+        4: (published_four_row_eigenvalues()[-1], 1e-6),
     }
     alphas = {}
     for m, (target, tol) in targets.items():
@@ -355,7 +345,7 @@ def check_eigenvalues(params: dict) -> CheckResult:
     for m in range(1, params["ratio_max_m"] + 1):
         seq = count_sequence(m, ratio_n + 1, M_SET)
         ratio = seq[ratio_n + 1] / seq[ratio_n]
-        if abs(ratio - alphas.get(m, dominant_eigenvalue(m, M_SET))) > 1e-6:
+        if abs(ratio - alphas[m]) > 1e-6:
             bad.append(f"ratio m={m}: {ratio}")
     deviations = []
     spectrum = spectrum_small(4, M_SET)

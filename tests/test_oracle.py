@@ -1,14 +1,15 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pawncount.errors import GuardExceeded, InvalidK, MatrixFormatError
 from pawncount.oracle import (L_SET, M_SET, U_SET, BinaryMatrix, BoardDims,
-                              ForbiddenPatternSet, _violation_checks,
+                              ForbiddenPatternSet, _scan, _violation_checks,
                               count_by_enumeration, enumerate_legal,
-                              find_violation, matrix_avoids, uk_set)
+                              find_violation, uk_set)
 from pawncount.transfer import count_via_transfer
 
 
@@ -70,28 +71,27 @@ class TestPatternSet:
 class TestMatrixAvoids:
     def test_worked_3x6_board_is_legal(self):
         mat = BinaryMatrix.from_text("101101\n100000\n001011")
-        assert matrix_avoids(mat, M_SET)
+        assert find_violation(mat, M_SET) is None
 
     @pytest.mark.parametrize("pats", [M_SET, U_SET, L_SET, uk_set(3)])
     @pytest.mark.parametrize("dims", [(1, 1), (3, 4), (5, 2)])
     def test_all_zero_always_legal(self, dims, pats):
         m, n = dims
-        assert matrix_avoids(BinaryMatrix(BoardDims(m, n), 0), pats)
+        assert find_violation(BinaryMatrix(BoardDims(m, n), 0), pats) is None
 
     def test_down_diagonal_pair_detected(self):
         mat = BinaryMatrix.from_text("10\n01")
-        assert not matrix_avoids(mat, M_SET)
         assert find_violation(mat, M_SET) == ("diag_down", (1, 1))
 
     def test_run_of_three_cannot_fit_on_2x2(self):
         mat = BinaryMatrix.from_text("11\n11")
-        assert matrix_avoids(mat, uk_set(3))
-        assert not matrix_avoids(mat, uk_set(2))
+        assert find_violation(mat, uk_set(3)) is None
+        assert find_violation(mat, uk_set(2)) is not None
 
     def test_up_diagonal(self):
         mat = BinaryMatrix.from_text("01\n10")
-        assert not matrix_avoids(mat, M_SET)
-        assert matrix_avoids(mat, U_SET)
+        assert find_violation(mat, M_SET) is not None
+        assert find_violation(mat, U_SET) is None
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -105,7 +105,8 @@ class TestMatrixAvoids:
              ForbiddenPatternSet(horiz_pair=True, vert_pair=True)]),
             label="pats")
         mat = BinaryMatrix(BoardDims(m, n), bits)
-        assert matrix_avoids(mat, pats) == (naive_first_violation(mat, pats) is None)
+        assert ((find_violation(mat, pats) is None)
+                == (naive_first_violation(mat, pats) is None))
 
 
 class TestFindViolation:
@@ -160,12 +161,12 @@ class TestCounting:
         assert count_by_enumeration(0, 0, U_SET) == 1
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            count_by_enumeration(6, 6, M_SET)
-        # configurable
-        assert count_by_enumeration(2, 2, M_SET, guard=4) == 9
-        with pytest.raises(GuardExceeded):
-            count_by_enumeration(2, 2, M_SET, guard=3)
+        """25 cells is the limit: a 26-cell board is refused before the scan."""
+        with pytest.raises(GuardExceeded) as info:
+            count_by_enumeration(2, 13, M_SET)
+        assert str(info.value) == (
+            "enumerating 2^26 candidate matrices exceeds the 25-cell guard; "
+            "use the transfer engine for boards this large")
 
     def test_transpose_symmetry(self):
         for m, n in [(2, 3), (3, 4), (2, 5), (4, 4)]:
@@ -221,7 +222,7 @@ class TestEnumeration:
 
     def test_every_streamed_matrix_is_legal(self):
         for mat in enumerate_legal(3, 3, M_SET):
-            assert matrix_avoids(mat, M_SET)
+            assert find_violation(mat, M_SET) is None
 
     @pytest.mark.parametrize("dims", [(3, 6), (4, 5), (2, 9)])
     @pytest.mark.parametrize("pats", [M_SET, U_SET, L_SET])
@@ -234,10 +235,11 @@ class TestEnumeration:
     def test_stream_past_32_cells(self):
         """36 cells scan in 64-bit words; only the first chunk is read."""
         dims = BoardDims(6, 6)
-        naive = (BinaryMatrix(dims, v) for v in itertools.count()
+        xs, legal = next(_scan(dims, M_SET))
+        assert xs.dtype == np.uint64
+        naive = (v for v in itertools.count()
                  if naive_first_violation(BinaryMatrix(dims, v), M_SET) is None)
-        assert (list(itertools.islice(enumerate_legal(6, 6, M_SET, guard=36), 300))
-                == list(itertools.islice(naive, 300)))
+        assert xs[legal][:300].tolist() == list(itertools.islice(naive, 300))
 
 
 class TestMatrixText:

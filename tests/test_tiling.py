@@ -1,6 +1,6 @@
+import itertools
 import json
 import time
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +9,36 @@ from hypothesis import strategies as st
 from pawncount.errors import GuardExceeded, IllegalMatrix, InvalidTiling
 from pawncount.oracle import (L_SET, BinaryMatrix, BoardDims,
                               count_by_enumeration, enumerate_legal,
-                              matrix_avoids)
+                              find_violation)
 from pawncount.tiling import (Tiling, _pair_union_masks, count_tilings,
-                              enumerate_tilings, render_ascii, theta_forward,
-                              theta_inverse, tiling_from_json, tiling_to_json)
+                              render_ascii, theta_forward, theta_inverse,
+                              tiling_from_json, tiling_to_json)
 from pawncount.transfer import count_via_transfer
+
+
+def all_tilings(rows, cols):
+    """Every tiling of the board by brute force: each subset of the
+    (rows-1)x(cols-1) anchor cells that Tiling accepts."""
+    cells = list(itertools.product(range(1, rows), range(1, cols)))
+    for size in range(len(cells) + 1):
+        for anchors in itertools.combinations(cells, size):
+            try:
+                yield Tiling(rows, cols, anchors)
+            except InvalidTiling:
+                pass
+
+
+def rules_agree(m, n, anchors):
+    """Tiling accepts distinct anchors on the (m+1)x(n+1) board iff the
+    m-by-n matrix with a 1 on each, packed directly, breaks no L rule."""
+    mat = BinaryMatrix(BoardDims(m, n), sum(
+        1 << (m * n - (r - 1) * n - c) for r, c in anchors))
+    try:
+        Tiling(m + 1, n + 1, tuple(anchors))
+        accepted = True
+    except InvalidTiling:
+        accepted = False
+    return accepted == (find_violation(mat, L_SET) is None)
 
 
 class TestThetaForward:
@@ -47,8 +72,8 @@ class TestThetaInverse:
         assert theta_inverse(Tiling(3, 3, ())).to_text() == "00\n00"
 
     def test_result_is_always_isolated(self):
-        for tiling in enumerate_tilings(4, 4):
-            assert matrix_avoids(theta_inverse(tiling), L_SET)
+        for tiling in all_tilings(4, 4):
+            assert find_violation(theta_inverse(tiling), L_SET) is None
 
     def test_out_of_range_anchor(self):
         with pytest.raises(InvalidTiling):
@@ -102,7 +127,7 @@ class TestRoundtrip:
                 assert theta_inverse(theta_forward(mat)) == mat
 
     def test_tiling_side_roundtrip(self):
-        for tiling in enumerate_tilings(4, 3):
+        for tiling in all_tilings(4, 3):
             assert theta_forward(theta_inverse(tiling)) == tiling
 
     def test_large_board_roundtrip(self):
@@ -129,7 +154,7 @@ class TestRoundtrip:
         n = data.draw(st.integers(1, 4), label="n")
         total = count_by_enumeration(m, n, L_SET)
         index = data.draw(st.integers(0, total - 1), label="index")
-        mat = next(islice(enumerate_legal(m, n, L_SET), index, None))
+        mat = next(itertools.islice(enumerate_legal(m, n, L_SET), index, None))
         assert theta_inverse(theta_forward(mat)) == mat
 
 
@@ -161,7 +186,7 @@ class TestCountTilings:
         for rows in range(0, 5):
             for cols in range(0, 5):
                 assert (count_tilings(rows, cols)
-                        == sum(1 for _ in enumerate_tilings(rows, cols)))
+                        == sum(1 for _ in all_tilings(rows, cols)))
 
     @pytest.mark.parametrize("rows", range(15))
     def test_pair_union_masks_match_bit_loop(self, rows):
@@ -186,16 +211,40 @@ class TestCountTilings:
 
 
 class TestEnumerateTilings:
+    """The brute-force reference the counts are checked against."""
+
     def test_unique_tilings(self):
-        seen = {t.anchors for t in enumerate_tilings(4, 4)}
+        seen = {t.anchors for t in all_tilings(4, 4)}
         assert len(seen) == 35
 
     def test_empty_board_has_one_tiling(self):
-        assert [t.anchors for t in enumerate_tilings(0, 3)] == [()]
+        assert [t.anchors for t in all_tilings(0, 3)] == [()]
 
-    def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            enumerate_tilings(6, 6)
+
+class TestOverlapRule:
+    """Tiling's overlap check and find_violation with L_SET are two
+    implementations of one rule: anchors may not touch, even at a corner."""
+
+    def test_every_anchor_set_on_small_boards(self):
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                cells = list(itertools.product(range(1, m + 1),
+                                               range(1, n + 1)))
+                for bits in range(1 << (m * n)):
+                    anchors = [cell for i, cell in enumerate(cells)
+                               if bits >> i & 1]
+                    assert rules_agree(m, n, anchors), (m, n, anchors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sampled_anchor_sets_up_to_7x7(self, data):
+        m = data.draw(st.integers(1, 7), label="m")
+        n = data.draw(st.integers(1, 7), label="n")
+        anchors = data.draw(st.lists(st.tuples(st.integers(1, m),
+                                               st.integers(1, n)),
+                                     max_size=m * n, unique=True),
+                            label="anchors")
+        assert rules_agree(m, n, anchors)
 
 
 class TestSerialization:
@@ -205,7 +254,7 @@ class TestSerialization:
                 == '{"rows": 2, "cols": 2, "anchors": [[1, 1]]}')
 
     def test_json_roundtrip(self):
-        for tiling in enumerate_tilings(3, 4):
+        for tiling in all_tilings(3, 4):
             assert tiling_from_json(tiling_to_json(tiling)) == tiling
 
     def test_anchors_sorted_row_major(self):

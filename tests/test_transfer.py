@@ -9,7 +9,7 @@ from pawncount.closedforms import closed_form_L
 from pawncount.errors import GuardExceeded, NonConverged
 from pawncount.oracle import (L_SET, M_SET, U_SET, BinaryMatrix,
                               count_by_enumeration, enumerate_legal,
-                              matrix_avoids, uk_set)
+                              find_violation, uk_set)
 from pawncount.transfer import (_frontiers, _path_sets, build_transfer,
                                 colour_split_sequence, count_sequence,
                                 count_via_transfer, dominant_eigenvalue,
@@ -111,7 +111,8 @@ class TestBuildTransfer:
                     for j, w in enumerate(masks):
                         board = BinaryMatrix.from_text("\n".join(
                             map("".join, zip(rows_of(v, m), rows_of(w, m)))))
-                        assert matrix[i, j] == int(matrix_avoids(board, pats))
+                        assert matrix[i, j] == int(
+                            find_violation(board, pats) is None)
 
     def test_symmetry(self):
         def symmetric(matrix):
@@ -381,3 +382,8 @@ class TestSpectrum:
         for m in (2, 3, 4, 5):
             assert spectrum_small(m, M_SET)[0] == pytest.approx(
                 dominant_eigenvalue(m, M_SET), abs=1e-8)
+
+    @pytest.mark.parametrize("pats", [U_SET, L_SET])
+    def test_other_pattern_sets_rejected(self, pats):
+        with pytest.raises(ValueError, match="M only"):
+            spectrum_small(3, pats)
