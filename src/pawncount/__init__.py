@@ -16,10 +16,10 @@ from importlib import import_module
 _EXPORTS = {
     "closedforms": (
         "FIB_PRODUCT_CONSTANT", "LinearRecurrence", "QuadraticValue",
-        "closed_form_L", "closed_form_M", "estimate_c", "fib_product",
-        "fib_product_growth_ratio", "fibonacci", "fit_linear_recurrence",
-        "golden_ratio_gap", "l3_root_closed_form", "shape_formula_M",
-        "upper_bound_U", "upper_bound_U_k"),
+        "closed_form_L", "closed_form_M", "colour_class_M", "estimate_c",
+        "fib_product", "fib_product_growth_ratio", "fibonacci",
+        "fit_linear_recurrence", "golden_ratio_gap", "l3_root_closed_form",
+        "shape_formula_M", "upper_bound_U", "upper_bound_U_k"),
     "decomposition": ("ShapeGraph", "count_independent_sets", "split_by_color"),
     "errors": (
         "GuardExceeded", "IllegalMatrix", "InvalidK", "InvalidTiling",

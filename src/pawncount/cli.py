@@ -17,10 +17,14 @@ Each package error names its own code (``exit_code`` in ``errors``);
 files are UTF-8 text) and other ``ValueError``s (2).
 
 ``count`` under ``auto`` and ``table`` give each board the first closed
-form that covers it.  M, U and L are transpose symmetric, so every other
-board is read off a sweep along its shorter side h: one sweep per h, run
-to the longest side that h needs, tallest h first.  M sweeps on the
-colour split (M = B * W, each factor a sweep over half-height columns),
+form that covers it.  For M that is every board with a side of 1..16
+rows: the radical and shape formulas at heights 1..6, and at heights
+7..16 the stored colour-class generating functions (M = B * W, each
+factor a linear recurrence), which come after the others.  M, U and L
+are transpose symmetric, so every other board is read off a sweep along
+its shorter side h: one sweep per h, run to the longest side that h
+needs, tallest h first.  M sweeps on the colour split from 17 rows up
+(the same B * W, each factor a sweep over half-height columns),
 L on the frontier sweep, one cell at a time over the legal frontiers only
 (its JSON ``method`` stays ``transfer``); every U board has a closed
 form.  ``--method decomposition`` (the colour split) and ``--method
@@ -40,8 +44,9 @@ only for eigenvalues and asymptotics.
 
 The sweeps (``transfer``) and the battery (``verify``) are imported inside
 the commands that run them, after the closed forms are tried, so a
-closed-form count, U and U_k, a U table and ``bijection`` start without
-loading numpy.
+closed-form count (M with a side of 1..16 rows among them), U and U_k,
+a table whose boards all have closed forms and ``bijection`` start
+without loading numpy.
 """
 
 from __future__ import annotations

@@ -5,11 +5,18 @@ Fibonacci indexing is used throughout: F(0) = F(1) = 1, so F runs
 1, 1, 2, 3, 5, 8, ...  Radical formulas are evaluated in quadratic fields
 with Fraction components so that integrality is a hard correctness check,
 never a rounding accident.
+
+M has a closed form at every height from 1 to 16: radical forms at
+heights 1..3, black/white shape formulas at 2..6, and at 7..16 the
+minimal colour-class generating functions, fitted once from the colour
+split and stored as data in ``classgf`` (imported on first use).  A stored
+generating function is expanded once per process, to the widest n asked.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,11 +33,15 @@ _PHI = (1 + math.sqrt(5)) / 2
 
 
 def _k_fibonacci_terms(k: int) -> Iterator[int]:
-    """F(k, 0), F(k, 1), ...: each term sums the k before it."""
+    """F(k, 0), F(k, 1), ...: each term sums the k before it.  The window
+    sum is kept as it slides, so a term costs O(1), not O(k)."""
     window = deque([0] * (k - 1) + [1], maxlen=k)  # F(k, i-k+1) .. F(k, i)
+    total = 1  # sum(window), the next term
     while True:
         yield window[-1]
-        window.append(sum(window))
+        oldest = window[0]
+        window.append(total)
+        total = 2 * total - oldest
 
 
 def fibonacci(i: int) -> int:
@@ -69,10 +80,15 @@ def upper_bound_U_k(m: int, n: int, k: int) -> int:
 
 def _sheared_rows(m: int, n: int, k: int) -> int:
     """U_k(m, n) from one walk over F(k, 0..min(m, n) + 1): a sheared row
-    of length l has F(k, l + 1) fillings."""
+    of length l has F(k, l + 1) fillings.
+
+    No diagonal is longer than min(m, n), so every k above it counts the
+    same boards as k = min(m, n) + 1 (all 2^(mn) of them); the walk uses
+    that k, and its window never outgrows the board."""
     if m < 0 or n < 0:
         raise ValueError("dimensions must be nonnegative")
-    *rows, longest = islice(_k_fibonacci_terms(k), min(m, n) + 2)
+    shorter = min(m, n)
+    *rows, longest = islice(_k_fibonacci_terms(min(k, shorter + 1)), shorter + 2)
     return longest ** (abs(n - m) + 1) * math.prod(rows) ** 2
 
 
@@ -248,14 +264,21 @@ class LinearRecurrence:
 
     def expand(self, count: int) -> list[int]:
         """First ``count`` Taylor coefficients, exact integers."""
-        num, den = self.numerator, self.denominator
-        out: list[int] = []
-        for k in range(count):
-            value = num[k] if k < len(num) else 0
-            for j in range(1, min(k, len(den) - 1) + 1):
-                value -= den[j] * out[k - j]
-            out.append(value)
-        return out
+        return _extend(self, [], count)
+
+
+def _extend(rec: LinearRecurrence, terms: list[int], count: int) -> list[int]:
+    """Extend ``terms``, a prefix of rec's Taylor coefficients, in place to
+    its first ``count`` ones and return it."""
+    num, order = rec.numerator, len(rec.denominator) - 1
+    reverse = rec.denominator[:0:-1]  # den[order], ..., den[1]
+    for k in range(len(terms), count):
+        value = num[k] if k < len(num) else 0
+        start = max(0, k - order)
+        # den[j] * terms[k - j] over j = 1..min(k, order)
+        terms.append(value - sum(map(operator.mul, reverse[order - k + start:],
+                                     terms[start:k])))
+    return terms
 
 
 def _berlekamp_massey(seq: list[Fraction]) -> tuple[list[Fraction], int]:
@@ -334,13 +357,19 @@ PUBLISHED_FIVE_ROW_A = LinearRecurrence((1, 7, -4, -7, 5), (1, -1, -8, 4, 6, -4)
 PUBLISHED_FIVE_ROW_B = LinearRecurrence((1, 3, 1, -5, 4), (1, -1, -8, 4, 6, -4))
 
 
-@lru_cache(maxsize=32)
-def _gf_prefix(rec: LinearRecurrence, count: int) -> tuple[int, ...]:
-    return tuple(rec.expand(count))
+@lru_cache(maxsize=None)
+def _gf_terms(rec: LinearRecurrence) -> list[int]:
+    """The Taylor coefficients of rec worked out so far in this process;
+    ``_gf_term`` extends the list, so a table of many widths expands each
+    stored recurrence once, to its widest n."""
+    return []
 
 
 def _gf_term(rec: LinearRecurrence, n: int) -> int:
-    return _gf_prefix(rec, n + 1)[n]
+    terms = _gf_terms(rec)
+    if n >= len(terms):
+        _extend(rec, terms, n + 1)
+    return terms[n]
 
 
 @lru_cache(maxsize=1)
@@ -407,23 +436,47 @@ def shape_formula_M(m: int, n: int) -> tuple[int, tuple[str, ...]]:
         f"(5,{n}); corrected fitted pair gives {value}",)
 
 
+def colour_class_M(m: int, n: int) -> int:
+    """Pawn count for heights 7..16 as B(n) * W(n), each colour class read
+    off its stored generating function (``classgf``, with the recipe that
+    fitted them and the certificate that they hold for every n)."""
+    from .classgf import CLASS_GF
+
+    if m not in CLASS_GF:
+        raise ValueError(f"colour-class generating functions cover heights "
+                         f"7..16, got {m}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    pair = CLASS_GF[m]
+    black, white = pair * 2 if len(pair) == 1 else pair  # (B,): B = W
+    return _gf_term(black, n) * _gf_term(white, n)
+
+
 def closed_forms(quantity: str, m: int, n: int) -> list[Callable[[], tuple]]:
     """Every closed form that covers the m-by-n board for quantity M, U or
     L, preferred first; calling one gives (value, annotations).
 
     M, U and L are transpose symmetric, so the forms for the n-by-m board
-    follow those for m-by-n.  An empty list means no closed form applies.
+    follow those for m-by-n.  The colour-class generating functions of
+    heights 7..16 come after every other form of both orientations, so a
+    board one of those covers keeps it and its annotations (the five-row
+    erratum of a 10-by-5 board among them).  An empty list means no closed
+    form applies.
     """
     if quantity == "U":
         return [lambda: (upper_bound_U(m, n), ())]
+    sides = dict.fromkeys(((m, n), (n, m)))
     forms = []
-    for rows, cols in dict.fromkeys(((m, n), (n, m))):
+    for rows, cols in sides:
         if quantity == "M" and 1 <= rows <= 3:
             forms.append(lambda r=rows, c=cols: (closed_form_M(r, c), ()))
         if quantity == "M" and 2 <= rows <= 6:
             forms.append(lambda r=rows, c=cols: shape_formula_M(r, c))
         if quantity == "L" and 1 <= rows <= 3:
             forms.append(lambda r=rows, c=cols: (closed_form_L(r, c), ()))
+    for rows, cols in sides:
+        if quantity == "M" and 7 <= rows <= 16:
+            forms.append(lambda r=rows, c=cols: (colour_class_M(r, c), ()))
     return forms
 
 

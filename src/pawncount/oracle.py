@@ -159,7 +159,9 @@ def _violation_checks(m: int, n: int, pats: ForbiddenPatternSet
     if pats.vert_pair:
         add("vert_pair", 2, 1, (0, n))
     k = pats.diag_run_k
-    if k is not None:
+    # a run longer than the shortest side fits nowhere; the test comes
+    # before its k offsets are built
+    if k is not None and k <= min(m, n):
         add(f"diag_run_{k}", k, k, tuple(t * (n + 1) for t in range(k)))
     return tuple(checks)
 

@@ -62,6 +62,12 @@ class Tiling:
                     f"anchor ({r},{c}) leaves the {self.rows}x{self.cols} board",
                     position=(r, c))
         taken = set(ordered)
+        if len(taken) == len(ordered) and not any(
+                (r, c + 1) in taken or (r + 1, c - 1) in taken
+                or (r + 1, c) in taken or (r + 1, c + 1) in taken
+                for r, c in ordered):
+            return
+        # some tiles overlap: name the first pair in row-major order
         for idx, (r, c) in enumerate(ordered):
             # the anchors sorting after (r, c) whose tiles meet its own, in
             # row-major order: a repeat of it, then its four later neighbours
@@ -86,9 +92,12 @@ def theta_forward(mat: BinaryMatrix) -> Tiling:
             "matrices map to tilings", position=pos)
     m, n = mat.dims.m, mat.dims.n
     bits = format(mat.packed, f"0{m * n}b")
-    anchors = tuple((i // n + 1, i % n + 1)
-                    for i, bit in enumerate(bits) if bit == "1")
-    return Tiling(m + 1, n + 1, anchors)
+    anchors = []
+    i = bits.find("1")
+    while i >= 0:
+        anchors.append((i // n + 1, i % n + 1))
+        i = bits.find("1", i + 1)
+    return Tiling(m + 1, n + 1, tuple(anchors))
 
 
 def theta_inverse(tiling: Tiling) -> BinaryMatrix:

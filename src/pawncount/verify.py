@@ -245,10 +245,18 @@ def check_perfect_square(params: dict) -> CheckResult:
 def check_shape_formulas(params: dict) -> CheckResult:
     max_n = params["shape_max_n"]
     bad = []
+    cells = 0
     for m in (2, 3, 4, 5, 6):
         seq = count_sequence(m, max_n, M_SET)
         for n in range(max_n + 1):
+            cells += 1
             if cf.shape_formula_M(m, n)[0] != seq[n]:
+                bad.append((m, n))
+    for m in range(7, 17):
+        black, white = colour_split_sequence(m, max_n)
+        for n in range(max_n + 1):
+            cells += 1
+            if cf.colour_class_M(m, n) != black[n] * white[n]:
                 bad.append((m, n))
     if cf.corrected_five_row_shapes() != (cf.GF_FIVE_ROW_A, cf.GF_FIVE_ROW_B):
         bad.append("stored five-row pair differs from its refit")
@@ -264,8 +272,10 @@ def check_shape_formulas(params: dict) -> CheckResult:
     return CheckResult(
         "shape-formulas", not bad and erratum_seen,
         f"heights 2..6 shape formulas match transfer exactly for n <= {max_n} "
-        "(height 5 via the corrected fit); published-pair erratum pinned at "
-        "(5,2): 156 vs 169" + (f"; failures: {bad[:5]}" if bad else ""),
+        "(height 5 via the corrected fit), and the stored colour-class "
+        "generating functions of heights 7..16 match the colour split, "
+        f"{cells} (m, n) cells in all; published-pair erratum "
+        "pinned at (5,2): 156 vs 169" + (f"; failures: {bad[:5]}" if bad else ""),
         deviations)
 
 

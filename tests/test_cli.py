@@ -80,6 +80,16 @@ class TestCount:
         assert record["k"] == 3
         assert record["value"] == "16"
 
+    @pytest.mark.parametrize("method", ["auto", "oracle"])
+    def test_run_longer_than_every_diagonal(self, method, capsys):
+        # no run of 10**18 fits on a board whose diagonals are at most 2
+        # long, so every one of the 2^4 boards counts, at the cost of k = 3
+        code, out, _ = run_cli("count", "-m", "2", "-n", "2", "--quantity", "U",
+                               "--k", str(10 ** 18), "--method", method,
+                               capsys=capsys)
+        assert code == 0
+        assert out == f"Uk(2,2) = {2 ** 4}\n"
+
     def test_erratum_annotation_surfaces(self, capsys):
         code, out, _ = run_cli("count", "-m", "5", "-n", "2",
                                "--method", "closed", "--json", capsys=capsys)
@@ -134,11 +144,12 @@ class TestCount:
         assert record["value"] == "43"  # oracle and transfer agree
 
     @pytest.mark.parametrize("argv,method", [
-        (("-m", "7", "-n", "7"), "decomposition"),
+        (("-m", "17", "-n", "17"), "decomposition"),
         (("-m", "7", "-n", "7", "--method", "transfer"), "transfer"),
         (("-m", "3", "-n", "7"), "closed"),
         (("-m", "7", "-n", "7", "--quantity", "U"), "closed"),
         (("-m", "7", "-n", "7", "--quantity", "L"), "transfer"),
+        (("-m", "7", "-n", "7"), "closed"),
     ])
     def test_json_method_names_the_route(self, argv, method, capsys):
         code, out, _ = run_cli("count", *argv, "--json", capsys=capsys)
@@ -263,8 +274,9 @@ class TestRoutes:
 
         monkeypatch.setattr(cf, "closed_forms", spy)
         assert vf.check_three_way_agreement({"three_way_cells": 14}).passed
-        # M(7,2): closed_form_M(2,7) and the height-2 shape formula
-        assert covered["M", 7, 2] == 2
+        # M(7,2): closed_form_M(2,7), the height-2 shape formula and the
+        # height-7 colour-class generating functions
+        assert covered["M", 7, 2] == 3
         assert covered["L", 7, 2] == 1
 
 
@@ -542,6 +554,8 @@ def test_numpy_is_not_imported_by_the_package(statement):
     ("count", "-m", "100", "-n", "100", "--quantity", "U"),
     ("count", "-m", "2", "-n", "2", "--quantity", "U", "--k", "3"),
     ("table", "--quantity", "U", "--max-m", "6", "--max-n", "10"),
+    ("count", "-m", "16", "-n", "17"),
+    ("table", "--quantity", "M", "--max-m", "13", "--max-n", "40"),
 ])
 def test_closed_form_calls_skip_numpy(argv):
     code, out, numpy_loaded = _probe(*argv)
@@ -574,7 +588,7 @@ def test_five_row_shape_dp_still_loads_on_demand():
 
 
 def test_sweeping_call_loads_numpy():
-    code, out, numpy_loaded = _probe("count", "-m", "7", "-n", "7")
+    code, out, numpy_loaded = _probe("count", "-m", "17", "-n", "17")
     assert code == 0 and out
     assert numpy_loaded
 

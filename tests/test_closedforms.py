@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pawncount import closedforms as cf
+from pawncount.classgf import CLASS_GF
 from pawncount.closedforms import (FIB_PRODUCT_CONSTANT, GF_FIVE_ROW_A,
                                    GF_FIVE_ROW_B, LinearRecurrence,
                                    PUBLISHED_FIVE_ROW_A, PUBLISHED_FIVE_ROW_B,
                                    QuadraticValue, closed_form_L,
-                                   closed_form_M, corrected_five_row_shapes,
+                                   closed_form_M, closed_forms,
+                                   colour_class_M, corrected_five_row_shapes,
                                    estimate_c, fib_product,
                                    fib_product_growth_ratio, fibonacci,
                                    fit_linear_recurrence, golden_ratio_gap,
@@ -19,7 +22,7 @@ from pawncount.closedforms import (FIB_PRODUCT_CONSTANT, GF_FIVE_ROW_A,
 from pawncount.errors import InvalidK, NoFitFound, NonIntegerResult
 from pawncount.oracle import (L_SET, M_SET, U_SET, count_by_enumeration,
                               uk_set)
-from pawncount.transfer import count_sequence
+from pawncount.transfer import colour_split_sequence, count_sequence
 
 
 class TestFibonacci:
@@ -80,6 +83,14 @@ class TestUpperBound:
         # 2^l once l >= k; these boards have rows of length 4, so they
         # reach F(3, 5) = 13 and F(4, 5) = 15
         assert upper_bound_U_k(m, n, k) == count_by_enumeration(m, n, uk_set(k))
+
+    def test_runs_longer_than_the_shorter_side(self):
+        # such a run fits nowhere: every board counts, whatever k is
+        for m in range(6):
+            for n in range(6):
+                for k in (min(m, n) + 1, min(m, n) + 2, 10 ** 18):
+                    if k >= 2:
+                        assert upper_bound_U_k(m, n, k) == 2 ** (m * n)
 
     def test_bad_k(self):
         with pytest.raises(InvalidK):
@@ -283,6 +294,71 @@ class TestShapeFormulas:
     def test_out_of_range_height(self):
         with pytest.raises(ValueError):
             shape_formula_M(7, 1)
+
+
+class TestColourClassGeneratingFunctions:
+    def test_minimal_orders(self):
+        orders = {m: {len(rec.denominator) - 1 for rec in pair}
+                  for m, pair in CLASS_GF.items()}
+        assert orders == {7: {10}, 8: {9}, 9: {16}, 10: {16}, 11: {26},
+                          12: {28}, 13: {44}, 14: {49}, 15: {74}, 16: {86}}
+        assert all(len(pair) == 1 + m % 2 for m, pair in CLASS_GF.items())
+
+    def test_certified_for_every_n(self):
+        """Each stored B and W equals the colour split at every n >= 0.
+
+        The colour classes of height m step through one operator T on
+        N = 2^ceil(m/2) + 2^floor(m/2) states, so each true generating
+        function is P/Q with Q = det(I - xT) and both degrees at most N.  A
+        stored p/q of order d has deg q = d and deg p < d.  The difference
+        P/Q - p/q is (Pq - pQ) / (Qq), and its numerator Pq - pQ, of degree
+        at most N + d, is the difference series times Qq.  When the two
+        expansions agree on n = 0..N + d, the first N + d + 1 coefficients
+        of that product vanish, so the numerator is 0 and p/q = P/Q.
+        """
+        for m, pair in CLASS_GF.items():
+            states = 2 ** ((m + 1) // 2) + 2 ** (m // 2)
+            top = states + max(len(rec.denominator) - 1 for rec in pair)
+            black, white = colour_split_sequence(m, top)
+            if len(pair) == 1:
+                assert black == white
+            for rec, seq in zip(pair, (black, white)):
+                terms = states + len(rec.denominator)  # n = 0..N + d
+                assert rec.expand(terms) == seq[:terms], m
+
+    def test_equals_the_full_sweep(self):
+        # the 2^m column profile shares no code with the colour split
+        for m in range(7, 13):
+            assert ([colour_class_M(m, n) for n in range(13)]
+                    == count_sequence(m, 12, M_SET)), m
+
+    def test_registered_after_every_other_form(self):
+        # a 10x5 board keeps the five-row form and its erratum note
+        forms = closed_forms("M", 10, 5)
+        assert len(forms) == 2
+        value, notes = forms[0]()
+        assert notes and "published five-row" in notes[0]
+        assert forms[1]() == (value, ())
+        assert len(closed_forms("M", 16, 17)) == 1
+        assert closed_forms("M", 17, 17) == []
+
+    def test_expanded_once_to_the_widest_n(self):
+        # a table asks for every width in turn: each call extends one list
+        black = CLASS_GF[9][0]
+        terms = cf._gf_terms(black)
+        colour_class_M(9, 30)
+        colour_class_M(9, 4)
+        assert len(terms) >= 31
+        colour_class_M(9, 40)
+        assert cf._gf_terms(black) is terms
+        assert terms[:41] == black.expand(41)
+
+    def test_out_of_range_height(self):
+        for m in (6, 17):
+            with pytest.raises(ValueError):
+                colour_class_M(m, 3)
+        with pytest.raises(ValueError):
+            colour_class_M(7, -1)
 
 
 class TestAsymptotics:
