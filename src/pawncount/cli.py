@@ -147,7 +147,7 @@ def _route(quantity: str, m: int, n: int, k: int | None,
         return method if method != "auto" else "closed", 1, ()
     if method == "closed" and not cf.closed_forms(quantity, m, n):
         raise GuardExceeded(
-            f"no closed form covers a {m}x{n} board; use --method transfer")
+            f"no closed form covers a {m}x{n} board; use --method auto")
     if method in ("auto", "closed"):
         return _plan(quantity, [(m, n)])[0]
     from .transfer import colour_split_sequence, count_via_transfer

@@ -210,13 +210,7 @@ def closed_form_L(m: int, n: int) -> int:
         numerator = 2 ** (n + 2) - (-1) ** n
         assert numerator % 3 == 0
         return numerator // 3
-    window = [1, 5, 11]
-    if n < 3:
-        return window[n]
-    for _ in range(n - 2):
-        window.append(2 * window[2] + 3 * window[1] - 2 * window[0])
-        window.pop(0)
-    return window[-1]
+    return _gf_term(GF_THREE_ROW_L, n)
 
 
 def l3_root_closed_form(n: int) -> float:
@@ -345,10 +339,14 @@ def fit_linear_recurrence(seq, max_order: int) -> LinearRecurrence:
     return LinearRecurrence(num if num else (0,), den)
 
 
-# Shape generating functions for the per-height pawn formulas.  The
-# five-row pair is kept in its published (erroneous) form for comparison;
-# the corrected pair is the fit of corrected_five_row_shapes, stored so a
-# height-5 count needs no shape DP (the battery refits and compares it).
+# Generating functions of the closed forms: L at height 3 (seeds 1, 5, 11),
+# the t of the three-row pawn formula, and the shape generating functions
+# for the pawn formulas at heights 4..6.  The five-row pair is kept in its
+# published (erroneous) form for comparison; the corrected pair is the fit
+# of corrected_five_row_shapes, stored so a height-5 count needs no shape
+# DP (the battery refits and compares it).
+GF_THREE_ROW_L = LinearRecurrence((1, 3, -2), (1, -2, -3, 2))
+GF_THREE_ROW_T = LinearRecurrence((1,), (1, -5, 3))
 GF_FOUR_ROW_ALPHA = LinearRecurrence((1, 2, -2), (1, -2, -2, 2))
 GF_SIX_ROW_ALPHA = LinearRecurrence((1, 5, -9, -5, 6), (1, -3, -6, 11, 5, -6))
 GF_FIVE_ROW_A = LinearRecurrence((1, 8, 1, -23, 0, 5), (1, 0, -12, 0, 24, 0, -5))
@@ -392,12 +390,7 @@ def corrected_five_row_shapes() -> tuple[LinearRecurrence, LinearRecurrence]:
 
 def _three_row_t(i: int) -> int:
     """t(i) = 5t(i-1) - 3t(i-2) with t(0) = 1, t(1) = 5; t(-1) = 0."""
-    if i < 0:
-        return 0
-    a, b = 1, 5
-    for _ in range(i):
-        a, b = b, 5 * b - 3 * a
-    return a
+    return _gf_term(GF_THREE_ROW_T, i) if i >= 0 else 0
 
 
 def shape_formula_M(m: int, n: int) -> tuple[int, tuple[str, ...]]:

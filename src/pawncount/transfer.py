@@ -25,8 +25,10 @@ its 2^m states can be non-zero (F(0) = F(1) = 1, as in ``closedforms``).
 profile) over the legal frontiers only: the m latest cells, one per row,
 plus the cell left of the newest one, which its lower neighbour still
 touches diagonally.  There are at most F(m+1) + F(m-1) of them, and the
-sweep holds that count to the same 2^22 bound, so L runs to m = 30.  The
-full sweep stays the independent check on it up to m = 22.
+sweep holds that count to the same 2^22 bound, so L runs to m = 30.  A
+frontier's place in the state array is known in closed form (its m cells
+are ranked by their Zeckendorf sum), so each cell step is two gathers with
+no search.  The full sweep stays the independent check on it up to m = 22.
 """
 
 from __future__ import annotations
@@ -231,54 +233,50 @@ def _path_sets(m: int) -> np.ndarray:
     return masks
 
 
-def _frontiers(paths: np.ndarray, m: int, r: int) -> np.ndarray:
-    """Sorted keys 2f + e of the legal L frontiers once the cell in row r
-    is placed, then one sentinel above them all.
-
-    Bit i of f (row 0 in the low bit) holds row i of the newest column for
-    i <= r and of the one before it for i > r.  The cells of adjacent bits
-    touch, so f is a path independent set.  e is the cell left of row r,
-    legal only where rows r-1, r and r+1 of f are clear.
-    """
-    near = (7 << r >> 1) & ((1 << m) - 1)
-    keys = np.repeat(paths << 1, 1 + ((paths & near) == 0))
-    # the second copy of a key is its e = 1 frontier
-    keys[1:] += keys[1:] == keys[:-1]
-    return np.append(keys, 1 << (m + 1))
-
-
-def _cell_step(before: np.ndarray, keys: np.ndarray, r: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Gather tables (lo, hi) of the step that places the cell in row r:
-    the count of frontier keys[i] is x[lo[i]] + x[hi[i]] over the
-    frontiers ``before`` it, and both tables map sentinel to sentinel.
-
-    Placing cell c in row r moves the old row-r cell into e and c into
-    bit r, so the frontier before it is f with bit r set to e, under
-    either old e: lo is old e = 0, hi old e = 1.  The old e is the cell
-    up and to the left, so hi drops out where c = 1 (except in row 0,
-    whose old e lies at the foot of a column two back), and where that
-    frontier is illegal.
-    """
-    f, e = keys[:-1] >> 1, keys[:-1] & 1
-    source = (f & ~(1 << r) | e << r) << 1
-    lo = np.searchsorted(before, source)
-    fits = before[lo + 1] == source + 1
-    if r:
-        fits &= (f >> r & 1) == 0
-    sentinel = len(before) - 1
-    hi = np.where(fits, lo + 1, sentinel)
-    return np.append(lo, sentinel), np.append(hi, sentinel)
-
-
 def _isolated_steps(paths: np.ndarray, m: int
                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Gather tables of the m cell steps of one column, top row first."""
-    before = _frontiers(paths, m, m - 1)
+    """Gather tables (lo, hi) of the m cell steps of one column, top row
+    first: the count of frontier i after the step is x[lo[i]] + x[hi[i]]
+    over the frontiers before it.
+
+    A frontier is (f, e) once the cell in row r is placed.  Bit i of f
+    (row 0 in the low bit) holds row i of the newest column for i <= r and
+    of the one before it for i > r.  The cells of adjacent bits touch, so
+    f is a path independent set, one of ``paths``, whose index there is
+    its rank: the sum of F(i+1) over its set bits i.  e is the cell left
+    of row r, legal only where rows r-1, r and r+1 of f are clear.  The
+    frontiers are numbered (f, 0) by rank, then the legal (f, 1) by rank,
+    then a sentinel (index -1) that always holds 0.
+
+    Placing cell c in row r moves the old row-r cell into e and c into
+    bit r, so the frontier before (f, e) is f with bit r set to e, a move
+    of F(r+1) in rank, under either old e: lo is old e = 0, hi old e = 1.
+    The old e is the cell up and to the left, so hi drops out where c = 1
+    (except in row 0, whose old e lies at the foot of a column two back),
+    and where that frontier is illegal.
+    """
+    rank = np.arange(len(paths))
+
+    def ones(r: int) -> np.ndarray:
+        """By rank of f, the index of the frontier (f, 1) after row r, or
+        -1 where it is illegal."""
+        legal = (paths & 7 << r >> 1) == 0
+        index = np.full(len(paths), -1)
+        index[legal] = len(paths) + np.arange(np.count_nonzero(legal))
+        return index
+
+    before = ones(m - 1)
     for r in range(m):
-        keys = _frontiers(paths, m, r)
-        yield _cell_step(before, keys, r)
-        before = keys
+        index = ones(r)
+        step = fibonacci(r + 1)
+        c = paths >> r & 1
+        lo0, lo1 = rank - c * step, np.flatnonzero(index >= 0) + step
+        hi0 = before[lo0]
+        if r:
+            hi0[c == 1] = -1
+        yield (np.concatenate((lo0, lo1, [-1])),
+               np.concatenate((hi0, before[lo1], [-1])))
+        before = index
 
 
 def isolated_sequence(m: int, n_max: int) -> list[int]:

@@ -104,6 +104,14 @@ class TestCount:
         assert code == 3
         assert "transfer" in err
 
+    def test_no_closed_form_names_auto(self, capsys):
+        # --method transfer would refuse a tall board too; auto sweeps the
+        # shorter side with the frontier sweep or the colour split
+        code, _, err = run_cli("count", "-m", "4", "-n", "4", "--quantity", "L",
+                               "--method", "closed", capsys=capsys)
+        assert code == 3
+        assert "--method auto" in err
+
     def test_usage_error_exit_2(self, capsys):
         code, _, _ = run_cli("count", "-m", "2", "-n", "2",
                              "--quantity", "X", capsys=capsys)

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from pawncount import transfer
-from pawncount.closedforms import closed_form_L
+from pawncount.closedforms import closed_form_L, shape_formula_M
 from pawncount.errors import GuardExceeded, NonConverged
 from pawncount.oracle import (L_SET, M_SET, U_SET, BinaryMatrix,
                               count_by_enumeration, enumerate_legal,
                               find_violation, uk_set)
-from pawncount.transfer import (_frontiers, _path_sets, build_transfer,
+from pawncount.tiling import count_tilings
+from pawncount.transfer import (_isolated_steps, _path_sets, build_transfer,
                                 colour_split_sequence, count_sequence,
                                 count_via_transfer, dominant_eigenvalue,
                                 isolated_frontiers, isolated_sequence,
@@ -247,6 +248,11 @@ class TestColourSplit:
         black, white = colour_split_sequence(14, 20)
         assert black[20] * white[20] == count_via_transfer(14, 20, M_SET)
 
+    def test_thirty_rows_equal_the_four_row_formula(self):
+        # the 30-by-4 board is the transposed 4-by-30 one
+        black, white = colour_split_sequence(30, 4)
+        assert black[4] * white[4] == shape_formula_M(4, 30)[0]
+
     def test_even_heights_have_equal_classes(self):
         for m in (2, 4, 6, 8):
             black, white = colour_split_sequence(m, 9)
@@ -271,25 +277,45 @@ class TestIsolatedSequence:
         assert isolated_sequence(16, 20)[20] == count_via_transfer(16, 20, L_SET)
 
     def test_past_the_full_profile(self):
-        # no 2^m route reaches height 23; the transposed closed forms do
-        for m in (23, 24):
+        # no 2^m route reaches height 23; the transposed closed forms do,
+        # and past 24 rows the gather tables are rebuilt for each column
+        for m in (23, 24, 25):
             assert isolated_sequence(m, 3) == [1] + [closed_form_L(n, m)
                                                      for n in (1, 2, 3)]
+        # the bijection: L(25, 4) counts the tilings of a 5-by-26 board
+        assert isolated_sequence(25, 4)[4] == count_tilings(5, 26)
 
-    def test_frontiers_equal_the_filtered_masks(self):
+    def test_steps_number_frontiers_by_rank(self):
         for m in range(1, 17):
             paths = [w for w in range(1 << m) if not w & w >> 1]
             assert _path_sets(m).tolist() == paths
-            sizes = []
-            for r in range(m):
-                # the cell left of row r touches rows r-1, r and r+1
-                near = sum(1 << i for i in (r - 1, r, r + 1) if 0 <= i < m)
-                keys = sorted(2 * w + e for w in paths for e in (0, 1)
-                              if not e or not w & near)
-                frontiers = _frontiers(_path_sets(m), m, r).tolist()
-                assert frontiers[:-1] == keys
-                assert frontiers[-1] > keys[-1]
-                sizes.append(len(keys))
+
+        def frontiers(m, r):
+            # (f, 0) for every f, then the legal (f, 1): the cell left of
+            # row r touches rows r-1, r and r+1
+            near = sum(1 << i for i in (r - 1, r, r + 1) if 0 <= i < m)
+            paths = _path_sets(m).tolist()
+            return ([(f, 0) for f in paths]
+                    + [(f, 1) for f in paths if not f & near])
+
+        for m in range(1, 11):
+            before, sizes = frontiers(m, m - 1), []
+            for r, (lo, hi) in enumerate(_isolated_steps(_path_sets(m), m)):
+                after = frontiers(m, r)
+                want_lo, want_hi = [], []
+                for f, e in after:
+                    # the old row-r cell moves into e; the old e is 0 or
+                    # 1, and 1 only where that frontier is legal and, past
+                    # row 0, the new cell in row r is empty
+                    source = f & ~(1 << r) | e << r
+                    want_lo.append(before.index((source, 0)))
+                    fits = (source, 1) in before and not (r and f >> r & 1)
+                    want_hi.append(before.index((source, 1)) if fits else -1)
+                # the sentinel (index -1) maps to the sentinel
+                assert lo.tolist() == want_lo + [-1], (m, r)
+                assert hi.tolist() == want_hi + [-1], (m, r)
+                sizes.append(len(after))
+                before = after
             assert max(sizes) == sizes[0] == sizes[-1] == isolated_frontiers(m)
 
     def test_tables_rebuilt_per_column_past_the_bound(self, monkeypatch):
