@@ -36,7 +36,8 @@ Each sweep refuses a state array above 2^22 entries (exit 3) before it
 allocates one: 22 rows for the full profile, 30 for L's frontier sweep
 (whose guard counts frontiers, not column cells), 44 for M's colour
 split.  Only the shorter side of a board meets that limit, and a table
-too tall for its sweep is refused before any count starts.  ``bijection
+too tall for its sweep is refused before any count starts, as is one of
+more than 2^22 cells before its list of boards is built.  ``bijection
 --invert`` holds the matrix a tiling names to the same 2^22 cells.
 Exact counts are serialized as decimal strings in JSON (they outgrow
 doubles quickly), in full however many digits they have; floats appear
@@ -59,7 +60,7 @@ from pathlib import Path
 
 from . import closedforms as cf
 from . import tiling as tl
-from .errors import GuardExceeded, PawncountError
+from .errors import MAX_STATES, MAX_WIDTH, GuardExceeded, PawncountError
 from .oracle import (L_SET, M_SET, U_SET, BinaryMatrix, count_by_enumeration,
                      uk_set)
 
@@ -203,6 +204,10 @@ def cmd_eigen(args) -> int:
 def cmd_table(args) -> int:
     if args.max_m < 1 or args.max_n < 1:
         raise ValueError("--max-m and --max-n must be >= 1")
+    if args.max_m * args.max_n > MAX_STATES:
+        raise GuardExceeded(
+            f"a {args.max_m}x{args.max_n} table has {args.max_m * args.max_n} "
+            f"cells, above the 2^{MAX_WIDTH} limit")
     cells = [(m, n) for m in range(1, args.max_m + 1)
              for n in range(1, args.max_n + 1)]
     values = {cell: value for cell, (_, value, _) in

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GuardExceeded
 from .oracle import BoardDims
-from .transfer import check_width, profile_step
+from .transfer import check_width, exact, profile_step
 
 DEFAULT_SHAPE_GUARD = 40
 
@@ -75,7 +75,7 @@ def count_independent_sets(shape: ShapeGraph,
             f"shape has {shape.vertex_count} cells, above the {guard}-cell guard")
     prev_col: int | None = None
     prev_rows: list[int] = []
-    dp = np.ones(1, dtype=object)
+    dp = np.ones(1, dtype=np.int64)
     for col, rows in shape._columns():
         check_width(len(rows))
         # blocked[s]: cells of the previous column that conflict with subset s
@@ -87,6 +87,6 @@ def count_independent_sets(shape: ShapeGraph,
                                if abs(pr - r) == 1)
             blocked = np.concatenate([blocked, blocked | conflict])
         allowed = ((1 << len(prev_rows)) - 1) & ~blocked
-        dp = profile_step(dp, len(prev_rows), allowed)
+        dp = exact(profile_step(dp, len(prev_rows), allowed))
         prev_col, prev_rows = col, rows
     return int(dp.sum())

@@ -143,17 +143,17 @@ def tiling_sequence(rows: int, cols_max: int) -> list[int]:
         raise ValueError("dimensions must be nonnegative")
     import numpy as np
 
-    from .transfer import check_width, profile_step
+    from .transfer import check_width, exact, profile_step
 
     check_width(rows)
     size = 1 << rows
     allowed = (size - 1) ^ np.arange(size)
     keep = _pair_union_masks(rows)
-    dp = np.zeros(size, dtype=object)
+    dp = np.zeros(size, dtype=np.int64)
     dp[0] = 1
     counts = [1]
     for _ in range(cols_max):
-        dp = profile_step(dp, rows, allowed, keep)
+        dp = exact(profile_step(dp, rows, allowed, keep))
         counts.append(int(dp[0]))
     return counts
 

@@ -5,9 +5,19 @@ the top row, so a mask's integer value reads the column top to bottom.
 Two columns may sit side by side iff no forbidden two-cell word straddles
 them; iterating that relation counts boards column by column.  One step is
 a subset-sum (zeta) transform followed by a gather, costing O(m * 2^m)
-big-integer additions instead of O(4^m) pair tests, so the dense matrix is
-only ever materialized for printing and spectra.  ``profile_step`` is that
-step, and every column-profile count in the package runs on it.
+additions instead of O(4^m) pair tests, so the dense matrix is only ever
+materialized for printing and spectra.  ``profile_step`` is that step, and
+every column-profile count in the package runs on it.
+
+Every exact sweep holds its counts in int64 while they fit and in Python
+ints (dtype=object) from then on.  Counts are never negative, so every
+partial subset sum of a zeta pass, every entry it gathers and the state's
+total are at most that total, itself at most len(x) * max(x); a frontier
+step of the L sweep adds two entries, at most 2 * max(x).  So while
+len(x) * max(x) < 2^63 the state's total and the next step are exact in
+int64.  ``exact`` tests that bound on each new state and switches the
+array to Python ints once it fails; the switch is one way, and every
+returned count is an int.
 
 For M the profile splits by colour: diagonal attacks join odd rows of one
 column only to even rows of the next, so the black and white cells form
@@ -59,8 +69,9 @@ def _keep_table(m: int, pats: ForbiddenPatternSet) -> np.ndarray | None:
     check_width(m)
     if not pats.vert_pair:
         return None
-    w = np.arange(1 << m)
-    return (w & (w >> 1)) == 0
+    w = np.arange(1 << m, dtype=np.min_scalar_type((1 << m) - 1))
+    w &= w >> 1
+    return w == 0
 
 
 def _allowed_table(m: int, pats: ForbiddenPatternSet) -> np.ndarray:
@@ -113,14 +124,24 @@ def isolated_frontiers(m: int) -> int:
     return fibonacci(m + 1) + fibonacci(m - 1)
 
 
+def exact(x: np.ndarray) -> np.ndarray:
+    """x itself while int64 holds its total and the next step exactly
+    (len(x) * max(x) < 2^63, the counts being >= 0), else x as Python
+    ints (dtype=object).  An object array passes on its dtype alone."""
+    if x.dtype == object or len(x) * int(x.max()) <= np.iinfo(np.int64).max:
+        return x
+    return x.astype(object)
+
+
 def profile_step(x: np.ndarray, width: int, allowed: np.ndarray,
                  keep: np.ndarray | None = None) -> np.ndarray:
     """One column-profile step: entry w of the result sums x over the
     subsets of allowed[w], and is 0 where keep is False.
 
     x holds 2^width entries and is overwritten by its subset-sum (zeta)
-    transform.  dtype=object keeps every count an exact Python int;
-    float64 serves power iteration.
+    transform.  An exact sweep passes int64 only while ``exact`` keeps it
+    (every partial sum is at most len(x) * max(x) < 2^63), then dtype=object
+    Python ints; float64 serves power iteration.
     """
     for b in range(width):
         pairs = x.reshape(-1, 2, 1 << b)
@@ -157,15 +178,16 @@ def _states(m: int, pats: ForbiddenPatternSet) -> Iterator[np.ndarray]:
     boards whose last column is w.  Each state is consumed in place by the
     step that makes the next one; the step table is built only once a step
     is taken, so n = 1 costs one pass over the legal columns.  The n = 1
-    state is in machine ints (int64: ones, or ``keep``); it becomes exact
-    Python ints (dtype=object) only when the first step is taken."""
+    state is the bool table of legal columns (``keep``, or all True); it
+    becomes int64 when the first step is taken, and each later state stays
+    int64 until ``exact`` switches it to Python ints (dtype=object)."""
     keep = _keep_table(m, pats)
-    x = np.ones(1 << m, dtype=np.int64) if keep is None else keep.astype(np.int64)
+    x = np.ones(1 << m, dtype=bool) if keep is None else keep
     yield x
     allowed = _allowed_table(m, pats)
-    x = x.astype(object)
+    x = x.astype(np.int64)
     while True:
-        x = profile_step(x, m, allowed, keep)
+        x = exact(profile_step(x, m, allowed, keep))
         yield x
 
 
@@ -197,10 +219,10 @@ def _colour_states(step: tuple[int, np.ndarray], other: tuple[int, np.ndarray]
                    ) -> Iterator[np.ndarray]:
     """Class states for n = 1, 2, ...: a colour class on the cells ``step``
     leaves, moved to the other rows by ``step`` and ``other`` in turn."""
-    x = np.ones(1 << step[0], dtype=object)
+    x = np.ones(1 << step[0], dtype=np.int64)
     while True:
         yield x
-        x = profile_step(x, *step)
+        x = exact(profile_step(x, *step))
         step, other = other, step
 
 
@@ -304,12 +326,12 @@ def isolated_sequence(m: int, n_max: int) -> list[int]:
     if m * frontiers <= MAX_STATES:
         column = list(_isolated_steps(paths, m))
     # the frontiers after the foot of a column, as many as after its head
-    x = np.zeros(frontiers + 1, dtype=object)
+    x = np.zeros(frontiers + 1, dtype=np.int64)
     x[0] = 1
     counts = [1]
     for _ in range(n_max):
         for lo, hi in column or _isolated_steps(paths, m):
-            x = x[lo] + x[hi]
+            x = exact(x[lo] + x[hi])
         counts.append(int(x.sum()))
     return counts
 

@@ -233,6 +233,15 @@ class TestGuards:
         assert run_cli(*argv, capsys=capsys)[0] == code
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("max_m,max_n", [(100000, 100000), (2049, 2048)])
+    def test_table_cell_guard(self, max_m, max_n, capsys):
+        """A table of more than 2^22 boards is refused before its list of
+        boards exists, even where every board has a closed form."""
+        code, out, err = run_cli("table", "--quantity", "U", "--max-m", str(max_m),
+                                 "--max-n", str(max_n), capsys=capsys)
+        assert (code, out) == (3, "")
+        assert f"{max_m * max_n} cells" in err and "2^22" in err
+
     def test_decomposition_runs_along_the_longer_side(self, capsys):
         _, out, _ = run_cli("count", "-m", "100", "-n", "1", "--method",
                             "decomposition", "--json", capsys=capsys)

@@ -1,19 +1,22 @@
 import math
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from pawncount import transfer
-from pawncount.closedforms import closed_form_L, shape_formula_M
+from pawncount.closedforms import closed_form_L, closed_form_M, shape_formula_M
+from pawncount.decomposition import count_independent_sets, split_by_color
 from pawncount.errors import GuardExceeded, NonConverged
 from pawncount.oracle import (L_SET, M_SET, U_SET, BinaryMatrix,
                               count_by_enumeration, enumerate_legal,
                               find_violation, uk_set)
-from pawncount.tiling import count_tilings
+from pawncount.tiling import count_tilings, tiling_sequence
 from pawncount.transfer import (_isolated_steps, _path_sets, build_transfer,
                                 colour_split_sequence, count_sequence,
-                                count_via_transfer, dominant_eigenvalue,
+                                count_via_transfer, dominant_eigenvalue, exact,
                                 isolated_frontiers, isolated_sequence,
                                 profile_step, spectrum_small)
 
@@ -228,15 +231,99 @@ class TestProfileStep:
     def test_matches_loop_reference(self, width, out_width):
         rng = np.random.default_rng(width * 7 + out_width)
         xs = [int(v) * 10 ** 30 + 1 for v in rng.integers(0, 50, 1 << width)]
+        small = [v // 10 ** 30 for v in xs]
         allowed = rng.integers(0, 1 << width, 1 << out_width)
         for keep in (None, rng.random(1 << out_width) < 0.5):
             expected = reference_step(xs, width, allowed, keep)
-            exact = profile_step(np.array(xs, dtype=object), width, allowed, keep)
-            assert list(exact) == expected
+            python_ints = profile_step(np.array(xs, dtype=object), width,
+                                       allowed, keep)
+            assert list(python_ints) == expected
+            machine = profile_step(np.array(small, dtype=np.int64), width,
+                                   allowed, keep)
+            assert machine.tolist() == reference_step(small, width, allowed, keep)
             floats = profile_step(np.array(xs, dtype=np.float64), width,
                                   allowed, keep)
             assert list(floats) == reference_step(
                 [float(v) for v in xs], width, allowed, keep)
+
+
+class TestMachineWords:
+    """Each exact sweep runs in int64 until len(x) * max(x) reaches 2^63,
+    then in Python ints; its counts past 2^63 match a closed form."""
+
+    @staticmethod
+    def past_int64(counts):
+        assert all(type(v) is int for v in counts)
+        assert counts[-1] > 2 ** 63
+        return counts
+
+    def test_boundary(self):
+        # 2^63 - 1 = 7 * 1317624576693539401
+        fits = np.full(7, (2 ** 63 - 1) // 7, dtype=np.int64)
+        assert exact(fits) is fits
+        assert int(fits.sum()) == 2 ** 63 - 1
+        wide = np.full(2, 2 ** 62, dtype=np.int64)
+        converted = exact(wide)
+        assert converted.dtype == object
+        assert converted.tolist() == [2 ** 62, 2 ** 62]
+        assert type(converted[0]) is int
+        assert exact(converted) is converted
+
+    def test_full_sweep(self):
+        counts = self.past_int64(count_sequence(3, 40, M_SET))
+        assert counts == [closed_form_M(3, n) for n in range(41)]
+
+    def test_colour_split(self):
+        black, white = colour_split_sequence(6, 40)
+        self.past_int64(black)
+        self.past_int64(white)
+        assert ([b * w for b, w in zip(black, white)]
+                == [shape_formula_M(6, n)[0] for n in range(41)])
+
+    def test_frontier_sweep(self):
+        counts = self.past_int64(isolated_sequence(3, 80))
+        assert counts == [closed_form_L(3, n) for n in range(81)]
+
+    def test_tiling_sweep(self):
+        # the 2-by-c tilings are the 1-by-(c-1) isolated matrices
+        counts = self.past_int64(tiling_sequence(2, 120))
+        assert counts[1:] == [closed_form_L(1, c - 1) for c in range(1, 121)]
+
+    def test_shape_sweep(self):
+        black, white = split_by_color(2, 100)
+        counts = self.past_int64([count_independent_sets(shape, guard=100)
+                                  for shape in (black, white)])
+        assert counts[0] * counts[1] == closed_form_M(2, 100)
+
+
+# Peak RSS growth, in KB, of one first-column count after the imports.
+# VmHWM is the peak of this process's own memory; ru_maxrss would also hold
+# the RSS of the process that started it, which can hide the growth.
+_FIRST_COLUMN_PROBE = """
+from pawncount.oracle import L_SET
+from pawncount.transfer import count_via_transfer
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+
+count_via_transfer(2, 2, L_SET)
+before = peak_kb()
+assert count_via_transfer(20, 1, L_SET) == 17711
+print(peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_first_column_is_counted_from_its_bool_table():
+    """The 2^20 column masks are built in uint32 and the count reads the
+    1 MB bool table of legal columns: no 8 MB int64 array of them exists."""
+    result = subprocess.run([sys.executable, "-c", _FIRST_COLUMN_PROBE],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 16 * 1024
 
 
 class TestColourSplit:
