@@ -6,27 +6,27 @@ bit.  A ForbiddenPatternSet names small forbidden configurations (diagonal
 pairs, axis pairs, diagonal runs), and one pattern table of shifts and
 masks on the packed int serves the enumeration and ``find_violation``.
 This module counts the matrices avoiding a set by scanning all 2^(m*n)
-candidates, vectorized in chunks of 2^16 held in the narrowest unsigned
-word that fits m*n bits (uint32 up to the 25-cell guard), so each
-temporary of the scan is a few hundred KB, not the 8 MB of a 2^20 uint64
-chunk.  Every other counting route in the package is validated against
-this one.  numpy is imported only by the scan, so the pattern sets and
-the matrix type load without it.
+candidates, bit-sliced in chunks of 2^16 (a board of fewer than 16 cells
+is one chunk): one Python int holds a chunk, bit t standing for candidate
+start + t.  Cell b of the candidates is a
+plane of that chunk, a fixed 2^16-bit pattern for the 16 low cells and
+all 0s or all 1s for the others, so each placement of a banned pattern is
+an AND of its cells' planes, and a chunk's illegal candidates are the OR
+of its placements.  Every other counting route in the package is
+validated against this one.  The module imports no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .errors import GuardExceeded, InvalidK, MatrixFormatError
 
-if TYPE_CHECKING:
-    import numpy as np
-
 ENUMERATION_GUARD = 25
-_CHUNK = 1 << 16
+#: Candidates per chunk of the scan, as a power of two.
+_CHUNK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -200,24 +200,65 @@ def _check_guard(dims: BoardDims) -> None:
             "boards this large")
 
 
-def _scan(dims: BoardDims, pats: ForbiddenPatternSet
-          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(candidates, legal) for each chunk of the 2^(m*n) packed matrices in
-    ascending order; an empty board is the single candidate 0."""
-    import numpy as np
+@lru_cache(maxsize=_CHUNK_BITS + 1)
+def _planes(width: int) -> tuple[int, ...]:
+    """planes[b] has bit t set iff bit b of t is, for t below 2^width: the
+    values of cell bit b across a chunk of 2^width candidates."""
+    size = 1 << width
+    # written most significant bit first: per 2^(b+1) values of t, 2^b
+    # with bit b set above 2^b without
+    return tuple(int(("1" * run + "0" * run) * (size // (2 * run)), 2)
+                 for run in (1 << b for b in range(width)))
 
-    checks = _violation_checks(dims.m, dims.n, pats)
-    size = 1 << dims.cells
-    word = np.min_scalar_type(size - 1)
-    for start in range(0, size, _CHUNK):
-        xs = np.arange(start, min(start + _CHUNK, size), dtype=word)
-        legal = np.ones(xs.shape, dtype=bool)
-        for _, shifts, mask, _ in checks:
-            hits = xs & word.type(mask)
-            for s in shifts:
-                hits &= xs >> word.type(s)
-            legal &= hits == 0
-        yield xs, legal
+
+def _placements(dims: BoardDims, pats: ForbiddenPatternSet, width: int
+                ) -> list[tuple[int, int]]:
+    """(high, plane) per group of banned placements in a chunk of 2^width
+    candidates: a candidate holds one of the group's placements iff its
+    bits from width up include high and its chunk offset is set in plane.
+
+    A placement's cells below width AND their planes; its cells above are
+    constant over a chunk, so they only decide whether the placement can
+    occur there.  Placements sharing their high cells share an entry.
+    """
+    planes = _planes(width)
+    groups: dict[int, int] = {}
+    for _, shifts, mask, _ in _violation_checks(dims.m, dims.n, pats):
+        while mask:
+            hit = mask.bit_length() - 1
+            mask ^= 1 << hit
+            high, plane = 0, (1 << (1 << width)) - 1
+            for cell in (hit, *(hit + s for s in shifts)):
+                if cell < width:
+                    plane &= planes[cell]
+                else:
+                    high |= 1 << cell
+            groups[high] = groups.get(high, 0) | plane
+    return list(groups.items())
+
+
+def _scan(dims: BoardDims, pats: ForbiddenPatternSet) -> Iterator[tuple[int, int]]:
+    """(start, legal) for each chunk of the 2^(m*n) packed matrices in
+    ascending order: bit t of legal says whether start + t is legal.  An
+    empty board is the single candidate 0."""
+    width = min(dims.cells, _CHUNK_BITS)
+    full = (1 << (1 << width)) - 1
+    placements = _placements(dims, pats, width)
+    for start in range(0, 1 << dims.cells, 1 << width):
+        illegal = 0
+        for high, plane in placements:
+            if start & high == high:
+                illegal |= plane
+        yield start, full ^ illegal
+
+
+def _set_bits(x: int) -> Iterator[int]:
+    """The positions of x's set bits, ascending."""
+    bits = format(x, "b")[::-1]
+    t = bits.find("1")
+    while t >= 0:
+        yield t
+        t = bits.find("1", t + 1)
 
 
 def count_by_enumeration(m: int, n: int, pats: ForbiddenPatternSet) -> int:
@@ -226,18 +267,19 @@ def count_by_enumeration(m: int, n: int, pats: ForbiddenPatternSet) -> int:
     Empty boards count 1.  Raises GuardExceeded beyond ENUMERATION_GUARD
     cells.
     """
-    import numpy as np
-
     dims = BoardDims(m, n)
     _check_guard(dims)
-    return sum(int(np.count_nonzero(legal)) for _, legal in _scan(dims, pats))
+    return sum(legal.bit_count() for _, legal in _scan(dims, pats))
 
 
 def enumerate_legal(m: int, n: int,
                     pats: ForbiddenPatternSet) -> Iterator[BinaryMatrix]:
     """Yield every legal matrix once, in lexicographic order of the
-    row-major bit string.  Stream length equals count_by_enumeration."""
+    row-major bit string.  Stream length equals count_by_enumeration.
+
+    The guard is checked before the stream is returned, not when it is
+    first read."""
     dims = BoardDims(m, n)
     _check_guard(dims)
-    return (BinaryMatrix(dims, v) for xs, legal in _scan(dims, pats)
-            for v in xs[legal].tolist())
+    return (BinaryMatrix(dims, start + t) for start, legal in _scan(dims, pats)
+            for t in _set_bits(legal))

@@ -13,16 +13,26 @@ step itself is checked independently by the brute-force oracle and the
 closed forms.  Only the counter imports numpy and the step; the bijection
 and the JSON format load without them.
 
-``Tiling`` checks its anchors for overlaps itself rather than building
-the anchor matrix and calling ``oracle.find_violation`` with ``L_SET``.
-Two anchors overlap exactly where that matrix breaks the L rule, so the
-check is a second, independent implementation of the rule, and the tests
-compare the two.  The two also name different pairs: for anchors (1,2),
-(1,3), (2,1) the tiling reports "anchors (1,2) and (1,3) overlap", the
-first anchor in row-major order with a later one on its tile, where
-``find_violation`` reports ``diag_up`` at (1,1).  And the anchor matrix
-would need a size guard on ``Tiling``, which would refuse the forward
-map of matrices above 2^22 cells.
+``Tiling`` stores its anchors as one packed int: the (rows-1)x(cols-1)
+matrix with a 1 on every anchor, in ``BinaryMatrix``'s packing.  So theta
+is ``find_violation`` plus a wrap, and its inverse a size guard plus an
+unwrap; only an anchor list (JSON input, or a caller's tuple) is packed,
+in linear time, and checked.
+
+``Tiling`` checks an anchor list for overlaps itself, by four shifted
+ANDs of the packed int, rather than calling ``oracle.find_violation``
+with ``L_SET``.  The three reasons for that still hold with the packed
+int.  Two anchors overlap exactly where the anchor matrix breaks the L
+rule, so the check is a second, independent implementation of the rule,
+and the tests compare the two.  The two name different pairs: for
+anchors (1,2), (1,3), (2,1) the tiling reports "anchors (1,2) and (1,3)
+overlap", the first anchor in row-major order with a later one on its
+tile, where ``find_violation`` reports ``diag_up`` at (1,1); a row-major
+loop over the anchors names the pair once the ANDs have found one.  And
+an anchor list's overlaps are reported before its size guard, so a board
+too large to pack, where ``find_violation`` would have no matrix to scan,
+is checked by that loop alone; the forward map, which needs no overlap
+check, wraps a matrix above 2^22 cells without a guard and still works.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (MAX_STATES, MAX_WIDTH, GuardExceeded, IllegalMatrix,
                      InvalidTiling)
@@ -42,43 +52,101 @@ if TYPE_CHECKING:
 Anchor = tuple[int, int]
 
 
-@dataclass(frozen=True)
+def _check_size(rows: int, cols: int) -> None:
+    """Refuse a board whose anchor matrix has more than MAX_STATES cells:
+    a few bytes of tiling JSON can name any board size."""
+    m, n = rows - 1, cols - 1
+    if m * n > MAX_STATES:
+        raise GuardExceeded(
+            f"a {rows}x{cols} tiling maps to a {m}x{n} matrix of "
+            f"{m * n} cells, above the 2^{MAX_WIDTH} limit")
+
+
+def _name_overlap(ordered: list[Anchor]) -> None:
+    """Raise InvalidTiling for the first overlapping pair of the sorted
+    anchors, in row-major order, if any two overlap."""
+    taken = set(ordered)
+    for idx, (r, c) in enumerate(ordered):
+        # the anchors sorting after (r, c) whose tiles meet its own, in
+        # row-major order: a repeat of it, then its four later neighbours
+        later = [(r, c + 1), (r + 1, c - 1), (r + 1, c), (r + 1, c + 1)]
+        if ordered[idx + 1:idx + 2] == [(r, c)]:
+            later.insert(0, (r, c))
+        for (r2, c2) in later:
+            if (r2, c2) in taken:
+                raise InvalidTiling(
+                    f"anchors ({r},{c}) and ({r2},{c2}) overlap",
+                    position=(r2, c2))
+
+
+def _touching(x: int, m: int, n: int) -> bool:
+    """Whether two 1s of the packed m-by-n matrix x touch, corners
+    included: x >> d moves each cell d places later in row-major order,
+    so each AND below meets a cell with its neighbour to the left, above,
+    up-left or up-right, and the column masks drop the pairs that would
+    wrap around a row end."""
+    off_first = int(("0" + "1" * (n - 1)) * m, 2)  # every column but the first
+    off_last = off_first << 1                       # every column but the last
+    return bool(x & (x >> 1 & off_first | x >> n | x >> n + 1 & off_first
+                     | x >> n - 1 & off_last))
+
+
+@dataclass(frozen=True, init=False)
 class Tiling:
     """Board with 2x2 tiles at ``anchors`` (1-based top-left cells) and 1x1
-    tiles everywhere else; anchors are kept sorted row-major."""
+    tiles everywhere else.  ``packed`` holds the anchors as the
+    (rows-1)x(cols-1) matrix with a 1 on each, in ``BinaryMatrix``'s
+    packing; ``anchors`` reads them back sorted row-major."""
 
     rows: int
     cols: int
-    anchors: tuple[Anchor, ...]
+    packed: int
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, anchors: Iterable[Anchor]):
+        if rows < 0 or cols < 0:
             raise ValueError("dimensions must be nonnegative")
-        ordered = tuple(sorted(self.anchors))
-        object.__setattr__(self, "anchors", ordered)
+        ordered = sorted(anchors)
         for (r, c) in ordered:
-            if not (1 <= r < self.rows and 1 <= c < self.cols):
+            if not (1 <= r < rows and 1 <= c < cols):
                 raise InvalidTiling(
-                    f"anchor ({r},{c}) leaves the {self.rows}x{self.cols} board",
+                    f"anchor ({r},{c}) leaves the {rows}x{cols} board",
                     position=(r, c))
-        taken = set(ordered)
-        if len(taken) == len(ordered) and not any(
-                (r, c + 1) in taken or (r + 1, c - 1) in taken
-                or (r + 1, c) in taken or (r + 1, c + 1) in taken
-                for r, c in ordered):
-            return
-        # some tiles overlap: name the first pair in row-major order
-        for idx, (r, c) in enumerate(ordered):
-            # the anchors sorting after (r, c) whose tiles meet its own, in
-            # row-major order: a repeat of it, then its four later neighbours
-            later = [(r, c + 1), (r + 1, c - 1), (r + 1, c), (r + 1, c + 1)]
-            if ordered[idx + 1:idx + 2] == ((r, c),):
-                later.insert(0, (r, c))
-            for (r2, c2) in later:
-                if (r2, c2) in taken:
-                    raise InvalidTiling(
-                        f"anchors ({r},{c}) and ({r2},{c2}) overlap",
-                        position=(r2, c2))
+        if (rows - 1) * (cols - 1) > MAX_STATES:
+            _name_overlap(ordered)
+            _check_size(rows, cols)
+        m, n = max(rows - 1, 0), max(cols - 1, 0)
+        bits = bytearray(b"0" * (m * n))
+        for (r, c) in ordered:
+            bits[(r - 1) * n + c - 1] = ord("1")
+        packed = int(bits, 2) if bits else 0
+        if ordered and (packed.bit_count() != len(ordered)
+                        or _touching(packed, m, n)):
+            _name_overlap(ordered)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "packed", packed)
+
+    @classmethod
+    def _wrap(cls, mat: BinaryMatrix) -> "Tiling":
+        """The tiling of the board one row and one column larger than mat,
+        anchored on mat's 1s, which the caller has checked."""
+        tiling = object.__new__(cls)
+        object.__setattr__(tiling, "rows", mat.dims.m + 1)
+        object.__setattr__(tiling, "cols", mat.dims.n + 1)
+        object.__setattr__(tiling, "packed", mat.packed)
+        return tiling
+
+    @property
+    def anchors(self) -> tuple[Anchor, ...]:
+        """The anchors, sorted row-major, read back from ``packed``."""
+        n = self.cols - 1
+        bits = format(self.packed, f"0{max(self.rows - 1, 0) * max(n, 0)}b")
+        anchors = []
+        i = bits.find("1")
+        while i >= 0:
+            anchors.append((i // n + 1, i % n + 1))
+            i = bits.find("1", i + 1)
+        return tuple(anchors)
 
 
 def theta_forward(mat: BinaryMatrix) -> Tiling:
@@ -90,35 +158,23 @@ def theta_forward(mat: BinaryMatrix) -> Tiling:
         raise IllegalMatrix(
             f"matrix has forbidden {pattern} at {pos}; only fully-isolated "
             "matrices map to tilings", position=pos)
-    m, n = mat.dims.m, mat.dims.n
-    bits = format(mat.packed, f"0{m * n}b")
-    anchors = []
-    i = bits.find("1")
-    while i >= 0:
-        anchors.append((i // n + 1, i % n + 1))
-        i = bits.find("1", i + 1)
-    return Tiling(m + 1, n + 1, tuple(anchors))
+    return Tiling._wrap(mat)
 
 
 def theta_inverse(tiling: Tiling) -> BinaryMatrix:
     """Map a tiling back to the matrix with a 1 on every 2x2 anchor, after
     trimming the last row and column.  Inverse of theta_forward.
 
-    A matrix of more than MAX_STATES cells is refused before it is made:
-    a few bytes of tiling JSON can name any board size."""
+    A matrix of more than MAX_STATES cells is refused: the forward map
+    wraps matrices of any size, and the inverse holds them to the bound
+    the anchor lists are held to."""
     m, n = tiling.rows - 1, tiling.cols - 1
     if m < 0 or n < 0:
         raise InvalidTiling(
             f"a {tiling.rows}x{tiling.cols} tiling has no matrix: theta adds "
             "one row and one column")
-    if m * n > MAX_STATES:
-        raise GuardExceeded(
-            f"a {tiling.rows}x{tiling.cols} tiling maps to a {m}x{n} matrix of "
-            f"{m * n} cells, above the 2^{MAX_WIDTH} limit")
-    bits = bytearray(b"0" * (m * n))
-    for (r, c) in tiling.anchors:
-        bits[(r - 1) * n + c - 1] = ord("1")
-    return BinaryMatrix(BoardDims(m, n), int(bits, 2) if bits else 0)
+    _check_size(tiling.rows, tiling.cols)
+    return BinaryMatrix(BoardDims(m, n), tiling.packed)
 
 
 def _pair_union_masks(rows: int) -> np.ndarray:

@@ -60,7 +60,10 @@ DEFAULT_MAX_ITER = 200_000
 
 def _keep_table(m: int, pats: ForbiddenPatternSet) -> np.ndarray | None:
     """keep[w] says whether column w of height m is legal on its own; None
-    when every column is (no vertical pair is forbidden)."""
+    when every column is (no vertical pair is forbidden).
+
+    The legal columns are the path sets, so the 2^m bool table is set at
+    their F(m+2) masks: no 2^m integer array of masks is built."""
     k = pats.diag_run_k
     if k is not None and k > 2:
         raise ValueError(
@@ -69,9 +72,9 @@ def _keep_table(m: int, pats: ForbiddenPatternSet) -> np.ndarray | None:
     check_width(m)
     if not pats.vert_pair:
         return None
-    w = np.arange(1 << m, dtype=np.min_scalar_type((1 << m) - 1))
-    w &= w >> 1
-    return w == 0
+    keep = np.zeros(1 << m, dtype=bool)
+    keep[_path_sets(m)] = True
+    return keep
 
 
 def _allowed_table(m: int, pats: ForbiddenPatternSet) -> np.ndarray:

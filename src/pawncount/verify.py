@@ -81,10 +81,14 @@ FULL = dict(
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome; ``cells`` is the number of values it compared
+    (a count, a matrix entry or a round trip each count once)."""
+
     name: str
     passed: bool
     details: str
     deviations: tuple[str, ...] = ()
+    cells: int = 0
     elapsed_s: float | None = None
 
     def to_dict(self) -> dict:
@@ -125,7 +129,7 @@ def check_transfer_reference(params: dict) -> CheckResult:
         "transfer-reference", ok2 and ok3,
         "heights 2 and 3 reproduce the 4x4 and 8x8 reference matrices "
         f"entry for entry (T2 {'ok' if ok2 else 'MISMATCH'}, "
-        f"T3 {'ok' if ok3 else 'MISMATCH'})")
+        f"T3 {'ok' if ok3 else 'MISMATCH'})", cells=4 * 4 + 8 * 8)
 
 
 def check_three_way_agreement(params: dict) -> CheckResult:
@@ -154,15 +158,18 @@ def check_three_way_agreement(params: dict) -> CheckResult:
         f"{cells_checked} (quantity, m, n) cells agree across enumeration, "
         "transfer and closed forms (M also via the colour split, L via the "
         "frontier sweep)"
-        + (f"; mismatches: {mismatches[:5]}" if mismatches else ""))
+        + (f"; mismatches: {mismatches[:5]}" if mismatches else ""),
+        cells=cells_checked)
 
 
 def check_colour_split(params: dict) -> CheckResult:
     top_m, top_n = params["split_max_m"], params["split_max_n"]
     bad = []
+    cells = 0
     for m in range(1, top_m + 1):
         black, white = colour_split_sequence(m, top_n)
         full = count_sequence(m, top_n, M_SET)
+        cells += len(full)
         if [b * w for b, w in zip(black, white)] != full:
             bad.append(("product", m))
         if m % 2 == 0 and black != white:
@@ -171,7 +178,7 @@ def check_colour_split(params: dict) -> CheckResult:
         "colour-split", not bad,
         f"B * W on half-height columns equals the full 2^m transfer count "
         f"for heights 1..{top_m}, n <= {top_n}; B = W at every even height"
-        + (f"; failures: {bad[:5]}" if bad else ""))
+        + (f"; failures: {bad[:5]}" if bad else ""), cells=cells)
 
 
 def check_closed_form_small_heights(params: dict) -> CheckResult:
@@ -190,15 +197,18 @@ def check_closed_form_small_heights(params: dict) -> CheckResult:
         "radical-closed-forms", not bad and spots,
         f"heights 1..3 match transfer counts exactly for n <= {max_n}; "
         "spot values 2^n, 9, 119, 2117 confirmed"
-        + (f"; failures: {bad[:5]}" if bad else ""))
+        + (f"; failures: {bad[:5]}" if bad else ""), cells=3 * (max_n + 1) + 4)
 
 
 def check_upper_bound(params: dict) -> CheckResult:
     bad = []
+    cells = 2
     for m, n in _dims_within(params["u_cells"]):
+        cells += 1
         if cf.upper_bound_U(m, n) != count_by_enumeration(m, n, U_SET):
             bad.append(("U", m, n))
     for m, n in _dims_within(params["uk_cells"]):
+        cells += 1
         if cf.upper_bound_U_k(m, n, 3) != count_by_enumeration(m, n, uk_set(3)):
             bad.append(("U3", m, n))
     spots = cf.upper_bound_U(2, 2) == 12 and cf.upper_bound_U_k(2, 2, 3) == 16
@@ -206,7 +216,7 @@ def check_upper_bound(params: dict) -> CheckResult:
         "diagonal-word-bounds", not bad and spots,
         f"single-diagonal formula matches enumeration for mn <= {params['u_cells']}, "
         f"3-run formula for mn <= {params['uk_cells']}; spots U(2,2)=12, U3(2,2)=16"
-        + (f"; failures: {bad[:5]}" if bad else ""))
+        + (f"; failures: {bad[:5]}" if bad else ""), cells=cells)
 
 
 def check_sandwich(params: dict) -> CheckResult:
@@ -222,7 +232,7 @@ def check_sandwich(params: dict) -> CheckResult:
     return CheckResult(
         "bound-sandwich", not bad,
         f"L <= M <= U <= 2^(mn) holds for all m, n <= {top}"
-        + (f"; failures: {bad[:5]}" if bad else ""))
+        + (f"; failures: {bad[:5]}" if bad else ""), cells=top * top)
 
 
 def check_perfect_square(params: dict) -> CheckResult:
@@ -239,7 +249,8 @@ def check_perfect_square(params: dict) -> CheckResult:
     return CheckResult(
         "perfect-square", not bad,
         f"even heights 2, 4, 6 give perfect squares with equal color counts "
-        f"for n <= {max_n}" + (f"; failures: {bad[:5]}" if bad else ""))
+        f"for n <= {max_n}" + (f"; failures: {bad[:5]}" if bad else ""),
+        cells=3 * max_n)
 
 
 def check_shape_formulas(params: dict) -> CheckResult:
@@ -276,16 +287,19 @@ def check_shape_formulas(params: dict) -> CheckResult:
         "generating functions of heights 7..16 match the colour split, "
         f"{cells} (m, n) cells in all; published-pair erratum "
         "pinned at (5,2): 156 vs 169" + (f"; failures: {bad[:5]}" if bad else ""),
-        deviations)
+        deviations, cells=cells)
 
 
 def check_tilings(params: dict) -> CheckResult:
     bad = []
+    cells = 0
     for m, n in _dims_within(params["tiling_cells"]):
+        cells += 1
         if tl.count_tilings(m + 1, n + 1) != count_via_transfer(m, n, L_SET):
             bad.append(("count", m, n))
     roundtrips = 0
     for m, n in _dims_within(params["roundtrip_cells"]):
+        cells += 1
         stream = 0
         for mat in enumerate_legal(m, n, L_SET):
             stream += 1
@@ -295,6 +309,7 @@ def check_tilings(params: dict) -> CheckResult:
         roundtrips += stream
         if stream != count_by_enumeration(m, n, L_SET):
             bad.append(("stream", m, n))
+    cells += roundtrips + 2 * (params["closed_l_max_n"] + 1)
     for n in range(params["closed_l_max_n"] + 1):
         if cf.closed_form_L(1, n) != tl.count_tilings(2, n + 1):
             bad.append(("L1", n))
@@ -303,6 +318,7 @@ def check_tilings(params: dict) -> CheckResult:
     top_m, top_n = params["frontier_max_m"], params["frontier_max_n"]
     for m in range(1, top_m + 1):
         tilings = tl.tiling_sequence(m + 1, top_n + 1)[1:]
+        cells += len(tilings)
         if not (isolated_sequence(m, top_n) == count_sequence(m, top_n, L_SET)
                 == tilings):
             bad.append(("frontier", m))
@@ -314,7 +330,7 @@ def check_tilings(params: dict) -> CheckResult:
         f"height 1/2 closed forms match for n <= {params['closed_l_max_n']}; "
         f"the frontier sweep equals the full transfer and the tiling counts "
         f"for heights 1..{top_m}, n <= {top_n}"
-        + (f"; failures: {bad[:5]}" if bad else ""))
+        + (f"; failures: {bad[:5]}" if bad else ""), cells=cells)
 
 
 def published_four_row_eigenvalues() -> list[float]:
@@ -381,7 +397,7 @@ def check_eigenvalues(params: dict) -> CheckResult:
         f"{params['ratio_max_m']}; {matched}/9 published height-4 "
         "eigenvalues found in the spectrum"
         + (f"; failures: {bad[:5]}" if bad else ""),
-        tuple(deviations))
+        tuple(deviations), cells=len(targets) + params["ratio_max_m"] + 9)
 
 
 def check_asymptotics(params: dict) -> CheckResult:
@@ -408,7 +424,7 @@ def check_asymptotics(params: dict) -> CheckResult:
         f"both hit {cf.FIB_PRODUCT_CONSTANT:.10f} within tolerance; the "
         f"golden-ratio gap shrinks {g10:.4f} -> {g20:.4f} -> {g40:.4f} along "
         "the square diagonal" + (f"; failures: {bad}" if bad else ""),
-        deviations)
+        deviations, cells=5)
 
 
 def check_isolated_height3(params: dict) -> CheckResult:
@@ -431,7 +447,7 @@ def check_isolated_height3(params: dict) -> CheckResult:
         f"order-3 recurrence matches transfer exactly for n <= "
         f"{params['l3_exact_n']}; corrected root form agrees within 1e-3 "
         "relative for n <= 12" + (f"; failures: {bad[:5]}" if bad else ""),
-        deviations)
+        deviations, cells=params["l3_exact_n"] + 1 + 13)
 
 
 def check_growth_rates(params: dict) -> CheckResult:
@@ -445,7 +461,7 @@ def check_growth_rates(params: dict) -> CheckResult:
     return CheckResult(
         "per-row-growth", monotone and bracket,
         f"alpha_m strictly increases up to height {top + 1} and "
-        f"alpha_m^(1/m) stays in (1.5, 2.0]: {per_row}")
+        f"alpha_m^(1/m) stays in (1.5, 2.0]: {per_row}", cells=len(alphas))
 
 
 CHECKS = (

@@ -452,6 +452,25 @@ class TestBijection:
         assert out == ""
         assert "3000x3000" in err
 
+    @pytest.mark.parametrize("anchors,want", [
+        ("[[5, 7]]", 3),
+        ("[[5, 7], [6, 8]]", 5),
+    ], ids=["one-anchor", "overlapping-pair"])
+    def test_huge_tiling_checks_its_anchors_first(self, anchors, want,
+                                                  tmp_path, capsys):
+        """A 3000000x3000000 board: an overlap is reported (exit 5) before
+        the size guard refuses the board (exit 3), and neither packs the
+        anchors of 9e12 cells."""
+        src = tmp_path / "tiling.json"
+        src.write_text(f'{{"rows": 3000000, "cols": 3000000, "anchors": {anchors}}}')
+        start = time.perf_counter()
+        code, out, err = run_cli("bijection", "--tiling-json", str(src),
+                                 capsys=capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == want
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_missing_file_exit_5(self, capsys):
         code, _, _ = run_cli("bijection", "--matrix-file", "/nonexistent",
                              capsys=capsys)
@@ -502,6 +521,15 @@ class TestVerify:
         assert {"three-way-agreement", "colour-split"} <= names
         assert all(c["passed"] for c in report["checks"])
         assert all(c["elapsed_s"] >= 0 for c in report["checks"])
+
+    def test_json_counts_the_cells_each_check_compared(self, capsys):
+        code, out, _ = run_cli("verify", "--level", "full", "--json",
+                               capsys=capsys)
+        assert code == 0
+        cells = {c["name"]: c["cells"] for c in json.loads(out)["checks"]}
+        assert set(cells) == {name for name, _ in vf.CHECKS}
+        assert all(type(v) is int and v > 0 for v in cells.values())
+        assert cells["three-way-agreement"] == 198
 
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         from pawncount.verify import CheckResult, VerificationReport
@@ -601,6 +629,18 @@ def test_five_row_shape_dp_still_loads_on_demand():
     assert record["value"] == "169"
     assert any("156" in note for note in record["annotations"])
     # the stored corrected pair answers without the shape DP
+    assert not numpy_loaded
+
+
+@pytest.mark.parametrize("quantity,expected", [
+    ("M", "M(5,4) = 17424"),
+    ("U", "U(5,4) = 57600"),
+    ("L", "L(5,4) = 1213"),
+])
+def test_oracle_skips_numpy(quantity, expected):
+    code, out, numpy_loaded = _probe("count", "-m", "5", "-n", "4",
+                                     "--quantity", quantity, "--method", "oracle")
+    assert code == 0 and out.strip() == expected
     assert not numpy_loaded
 
 

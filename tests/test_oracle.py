@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,13 +232,29 @@ class TestEnumeration:
         assert len(packed) == count_via_transfer(*dims, pats)
 
     def test_stream_past_32_cells(self):
-        """36 cells scan in 64-bit words; only the first chunk is read."""
+        """36 cells: the scan's chunks carry 36-bit candidates; only the
+        first chunk is read, and its first 300 legal offsets are the first
+        300 legal matrices."""
         dims = BoardDims(6, 6)
-        xs, legal = next(_scan(dims, M_SET))
-        assert xs.dtype == np.uint64
+        start, legal = next(_scan(dims, M_SET))
+        assert start == 0
+        scanned = (t for t in range(1 << 16) if legal >> t & 1)
         naive = (v for v in itertools.count()
                  if naive_first_violation(BinaryMatrix(dims, v), M_SET) is None)
-        assert xs[legal][:300].tolist() == list(itertools.islice(naive, 300))
+        assert (list(itertools.islice(scanned, 300))
+                == list(itertools.islice(naive, 300)))
+
+
+    @pytest.mark.parametrize("pats,high", [(L_SET, 0b1010), (uk_set(3), 0b1111)])
+    def test_chunk_with_high_cells_set(self, pats, high):
+        """A chunk of a 20-cell board whose four high cells, row 1's first
+        four, hold high: against find_violation one candidate at a time."""
+        dims = BoardDims(4, 5)
+        start, legal = next(itertools.islice(_scan(dims, pats), high, None))
+        assert start == high << 16 and legal
+        for t in range(1 << 16):
+            mat = BinaryMatrix(dims, start + t)
+            assert (legal >> t & 1) == (find_violation(mat, pats) is None)
 
 
 class TestMatrixText:

@@ -10,7 +10,7 @@ from pawncount.errors import GuardExceeded, IllegalMatrix, InvalidTiling
 from pawncount.oracle import (L_SET, BinaryMatrix, BoardDims,
                               count_by_enumeration, enumerate_legal,
                               find_violation)
-from pawncount.tiling import (Tiling, _pair_union_masks, count_tilings,
+from pawncount.tiling import (Tiling, _pair_union_masks, _touching, count_tilings,
                               render_ascii, theta_forward, theta_inverse,
                               tiling_from_json, tiling_to_json)
 from pawncount.transfer import count_via_transfer
@@ -131,15 +131,28 @@ class TestRoundtrip:
             assert theta_forward(theta_inverse(tiling)) == tiling
 
     def test_large_board_roundtrip(self):
-        """512x512 with a 1 on every odd row and column: 65,536 anchors."""
+        """512x512 with a 1 on every odd row and column: 65,536 anchors,
+        through the tiling and its JSON (whose anchor list is packed)."""
         row = "10" * 256
         bits = (row + "0" * 512) * 256
         mat = BinaryMatrix(BoardDims(512, 512), int(bits, 2))
         start = time.perf_counter()
         tiling = theta_forward(mat)
         assert theta_inverse(tiling) == mat
+        assert theta_inverse(tiling_from_json(tiling_to_json(tiling))) == mat
         assert time.perf_counter() - start < 2
         assert len(tiling.anchors) == 256 * 256
+
+    def test_forward_map_above_the_size_guard(self):
+        """A matrix of more than 2^22 cells already exists, so its forward
+        map works; only the inverse is held to the guard."""
+        m, n = 2049, 2048
+        mat = BinaryMatrix(BoardDims(m, n), 1 << (m * n - 1) | 1)
+        tiling = theta_forward(mat)
+        assert (tiling.rows, tiling.cols) == (m + 1, n + 1)
+        assert tiling.anchors == ((1, 1), (m, n))
+        with pytest.raises(GuardExceeded):
+            theta_inverse(tiling)
 
     def test_empty_matrix_maps_to_one_cell_board(self):
         empty = BinaryMatrix.from_text("")
@@ -156,6 +169,34 @@ class TestRoundtrip:
         index = data.draw(st.integers(0, total - 1), label="index")
         mat = next(itertools.islice(enumerate_legal(m, n, L_SET), index, None))
         assert theta_inverse(theta_forward(mat)) == mat
+
+
+class TestTilingValue:
+    def test_anchors_pack_like_the_matrix(self):
+        tiling = Tiling(3, 4, ((2, 3), (1, 1)))
+        assert tiling.packed == BinaryMatrix.from_text("100\n001").packed
+        assert tiling.anchors == ((1, 1), (2, 3))
+
+    def test_hashable_and_equal_by_value(self):
+        made = Tiling(4, 4, [(3, 3), (1, 1)])
+        mapped = theta_forward(BinaryMatrix.from_text("100\n000\n001"))
+        assert made == mapped and hash(made) == hash(mapped)
+        assert len({made, mapped, Tiling(4, 4, ())}) == 2
+        assert Tiling(4, 4, ()) != Tiling(4, 5, ())
+
+    def test_empty_boards(self):
+        for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (1, 5)]:
+            tiling = Tiling(rows, cols, ())
+            assert (tiling.packed, tiling.anchors) == (0, ())
+
+    def test_huge_board_checks_anchors_before_the_guard(self):
+        side = 3_000_000
+        with pytest.raises(InvalidTiling, match="leaves"):
+            Tiling(side, side, ((side, 1),))
+        with pytest.raises(InvalidTiling, match="overlap"):
+            Tiling(side, side, ((5, 7), (6, 8)))
+        with pytest.raises(GuardExceeded):
+            Tiling(side, side, ((5, 7), (7, 7)))
 
 
 class TestCountTilings:
@@ -234,6 +275,19 @@ class TestOverlapRule:
                     anchors = [cell for i, cell in enumerate(cells)
                                if bits >> i & 1]
                     assert rules_agree(m, n, anchors), (m, n, anchors)
+
+    def test_shifted_ands_match_a_neighbour_scan(self):
+        """_touching alone, so that a false hit, which the naming loop
+        would quietly clear, still fails here."""
+        for m, n in itertools.product(range(1, 6), range(1, 6)):
+            if m * n > 12:
+                continue
+            for x in range(1 << (m * n)):
+                ones = {divmod(m * n - 1 - b, n) for b in range(m * n)
+                        if x >> b & 1}
+                near = any((r + dr, c + dc) in ones for r, c in ones
+                           for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)))
+                assert _touching(x, m, n) == near, (m, n, x)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

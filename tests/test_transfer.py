@@ -300,6 +300,7 @@ class TestMachineWords:
 # VmHWM is the peak of this process's own memory; ru_maxrss would also hold
 # the RSS of the process that started it, which can hide the growth.
 _FIRST_COLUMN_PROBE = """
+import sys
 from pawncount.oracle import L_SET
 from pawncount.transfer import count_via_transfer
 
@@ -308,9 +309,10 @@ def peak_kb():
         return next(int(line.split()[1]) for line in status
                     if line.startswith("VmHWM:"))
 
+m, expected = map(int, sys.argv[1:])
 count_via_transfer(2, 2, L_SET)
 before = peak_kb()
-assert count_via_transfer(20, 1, L_SET) == 17711
+assert count_via_transfer(m, 1, L_SET) == expected
 print(peak_kb() - before)
 """
 
@@ -318,12 +320,15 @@ print(peak_kb() - before)
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the peak RSS from /proc/self/status")
 def test_first_column_is_counted_from_its_bool_table():
-    """The 2^20 column masks are built in uint32 and the count reads the
-    1 MB bool table of legal columns: no 8 MB int64 array of them exists."""
-    result = subprocess.run([sys.executable, "-c", _FIRST_COLUMN_PROBE],
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert int(result.stdout) < 16 * 1024
+    """The count of one column reads the 2^m-byte bool table of legal
+    columns, set at the F(m+2) path sets: no 2^m array of column masks
+    exists (in uint32 it would take 4 MB at m = 20, 16 MB at m = 22)."""
+    for m, expected, bound_mb in ((20, 17711, 4), (22, 46368, 8)):
+        result = subprocess.run([sys.executable, "-c", _FIRST_COLUMN_PROBE,
+                                 str(m), str(expected)],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < bound_mb * 1024, m
 
 
 class TestColourSplit:
