@@ -252,13 +252,12 @@ def _scan(dims: BoardDims, pats: ForbiddenPatternSet) -> Iterator[tuple[int, int
         yield start, full ^ illegal
 
 
-def _set_bits(x: int) -> Iterator[int]:
-    """The positions of x's set bits, ascending."""
-    bits = format(x, "b")[::-1]
-    t = bits.find("1")
-    while t >= 0:
-        yield t
-        t = bits.find("1", t + 1)
+def one_positions(bits: str) -> Iterator[int]:
+    """The indices of the 1s in a string of binary digits, ascending."""
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 def count_by_enumeration(m: int, n: int, pats: ForbiddenPatternSet) -> int:
@@ -282,4 +281,4 @@ def enumerate_legal(m: int, n: int,
     dims = BoardDims(m, n)
     _check_guard(dims)
     return (BinaryMatrix(dims, start + t) for start, legal in _scan(dims, pats)
-            for t in _set_bits(legal))
+            for t in one_positions(format(legal, "b")[::-1]))

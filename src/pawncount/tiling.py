@@ -16,23 +16,23 @@ and the JSON format load without them.
 ``Tiling`` stores its anchors as one packed int: the (rows-1)x(cols-1)
 matrix with a 1 on every anchor, in ``BinaryMatrix``'s packing.  So theta
 is ``find_violation`` plus a wrap, and its inverse a size guard plus an
-unwrap; only an anchor list (JSON input, or a caller's tuple) is packed,
-in linear time, and checked.
+unwrap; only an anchor list (JSON input, or a caller's tuple) is checked,
+then packed in linear time.
 
-``Tiling`` checks an anchor list for overlaps itself, by four shifted
-ANDs of the packed int, rather than calling ``oracle.find_violation``
-with ``L_SET``.  The three reasons for that still hold with the packed
-int.  Two anchors overlap exactly where the anchor matrix breaks the L
-rule, so the check is a second, independent implementation of the rule,
-and the tests compare the two.  The two name different pairs: for
-anchors (1,2), (1,3), (2,1) the tiling reports "anchors (1,2) and (1,3)
-overlap", the first anchor in row-major order with a later one on its
-tile, where ``find_violation`` reports ``diag_up`` at (1,1); a row-major
-loop over the anchors names the pair once the ANDs have found one.  And
-an anchor list's overlaps are reported before its size guard, so a board
-too large to pack, where ``find_violation`` would have no matrix to scan,
-is checked by that loop alone; the forward map, which needs no overlap
-check, wraps a matrix above 2^22 cells without a guard and still works.
+``Tiling`` checks an anchor list for overlaps itself, by looking up each
+anchor's later neighbours in the set of anchors, rather than calling
+``oracle.find_violation`` with ``L_SET`` on the packed int.  The three
+reasons for that still hold.  Two anchors overlap exactly where the
+anchor matrix breaks the L rule, so the check is a second, independent
+implementation of the rule, and the tests compare the two.  The two name
+different pairs: for anchors (1,2), (1,3), (2,1) the tiling reports
+"anchors (1,2) and (1,3) overlap", the first anchor in row-major order
+with a later one on its tile, where ``find_violation`` reports
+``diag_up`` at (1,1).  And the check runs before the size guard, so an
+anchor list on a board too large to pack, where ``find_violation`` would
+have no matrix to scan, still reports its overlaps; the forward map,
+which needs no overlap check, wraps a matrix above 2^22 cells without a
+guard and still works.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from typing import TYPE_CHECKING, Iterable
 
 from .errors import (MAX_STATES, MAX_WIDTH, GuardExceeded, IllegalMatrix,
                      InvalidTiling)
-from .oracle import L_SET, BinaryMatrix, BoardDims, find_violation
+from .oracle import (L_SET, BinaryMatrix, BoardDims, find_violation,
+                     one_positions)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,10 +63,16 @@ def _check_size(rows: int, cols: int) -> None:
             f"{m * n} cells, above the 2^{MAX_WIDTH} limit")
 
 
-def _name_overlap(ordered: list[Anchor]) -> None:
+def _check_overlaps(ordered: list[Anchor]) -> None:
     """Raise InvalidTiling for the first overlapping pair of the sorted
     anchors, in row-major order, if any two overlap."""
     taken = set(ordered)
+    if len(taken) == len(ordered) and not any(
+            (r, c + 1) in taken or (r + 1, c - 1) in taken
+            or (r + 1, c) in taken or (r + 1, c + 1) in taken
+            for r, c in ordered):
+        return
+    # some tiles overlap: name the first pair in row-major order
     for idx, (r, c) in enumerate(ordered):
         # the anchors sorting after (r, c) whose tiles meet its own, in
         # row-major order: a repeat of it, then its four later neighbours
@@ -77,18 +84,6 @@ def _name_overlap(ordered: list[Anchor]) -> None:
                 raise InvalidTiling(
                     f"anchors ({r},{c}) and ({r2},{c2}) overlap",
                     position=(r2, c2))
-
-
-def _touching(x: int, m: int, n: int) -> bool:
-    """Whether two 1s of the packed m-by-n matrix x touch, corners
-    included: x >> d moves each cell d places later in row-major order,
-    so each AND below meets a cell with its neighbour to the left, above,
-    up-left or up-right, and the column masks drop the pairs that would
-    wrap around a row end."""
-    off_first = int(("0" + "1" * (n - 1)) * m, 2)  # every column but the first
-    off_last = off_first << 1                       # every column but the last
-    return bool(x & (x >> 1 & off_first | x >> n | x >> n + 1 & off_first
-                     | x >> n - 1 & off_last))
 
 
 @dataclass(frozen=True, init=False)
@@ -111,17 +106,13 @@ class Tiling:
                 raise InvalidTiling(
                     f"anchor ({r},{c}) leaves the {rows}x{cols} board",
                     position=(r, c))
-        if (rows - 1) * (cols - 1) > MAX_STATES:
-            _name_overlap(ordered)
-            _check_size(rows, cols)
+        _check_overlaps(ordered)
+        _check_size(rows, cols)
         m, n = max(rows - 1, 0), max(cols - 1, 0)
         bits = bytearray(b"0" * (m * n))
         for (r, c) in ordered:
             bits[(r - 1) * n + c - 1] = ord("1")
         packed = int(bits, 2) if bits else 0
-        if ordered and (packed.bit_count() != len(ordered)
-                        or _touching(packed, m, n)):
-            _name_overlap(ordered)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "packed", packed)
@@ -141,12 +132,7 @@ class Tiling:
         """The anchors, sorted row-major, read back from ``packed``."""
         n = self.cols - 1
         bits = format(self.packed, f"0{max(self.rows - 1, 0) * max(n, 0)}b")
-        anchors = []
-        i = bits.find("1")
-        while i >= 0:
-            anchors.append((i // n + 1, i % n + 1))
-            i = bits.find("1", i + 1)
-        return tuple(anchors)
+        return tuple((i // n + 1, i % n + 1) for i in one_positions(bits))
 
 
 def theta_forward(mat: BinaryMatrix) -> Tiling:

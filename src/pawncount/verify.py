@@ -129,7 +129,8 @@ def check_transfer_reference(params: dict) -> CheckResult:
         "transfer-reference", ok2 and ok3,
         "heights 2 and 3 reproduce the 4x4 and 8x8 reference matrices "
         f"entry for entry (T2 {'ok' if ok2 else 'MISMATCH'}, "
-        f"T3 {'ok' if ok3 else 'MISMATCH'})", cells=4 * 4 + 8 * 8)
+        f"T3 {'ok' if ok3 else 'MISMATCH'})",
+        cells=len(REFERENCE_T2.split()) + len(REFERENCE_T3.split()))
 
 
 def check_three_way_agreement(params: dict) -> CheckResult:
@@ -184,25 +185,25 @@ def check_colour_split(params: dict) -> CheckResult:
 def check_closed_form_small_heights(params: dict) -> CheckResult:
     max_n = params["closed_m_max_n"]
     bad = []
+    cells = 0
     for m in (1, 2, 3):
         seq = count_sequence(m, max_n, M_SET)
         for n in range(max_n + 1):
+            cells += 1
             if cf.closed_form_M(m, n) != seq[n]:
                 bad.append((m, n))
-    spots = (cf.closed_form_M(1, 10) == 2 ** 10
-             and cf.closed_form_M(2, 2) == 9
-             and cf.closed_form_M(3, 3) == 119
-             and cf.closed_form_M(3, 5) == 2117)
+    spots = ((cf.closed_form_M(1, 10), 2 ** 10), (cf.closed_form_M(2, 2), 9),
+             (cf.closed_form_M(3, 3), 119), (cf.closed_form_M(3, 5), 2117))
     return CheckResult(
-        "radical-closed-forms", not bad and spots,
+        "radical-closed-forms", not bad and all(a == b for a, b in spots),
         f"heights 1..3 match transfer counts exactly for n <= {max_n}; "
         "spot values 2^n, 9, 119, 2117 confirmed"
-        + (f"; failures: {bad[:5]}" if bad else ""), cells=3 * (max_n + 1) + 4)
+        + (f"; failures: {bad[:5]}" if bad else ""), cells=cells + len(spots))
 
 
 def check_upper_bound(params: dict) -> CheckResult:
     bad = []
-    cells = 2
+    cells = 0
     for m, n in _dims_within(params["u_cells"]):
         cells += 1
         if cf.upper_bound_U(m, n) != count_by_enumeration(m, n, U_SET):
@@ -211,36 +212,40 @@ def check_upper_bound(params: dict) -> CheckResult:
         cells += 1
         if cf.upper_bound_U_k(m, n, 3) != count_by_enumeration(m, n, uk_set(3)):
             bad.append(("U3", m, n))
-    spots = cf.upper_bound_U(2, 2) == 12 and cf.upper_bound_U_k(2, 2, 3) == 16
+    spots = ((cf.upper_bound_U(2, 2), 12), (cf.upper_bound_U_k(2, 2, 3), 16))
     return CheckResult(
-        "diagonal-word-bounds", not bad and spots,
+        "diagonal-word-bounds", not bad and all(a == b for a, b in spots),
         f"single-diagonal formula matches enumeration for mn <= {params['u_cells']}, "
         f"3-run formula for mn <= {params['uk_cells']}; spots U(2,2)=12, U3(2,2)=16"
-        + (f"; failures: {bad[:5]}" if bad else ""), cells=cells)
+        + (f"; failures: {bad[:5]}" if bad else ""), cells=cells + len(spots))
 
 
 def check_sandwich(params: dict) -> CheckResult:
     top = params["sandwich_max"]
     bad = []
+    cells = 0
     for m in range(1, top + 1):
         seq_m = count_sequence(m, top, M_SET)
         seq_l = count_sequence(m, top, L_SET)
         for n in range(1, top + 1):
+            cells += 1
             lo, mid, hi = seq_l[n], seq_m[n], cf.upper_bound_U(m, n)
             if not (lo <= mid <= hi <= 2 ** (m * n)):
                 bad.append((m, n, lo, mid, hi))
     return CheckResult(
         "bound-sandwich", not bad,
         f"L <= M <= U <= 2^(mn) holds for all m, n <= {top}"
-        + (f"; failures: {bad[:5]}" if bad else ""), cells=top * top)
+        + (f"; failures: {bad[:5]}" if bad else ""), cells=cells)
 
 
 def check_perfect_square(params: dict) -> CheckResult:
     max_n = params["square_max_n"]
     bad = []
+    cells = 0
     for m in (2, 4, 6):
         seq = count_sequence(m, max_n, M_SET)
         for n in range(1, max_n + 1):
+            cells += 1
             black, white = map(dc.count_independent_sets, dc.split_by_color(m, n))
             value = seq[n]
             if (math.isqrt(value) ** 2 != value or black != white
@@ -250,7 +255,7 @@ def check_perfect_square(params: dict) -> CheckResult:
         "perfect-square", not bad,
         f"even heights 2, 4, 6 give perfect squares with equal color counts "
         f"for n <= {max_n}" + (f"; failures: {bad[:5]}" if bad else ""),
-        cells=3 * max_n)
+        cells=cells)
 
 
 def check_shape_formulas(params: dict) -> CheckResult:
@@ -309,12 +314,12 @@ def check_tilings(params: dict) -> CheckResult:
         roundtrips += stream
         if stream != count_by_enumeration(m, n, L_SET):
             bad.append(("stream", m, n))
-    cells += roundtrips + 2 * (params["closed_l_max_n"] + 1)
+    cells += roundtrips
     for n in range(params["closed_l_max_n"] + 1):
-        if cf.closed_form_L(1, n) != tl.count_tilings(2, n + 1):
-            bad.append(("L1", n))
-        if cf.closed_form_L(2, n) != tl.count_tilings(3, n + 1):
-            bad.append(("L2", n))
+        for m in (1, 2):
+            cells += 1
+            if cf.closed_form_L(m, n) != tl.count_tilings(m + 1, n + 1):
+                bad.append((f"L{m}", n))
     top_m, top_n = params["frontier_max_m"], params["frontier_max_n"]
     for m in range(1, top_m + 1):
         tilings = tl.tiling_sequence(m + 1, top_n + 1)[1:]
@@ -363,12 +368,15 @@ def check_eigenvalues(params: dict) -> CheckResult:
         4: (published_four_row_eigenvalues()[-1], 1e-6),
     }
     alphas = {}
+    cells = 0
     for m, (target, tol) in targets.items():
+        cells += 1
         alphas[m] = dominant_eigenvalue(m, M_SET)
         if abs(alphas[m] - target) > tol:
             bad.append(f"alpha_{m}={alphas[m]} vs {target}")
     ratio_n = params["ratio_n"]
     for m in range(1, params["ratio_max_m"] + 1):
+        cells += 1
         seq = count_sequence(m, ratio_n + 1, M_SET)
         ratio = seq[ratio_n + 1] / seq[ratio_n]
         if abs(ratio - alphas[m]) > 1e-6:
@@ -377,6 +385,7 @@ def check_eigenvalues(params: dict) -> CheckResult:
     spectrum = spectrum_small(4, M_SET)
     matched = 0
     for idx, lam in enumerate(published_four_row_eigenvalues(), start=1):
+        cells += 1
         dist = min(abs(lam - s) for s in spectrum)
         if dist <= 1e-6:
             matched += 1
@@ -397,19 +406,18 @@ def check_eigenvalues(params: dict) -> CheckResult:
         f"{params['ratio_max_m']}; {matched}/9 published height-4 "
         "eigenvalues found in the spectrum"
         + (f"; failures: {bad[:5]}" if bad else ""),
-        tuple(deviations), cells=len(targets) + params["ratio_max_m"] + 9)
+        tuple(deviations), cells=cells)
 
 
 def check_asymptotics(params: dict) -> CheckResult:
     bad = []
-    c40 = cf.estimate_c(40)
-    if abs(c40 - cf.FIB_PRODUCT_CONSTANT) > 1e-8:
-        bad.append(f"estimate_c(40)={c40}")
-    ratio40 = cf.fib_product_growth_ratio(40)
-    if abs(ratio40 - cf.FIB_PRODUCT_CONSTANT) > 1e-9:
-        bad.append(f"growth ratio(40)={ratio40}")
-    g10, g20, g40 = (cf.golden_ratio_gap(10, 10), cf.golden_ratio_gap(20, 20),
-                     cf.golden_ratio_gap(40, 40))
+    limits = (("estimate_c(40)", cf.estimate_c(40), 1e-8),
+              ("growth ratio(40)", cf.fib_product_growth_ratio(40), 1e-9))
+    for name, value, tol in limits:
+        if abs(value - cf.FIB_PRODUCT_CONSTANT) > tol:
+            bad.append(f"{name}={value}")
+    gaps = [cf.golden_ratio_gap(k, k) for k in (10, 20, 40)]
+    g10, g20, g40 = gaps
     if not (abs(g40) < 0.05 and abs(g40) < abs(g20) < abs(g10)):
         bad.append(f"gaps {g10}, {g20}, {g40}")
     deviations = (
@@ -424,16 +432,19 @@ def check_asymptotics(params: dict) -> CheckResult:
         f"both hit {cf.FIB_PRODUCT_CONSTANT:.10f} within tolerance; the "
         f"golden-ratio gap shrinks {g10:.4f} -> {g20:.4f} -> {g40:.4f} along "
         "the square diagonal" + (f"; failures: {bad}" if bad else ""),
-        deviations, cells=5)
+        deviations, cells=len(limits) + len(gaps))
 
 
 def check_isolated_height3(params: dict) -> CheckResult:
     bad = []
+    cells = 0
     seq = count_sequence(3, params["l3_exact_n"], L_SET)
     for n in range(params["l3_exact_n"] + 1):
+        cells += 1
         if cf.closed_form_L(3, n) != seq[n]:
             bad.append(("exact", n))
     for n in range(13):
+        cells += 1
         exact = cf.closed_form_L(3, n)
         if abs(cf.l3_root_closed_form(n) - exact) > 1e-3 * exact:
             bad.append(("float", n))
@@ -447,7 +458,7 @@ def check_isolated_height3(params: dict) -> CheckResult:
         f"order-3 recurrence matches transfer exactly for n <= "
         f"{params['l3_exact_n']}; corrected root form agrees within 1e-3 "
         "relative for n <= 12" + (f"; failures: {bad[:5]}" if bad else ""),
-        deviations, cells=params["l3_exact_n"] + 1 + 13)
+        deviations, cells=cells)
 
 
 def check_growth_rates(params: dict) -> CheckResult:

@@ -10,7 +10,7 @@ from pawncount.errors import GuardExceeded, IllegalMatrix, InvalidTiling
 from pawncount.oracle import (L_SET, BinaryMatrix, BoardDims,
                               count_by_enumeration, enumerate_legal,
                               find_violation)
-from pawncount.tiling import (Tiling, _pair_union_masks, _touching, count_tilings,
+from pawncount.tiling import (Tiling, _pair_union_masks, count_tilings,
                               render_ascii, theta_forward, theta_inverse,
                               tiling_from_json, tiling_to_json)
 from pawncount.transfer import count_via_transfer
@@ -275,19 +275,6 @@ class TestOverlapRule:
                     anchors = [cell for i, cell in enumerate(cells)
                                if bits >> i & 1]
                     assert rules_agree(m, n, anchors), (m, n, anchors)
-
-    def test_shifted_ands_match_a_neighbour_scan(self):
-        """_touching alone, so that a false hit, which the naming loop
-        would quietly clear, still fails here."""
-        for m, n in itertools.product(range(1, 6), range(1, 6)):
-            if m * n > 12:
-                continue
-            for x in range(1 << (m * n)):
-                ones = {divmod(m * n - 1 - b, n) for b in range(m * n)
-                        if x >> b & 1}
-                near = any((r + dr, c + dc) in ones for r, c in ones
-                           for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)))
-                assert _touching(x, m, n) == near, (m, n, x)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
