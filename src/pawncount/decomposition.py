@@ -3,7 +3,8 @@
 Diagonal attacks never cross cell colors, so the count of legal pawn
 placements on a board factors into the product of independent-placement
 counts on its black and white cell shapes.  Shapes are column-banded
-(edges only join adjacent columns), which a column-profile sweep exploits.
+(edges only join adjacent columns), which a column-profile sweep exploits:
+one ``profile_step`` per column, run on ``transfer.sweep``.
 Whole boards take the bitmask form of the same split,
 ``transfer.colour_split_sequence``; the shapes here serve any cell set and
 stay an independent check on it.
@@ -11,13 +12,16 @@ stay an independent check on it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from itertools import pairwise
 
 import numpy as np
 
 from .errors import GuardExceeded
 from .oracle import BoardDims
-from .transfer import check_width, exact, profile_step
+from .transfer import check_width, profile_step, sweep
 
 DEFAULT_SHAPE_GUARD = 40
 
@@ -73,20 +77,22 @@ def count_independent_sets(shape: ShapeGraph,
     if shape.vertex_count > guard:
         raise GuardExceeded(
             f"shape has {shape.vertex_count} cells, above the {guard}-cell guard")
-    prev_col: int | None = None
-    prev_rows: list[int] = []
-    dp = np.ones(1, dtype=np.int64)
-    for col, rows in shape._columns():
-        check_width(len(rows))
-        # blocked[s]: cells of the previous column that conflict with subset s
-        blocked = np.zeros(1, dtype=np.int64)
-        for r in rows:
-            conflict = 0
-            if prev_col == col - 1:
-                conflict = sum(1 << idx for idx, pr in enumerate(prev_rows)
-                               if abs(pr - r) == 1)
-            blocked = np.concatenate([blocked, blocked | conflict])
-        allowed = ((1 << len(prev_rows)) - 1) & ~blocked
-        dp = exact(profile_step(dp, len(prev_rows), allowed))
-        prev_col, prev_rows = col, rows
-    return int(dp.sum())
+    columns = shape._columns()
+
+    def steps():
+        # a column with no cells stands before the first one
+        for (prev_col, prev_rows), (col, rows) in pairwise([(None, [])] + columns):
+            check_width(len(rows))
+            # blocked[s]: cells of the previous column that conflict with subset s
+            blocked = np.zeros(1, dtype=np.int64)
+            for r in rows:
+                conflict = 0
+                if prev_col == col - 1:
+                    conflict = sum(1 << idx for idx, pr in enumerate(prev_rows)
+                                   if abs(pr - r) == 1)
+                blocked = np.concatenate([blocked, blocked | conflict])
+            allowed = ((1 << len(prev_rows)) - 1) & ~blocked
+            yield partial(profile_step, width=len(prev_rows), allowed=allowed)
+
+    last, = deque(sweep(np.ones(1, dtype=np.int64), steps()), maxlen=1)
+    return int(last.sum())

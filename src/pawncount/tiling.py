@@ -5,13 +5,14 @@ cells are 1x1 tiles.  Placing a 2x2 tile with its top-left corner on every
 1 of a fully-isolated matrix, then trimming the last row and column, is a
 bijection between the isolated m-by-n matrices and tilings of the
 (m+1)-by-(n+1) board.  The tiling counter here is a column-profile sweep
-over 2x2 coverage masks.  It shares the zeta-and-gather step with the
-transfer engine (``transfer.profile_step``), but its state model, which
-cells of the next column 2x2 tiles already cover, is its own, so a tiling
-count is still an independent check on the isolated-matrix counts.  The
-step itself is checked independently by the brute-force oracle and the
-closed forms.  Only the counter imports numpy and the step; the bijection
-and the JSON format load without them.
+over 2x2 coverage masks.  It shares the zeta-and-gather step and the
+exact-sweep driver with the transfer engine (``transfer.profile_step``,
+``transfer.sweep``), but its state model, which cells of the next column
+2x2 tiles already cover, is its own, so a tiling count is still an
+independent check on the isolated-matrix counts.  The step itself is
+checked independently by the brute-force oracle and the closed forms.
+Only the counter imports numpy and ``transfer``; the bijection and the
+JSON format load without them.
 
 ``Tiling`` stores its anchors as one packed int: the (rows-1)x(cols-1)
 matrix with a 1 on every anchor, in ``BinaryMatrix``'s packing.  So theta
@@ -40,6 +41,8 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import (MAX_STATES, MAX_WIDTH, GuardExceeded, IllegalMatrix,
@@ -185,19 +188,15 @@ def tiling_sequence(rows: int, cols_max: int) -> list[int]:
         raise ValueError("dimensions must be nonnegative")
     import numpy as np
 
-    from .transfer import check_width, exact, profile_step
+    from .transfer import check_width, profile_step, sweep
 
     check_width(rows)
     size = 1 << rows
-    allowed = (size - 1) ^ np.arange(size)
-    keep = _pair_union_masks(rows)
+    step = partial(profile_step, width=rows, allowed=(size - 1) ^ np.arange(size),
+                   keep=_pair_union_masks(rows))
     dp = np.zeros(size, dtype=np.int64)
     dp[0] = 1
-    counts = [1]
-    for _ in range(cols_max):
-        dp = exact(profile_step(dp, rows, allowed, keep))
-        counts.append(int(dp[0]))
-    return counts
+    return [int(x[0]) for x in sweep(dp, repeat(step, cols_max))]
 
 
 def count_tilings(rows: int, cols: int) -> int:

@@ -9,11 +9,12 @@ additions instead of O(4^m) pair tests, so the dense matrix is only ever
 materialized for printing and spectra.  ``profile_step`` is that step, and
 every column-profile count in the package runs on it.
 
-Every exact sweep holds its counts in int64 while they fit and in Python
-ints (dtype=object) from then on.  Counts are never negative, so every
-partial subset sum of a zeta pass, every entry it gathers and the state's
-total are at most that total, itself at most len(x) * max(x); a frontier
-step of the L sweep adds two entries, at most 2 * max(x).  So while
+Every exact sweep runs on ``sweep``, the one place ``exact`` is applied:
+it holds the counts in int64 while they fit and in Python ints
+(dtype=object) from then on.  Counts are never negative, so every partial
+subset sum of a zeta pass, every entry it gathers and the state's total
+are at most that total, itself at most len(x) * max(x); a frontier step of
+the L sweep adds two entries, at most 2 * max(x).  So while
 len(x) * max(x) < 2^63 the state's total and the next step are exact in
 int64.  ``exact`` tests that bound on each new state and switches the
 array to Python ints once it fails; the switch is one way, and every
@@ -44,8 +45,9 @@ no search.  The full sweep stays the independent check on it up to m = 22.
 from __future__ import annotations
 
 import math
-from itertools import islice
-from typing import Iterator
+from functools import partial
+from itertools import accumulate, chain, cycle, islice, repeat
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -91,9 +93,9 @@ def _allowed_table(m: int, pats: ForbiddenPatternSet) -> np.ndarray:
     return ((1 << m) - 1) & ~blocked
 
 
-def _colour_steps(m: int) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]:
+def _colour_steps(m: int) -> list[Callable[[np.ndarray], np.ndarray]]:
     """The M rule between the colour classes of neighbouring columns, as
-    (width, allowed) arguments of ``profile_step``: first the step from the
+    two ``profile_step`` calls bound to their tables: first the step from the
     odd-row cells (rows 1, 3, ...) of a column to the even-row cells
     (rows 2, 4, ...) of the next, then the step from even rows to odd rows.
     Bit k of a class state holds the k-th cell of that class from the top.
@@ -108,7 +110,8 @@ def _colour_steps(m: int) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray
     to_even = ((1 << odd) - 1) & ~(s | s << 1)
     s = np.arange(1 << odd)
     to_odd = ((1 << even) - 1) & ~(s | s >> 1)
-    return (odd, to_even), (even, to_odd)
+    return [partial(profile_step, width=odd, allowed=to_even),
+            partial(profile_step, width=even, allowed=to_odd)]
 
 
 def check_width(width: int) -> None:
@@ -136,15 +139,22 @@ def exact(x: np.ndarray) -> np.ndarray:
     return x.astype(object)
 
 
+def sweep(x: np.ndarray, steps: Iterable[Callable[[np.ndarray], np.ndarray]]
+          ) -> Iterator[np.ndarray]:
+    """x, then exact(step(state)) for each step in turn: the states of an
+    exact sweep, the only place ``exact`` is applied.  A step is drawn only
+    once the state before it is consumed, and may overwrite that state."""
+    return accumulate(steps, lambda state, step: exact(step(state)), initial=x)
+
+
 def profile_step(x: np.ndarray, width: int, allowed: np.ndarray,
                  keep: np.ndarray | None = None) -> np.ndarray:
     """One column-profile step: entry w of the result sums x over the
     subsets of allowed[w], and is 0 where keep is False.
 
     x holds 2^width entries and is overwritten by its subset-sum (zeta)
-    transform.  An exact sweep passes int64 only while ``exact`` keeps it
-    (every partial sum is at most len(x) * max(x) < 2^63), then dtype=object
-    Python ints; float64 serves power iteration.
+    transform.  An exact sweep passes int64 while ``sweep`` keeps it, then
+    dtype=object Python ints; float64 serves power iteration.
     """
     for b in range(width):
         pairs = x.reshape(-1, 2, 1 << b)
@@ -178,20 +188,15 @@ def build_transfer(m: int, pats: ForbiddenPatternSet = M_SET,
 
 def _states(m: int, pats: ForbiddenPatternSet) -> Iterator[np.ndarray]:
     """Column-profile states for n = 1, 2, ...: entry w counts the m-by-n
-    boards whose last column is w.  Each state is consumed in place by the
-    step that makes the next one; the step table is built only once a step
-    is taken, so n = 1 costs one pass over the legal columns.  The n = 1
-    state is the bool table of legal columns (``keep``, or all True); it
-    becomes int64 when the first step is taken, and each later state stays
-    int64 until ``exact`` switches it to Python ints (dtype=object)."""
+    boards whose last column is w.  The n = 1 state is the bool table of
+    legal columns (``keep``, or all True), so n = 1 costs one pass over
+    them.  Once a step is taken, the step table is built and ``sweep`` runs
+    on from an int64 copy, applying ``exact`` to each later state."""
     keep = _keep_table(m, pats)
     x = np.ones(1 << m, dtype=bool) if keep is None else keep
     yield x
-    allowed = _allowed_table(m, pats)
-    x = x.astype(np.int64)
-    while True:
-        x = exact(profile_step(x, m, allowed, keep))
-        yield x
+    step = partial(profile_step, width=m, allowed=_allowed_table(m, pats), keep=keep)
+    yield from islice(sweep(x.astype(np.int64), repeat(step)), 1, None)
 
 
 def count_via_transfer(m: int, n: int, pats: ForbiddenPatternSet = M_SET) -> int:
@@ -218,17 +223,6 @@ def count_sequence(m: int, n_max: int, pats: ForbiddenPatternSet = M_SET) -> lis
     return [1] + [int(x.sum()) for x in islice(_states(m, pats), n_max)]
 
 
-def _colour_states(step: tuple[int, np.ndarray], other: tuple[int, np.ndarray]
-                   ) -> Iterator[np.ndarray]:
-    """Class states for n = 1, 2, ...: a colour class on the cells ``step``
-    leaves, moved to the other rows by ``step`` and ``other`` in turn."""
-    x = np.ones(1 << step[0], dtype=np.int64)
-    while True:
-        yield x
-        x = exact(profile_step(x, *step))
-        step, other = other, step
-
-
 def colour_split_sequence(m: int, n_max: int) -> tuple[list[int], list[int]]:
     """Exact colour-class counts (B, W) of the m-by-n boards for
     n = 0..n_max (index by n); M(m, n) = B[n] * W[n].
@@ -241,12 +235,13 @@ def colour_split_sequence(m: int, n_max: int) -> tuple[list[int], list[int]]:
         raise ValueError("height must be >= 1")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    from_odd, from_even = _colour_steps(m)
+    steps = _colour_steps(m)
 
-    def counts(step, other) -> list[int]:
-        return [1] + [int(x.sum()) for x in islice(_colour_states(step, other), n_max)]
+    def counts(width: int, order: list) -> list[int]:
+        states = sweep(np.ones(1 << width, dtype=np.int64), cycle(order))
+        return [1] + [int(x.sum()) for x in islice(states, n_max)]
 
-    return counts(from_odd, from_even), counts(from_even, from_odd)
+    return counts((m + 1) // 2, steps), counts(m // 2, steps[::-1])
 
 
 def _path_sets(m: int) -> np.ndarray:
@@ -307,7 +302,8 @@ def _isolated_steps(paths: np.ndarray, m: int
 def isolated_sequence(m: int, n_max: int) -> list[int]:
     """Exact L counts (no two 1s touch, diagonals included) of the m-by-n
     boards for n = 0..n_max (index by n), by a cell-by-cell sweep over the
-    legal frontiers.
+    legal frontiers.  Each cell is one ``sweep`` step, so ``exact`` checks
+    every cell state, and a column's count is read off every m-th state.
 
     The frontier count is held to MAX_STATES before any array exists, so
     L runs to m = 30.  The board starts from an empty column 0.  The
@@ -331,12 +327,10 @@ def isolated_sequence(m: int, n_max: int) -> list[int]:
     # the frontiers after the foot of a column, as many as after its head
     x = np.zeros(frontiers + 1, dtype=np.int64)
     x[0] = 1
-    counts = [1]
-    for _ in range(n_max):
-        for lo, hi in column or _isolated_steps(paths, m):
-            x = exact(x[lo] + x[hi])
-        counts.append(int(x.sum()))
-    return counts
+    cells = chain.from_iterable(column or _isolated_steps(paths, m)
+                                for _ in range(n_max))
+    steps = (lambda s, lo=lo, hi=hi: s[lo] + s[hi] for lo, hi in cells)
+    return [int(x.sum()) for x in islice(sweep(x, steps), 0, None, m)]
 
 
 def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,
@@ -364,10 +358,10 @@ def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     from_odd, from_even = _colour_steps(m)
-    x = np.ones(1 << from_even[0])
+    x = np.ones(1 << (m // 2))
     prev = None
     for _ in range(max_iter):
-        y = profile_step(profile_step(x.copy(), *from_even), *from_odd)
+        y = from_odd(from_even(x.copy()))
         estimate = float(x @ y) / float(x @ x)
         if prev is not None and abs(estimate - prev) <= tol * abs(estimate):
             return estimate

@@ -135,7 +135,8 @@ def check_transfer_reference(params: dict) -> CheckResult:
 
 def check_three_way_agreement(params: dict) -> CheckResult:
     cells = params["three_way_cells"]
-    # L along the longer side, as ``count`` runs it: one sweep per height
+    # one sweep per height; L along the longer side, as ``count`` runs it
+    split = {m: colour_split_sequence(m, cells // m) for m in range(1, cells + 1)}
     isolated = {h: isolated_sequence(h, cells // h)
                 for h in range(1, math.isqrt(cells) + 1)}
     mismatches = []
@@ -147,7 +148,7 @@ def check_three_way_agreement(params: dict) -> CheckResult:
             closed = [form()[0] for form in cf.closed_forms(quantity, m, n)]
             values = {oracle, via_transfer, *closed}
             if quantity == "M":
-                black, white = colour_split_sequence(m, n)
+                black, white = split[m]
                 values.add(black[n] * white[n])
             if quantity == "L":
                 values.add(isolated[min(m, n)][max(m, n)])

@@ -18,7 +18,7 @@ from pawncount.transfer import (_isolated_steps, _path_sets, build_transfer,
                                 colour_split_sequence, count_sequence,
                                 count_via_transfer, dominant_eigenvalue, exact,
                                 isolated_frontiers, isolated_sequence,
-                                profile_step, spectrum_small)
+                                profile_step, spectrum_small, sweep)
 
 T2_REFERENCE = """\
 1 1 1 1
@@ -294,6 +294,48 @@ class TestMachineWords:
         counts = self.past_int64([count_independent_sets(shape, guard=100)
                                   for shape in (black, white)])
         assert counts[0] * counts[1] == closed_form_M(2, 100)
+
+
+class TestSweep:
+    """``sweep`` is the one place an exact sweep applies ``exact``."""
+
+    def test_start_state_comes_before_any_step(self):
+        drawn = []
+
+        def steps():
+            drawn.append("step")
+            yield lambda x: x + 1
+
+        states = sweep(np.zeros(3, dtype=np.int64), steps())
+        assert next(states).tolist() == [0, 0, 0]
+        assert drawn == []
+        assert next(states).tolist() == [1, 1, 1]
+        assert drawn == ["step"]
+        assert list(states) == []
+
+    def test_step_past_the_bound_returns_python_ints(self):
+        # 2 * 2^62 = 2^63 breaks the bound although each entry fits in int64
+        start, doubled = sweep(np.full(2, 2 ** 61, dtype=np.int64),
+                               [lambda x: x * 2])
+        assert start.dtype == np.int64
+        assert doubled.dtype == object
+        assert doubled.tolist() == [2 ** 62, 2 ** 62]
+        assert all(type(v) is int for v in doubled)
+
+    @pytest.mark.parametrize("run,steps", [
+        (lambda: count_sequence(5, 6, M_SET), 5),
+        (lambda: colour_split_sequence(5, 6), 10),
+        (lambda: isolated_sequence(4, 3), 12),
+        (lambda: tiling_sequence(3, 4), 4),
+        (lambda: count_independent_sets(split_by_color(3, 4)[0]), 4),
+    ])
+    def test_every_sweep_applies_exact_once_per_step(self, monkeypatch, run,
+                                                     steps):
+        calls = []
+        monkeypatch.setattr(transfer, "exact",
+                            lambda x, exact=exact: calls.append(x) or exact(x))
+        run()
+        assert len(calls) == steps
 
 
 # Peak RSS growth, in KB, of one first-column count after the imports.
