@@ -187,12 +187,15 @@ def build_transfer(m: int, pats: ForbiddenPatternSet = M_SET,
 
 
 def _states(m: int, pats: ForbiddenPatternSet) -> Iterator[np.ndarray]:
-    """Column-profile states for n = 1, 2, ...: entry w counts the m-by-n
-    boards whose last column is w.  The n = 1 state is the bool table of
-    legal columns (``keep``, or all True), so n = 1 costs one pass over
-    them.  Once a step is taken, the step table is built and ``sweep`` runs
-    on from an int64 copy, applying ``exact`` to each later state."""
+    """Column-profile states for n = 0, 1, 2, ...: entry w counts the
+    m-by-n boards whose last column is w, and the n = 0 state is the one
+    empty board.  The pattern set and the width are checked before it is
+    yielded.  The n = 1 state is the bool table of legal columns (``keep``,
+    or all True), so n = 1 costs one pass over them.  Once a step is taken,
+    the step table is built and ``sweep`` runs on from an int64 copy,
+    applying ``exact`` to each later state."""
     keep = _keep_table(m, pats)
+    yield np.ones(1, dtype=bool)
     x = np.ones(1 << m, dtype=bool) if keep is None else keep
     yield x
     step = partial(profile_step, width=m, allowed=_allowed_table(m, pats), keep=keep)
@@ -209,9 +212,7 @@ def count_via_transfer(m: int, n: int, pats: ForbiddenPatternSet = M_SET) -> int
         raise ValueError("height must be >= 1 (empty boards count 1 by convention)")
     if n < 0:
         raise ValueError("column count must be >= 0")
-    if n == 0:
-        return 1
-    return int(next(islice(_states(m, pats), n - 1, None)).sum())
+    return int(next(islice(_states(m, pats), n, None)).sum())
 
 
 def count_sequence(m: int, n_max: int, pats: ForbiddenPatternSet = M_SET) -> list[int]:
@@ -220,7 +221,7 @@ def count_sequence(m: int, n_max: int, pats: ForbiddenPatternSet = M_SET) -> lis
         raise ValueError("height must be >= 1")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return [1] + [int(x.sum()) for x in islice(_states(m, pats), n_max)]
+    return [int(x.sum()) for x in islice(_states(m, pats), n_max + 1)]
 
 
 def colour_split_sequence(m: int, n_max: int) -> tuple[list[int], list[int]]:

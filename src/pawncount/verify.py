@@ -5,6 +5,11 @@ enumeration, transfer steps, closed forms, shape products, tilings) at
 desk scale.  Known deviations from published formulas are asserted in
 their corrected form and reported as expected deviations; only genuine
 mismatches fail a check.
+
+Every check records its comparisons in a ``_Ledger``.  One cell is one
+compared value: a count, a matrix entry, a limit or a round trip.  A
+comparison that disagrees keeps a label, and a check fails when any label
+is kept; its details then end with the first five labels.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ FULL = dict(
 @dataclass(frozen=True)
 class CheckResult:
     """One check's outcome; ``cells`` is the number of values it compared
-    (a count, a matrix entry or a round trip each count once)."""
+    (a count, a matrix entry, a limit or a round trip each count once)."""
 
     name: str
     passed: bool
@@ -112,6 +117,41 @@ class VerificationReport:
         }
 
 
+class _Ledger:
+    """The comparisons of one check: the cells they compared, the labels
+    of those that failed and the expected deviations they found."""
+
+    def __init__(self) -> None:
+        self.cells = 0
+        self._failures: list = []
+        self._deviations: list[str] = []
+
+    def record(self, ok: bool, label, cells: int = 1) -> bool:
+        """Count a comparison of ``cells`` values (0 for a condition on
+        values counted elsewhere or on no count at all); keep its label if
+        it failed.  Returns ok."""
+        self.cells += cells
+        if not ok:
+            self._failures.append(label)
+        return ok
+
+    def expect(self, ok: bool, deviation: str) -> bool:
+        """Count one value compared with a published one, where a mismatch
+        is an expected deviation that is reported, not failed."""
+        self.cells += 1
+        if not ok:
+            self._deviations.append(deviation)
+        return ok
+
+    def result(self, name: str, details: str,
+               deviations: tuple[str, ...] = ()) -> CheckResult:
+        failures = self._failures
+        return CheckResult(
+            name, not failures,
+            details + (f"; failures: {failures[:5]}" if failures else ""),
+            (*self._deviations, *deviations), self.cells)
+
+
 def _dims_within(cells: int):
     for m in range(1, cells + 1):
         for n in range(1, cells // m + 1):
@@ -119,18 +159,17 @@ def _dims_within(cells: int):
 
 
 def check_transfer_reference(params: dict) -> CheckResult:
-    def render(m: int) -> str:
-        return "\n".join(" ".join(map(str, row))
-                         for row in build_transfer(m, M_SET))
-
-    ok2 = render(2) == REFERENCE_T2
-    ok3 = render(3) == REFERENCE_T3
-    return CheckResult(
-        "transfer-reference", ok2 and ok3,
+    ledger = _Ledger()
+    flags = []
+    for m, ref in ((2, REFERENCE_T2), (3, REFERENCE_T3)):
+        rendered = "\n".join(" ".join(map(str, row))
+                             for row in build_transfer(m, M_SET))
+        ok = ledger.record(rendered == ref, f"T{m}", cells=len(ref.split()))
+        flags.append(f"T{m} {'ok' if ok else 'MISMATCH'}")
+    return ledger.result(
+        "transfer-reference",
         "heights 2 and 3 reproduce the 4x4 and 8x8 reference matrices "
-        f"entry for entry (T2 {'ok' if ok2 else 'MISMATCH'}, "
-        f"T3 {'ok' if ok3 else 'MISMATCH'})",
-        cells=len(REFERENCE_T2.split()) + len(REFERENCE_T3.split()))
+        f"entry for entry ({', '.join(flags)})")
 
 
 def check_three_way_agreement(params: dict) -> CheckResult:
@@ -139,8 +178,7 @@ def check_three_way_agreement(params: dict) -> CheckResult:
     split = {m: colour_split_sequence(m, cells // m) for m in range(1, cells + 1)}
     isolated = {h: isolated_sequence(h, cells // h)
                 for h in range(1, math.isqrt(cells) + 1)}
-    mismatches = []
-    cells_checked = 0
+    ledger = _Ledger()
     for quantity, pats in (("M", M_SET), ("U", U_SET), ("L", L_SET)):
         for m, n in _dims_within(cells):
             oracle = count_by_enumeration(m, n, pats)
@@ -152,191 +190,156 @@ def check_three_way_agreement(params: dict) -> CheckResult:
                 values.add(black[n] * white[n])
             if quantity == "L":
                 values.add(isolated[min(m, n)][max(m, n)])
-            cells_checked += 1
-            if len(values) != 1:
-                mismatches.append(f"{quantity}({m},{n}): {sorted(values)}")
-    return CheckResult(
-        "three-way-agreement", not mismatches,
-        f"{cells_checked} (quantity, m, n) cells agree across enumeration, "
+            ledger.record(len(values) == 1, f"{quantity}({m},{n}): {sorted(values)}")
+    return ledger.result(
+        "three-way-agreement",
+        f"{ledger.cells} (quantity, m, n) cells agree across enumeration, "
         "transfer and closed forms (M also via the colour split, L via the "
-        "frontier sweep)"
-        + (f"; mismatches: {mismatches[:5]}" if mismatches else ""),
-        cells=cells_checked)
+        "frontier sweep)")
 
 
 def check_colour_split(params: dict) -> CheckResult:
     top_m, top_n = params["split_max_m"], params["split_max_n"]
-    bad = []
-    cells = 0
+    ledger = _Ledger()
     for m in range(1, top_m + 1):
         black, white = colour_split_sequence(m, top_n)
         full = count_sequence(m, top_n, M_SET)
-        cells += len(full)
-        if [b * w for b, w in zip(black, white)] != full:
-            bad.append(("product", m))
-        if m % 2 == 0 and black != white:
-            bad.append(("B != W", m))
-    return CheckResult(
-        "colour-split", not bad,
+        ledger.record([b * w for b, w in zip(black, white)] == full,
+                      ("product", m), cells=len(full))
+        ledger.record(m % 2 == 1 or black == white, ("B != W", m), cells=0)
+    return ledger.result(
+        "colour-split",
         f"B * W on half-height columns equals the full 2^m transfer count "
-        f"for heights 1..{top_m}, n <= {top_n}; B = W at every even height"
-        + (f"; failures: {bad[:5]}" if bad else ""), cells=cells)
+        f"for heights 1..{top_m}, n <= {top_n}; B = W at every even height")
 
 
 def check_closed_form_small_heights(params: dict) -> CheckResult:
     max_n = params["closed_m_max_n"]
-    bad = []
-    cells = 0
+    ledger = _Ledger()
     for m in (1, 2, 3):
         seq = count_sequence(m, max_n, M_SET)
         for n in range(max_n + 1):
-            cells += 1
-            if cf.closed_form_M(m, n) != seq[n]:
-                bad.append((m, n))
-    spots = ((cf.closed_form_M(1, 10), 2 ** 10), (cf.closed_form_M(2, 2), 9),
-             (cf.closed_form_M(3, 3), 119), (cf.closed_form_M(3, 5), 2117))
-    return CheckResult(
-        "radical-closed-forms", not bad and all(a == b for a, b in spots),
+            ledger.record(cf.closed_form_M(m, n) == seq[n], (m, n))
+    for value, expected in ((cf.closed_form_M(1, 10), 2 ** 10),
+                            (cf.closed_form_M(2, 2), 9),
+                            (cf.closed_form_M(3, 3), 119),
+                            (cf.closed_form_M(3, 5), 2117)):
+        ledger.record(value == expected, ("spot", expected))
+    return ledger.result(
+        "radical-closed-forms",
         f"heights 1..3 match transfer counts exactly for n <= {max_n}; "
-        "spot values 2^n, 9, 119, 2117 confirmed"
-        + (f"; failures: {bad[:5]}" if bad else ""), cells=cells + len(spots))
+        "spot values 2^n, 9, 119, 2117 confirmed")
 
 
 def check_upper_bound(params: dict) -> CheckResult:
-    bad = []
-    cells = 0
+    ledger = _Ledger()
     for m, n in _dims_within(params["u_cells"]):
-        cells += 1
-        if cf.upper_bound_U(m, n) != count_by_enumeration(m, n, U_SET):
-            bad.append(("U", m, n))
+        ledger.record(cf.upper_bound_U(m, n) == count_by_enumeration(m, n, U_SET),
+                      ("U", m, n))
     for m, n in _dims_within(params["uk_cells"]):
-        cells += 1
-        if cf.upper_bound_U_k(m, n, 3) != count_by_enumeration(m, n, uk_set(3)):
-            bad.append(("U3", m, n))
-    spots = ((cf.upper_bound_U(2, 2), 12), (cf.upper_bound_U_k(2, 2, 3), 16))
-    return CheckResult(
-        "diagonal-word-bounds", not bad and all(a == b for a, b in spots),
+        ledger.record(cf.upper_bound_U_k(m, n, 3)
+                      == count_by_enumeration(m, n, uk_set(3)), ("U3", m, n))
+    ledger.record(cf.upper_bound_U(2, 2) == 12, ("spot", "U(2,2)"))
+    ledger.record(cf.upper_bound_U_k(2, 2, 3) == 16, ("spot", "U3(2,2)"))
+    return ledger.result(
+        "diagonal-word-bounds",
         f"single-diagonal formula matches enumeration for mn <= {params['u_cells']}, "
-        f"3-run formula for mn <= {params['uk_cells']}; spots U(2,2)=12, U3(2,2)=16"
-        + (f"; failures: {bad[:5]}" if bad else ""), cells=cells + len(spots))
+        f"3-run formula for mn <= {params['uk_cells']}; spots U(2,2)=12, U3(2,2)=16")
 
 
 def check_sandwich(params: dict) -> CheckResult:
     top = params["sandwich_max"]
-    bad = []
-    cells = 0
+    ledger = _Ledger()
     for m in range(1, top + 1):
         seq_m = count_sequence(m, top, M_SET)
         seq_l = count_sequence(m, top, L_SET)
         for n in range(1, top + 1):
-            cells += 1
             lo, mid, hi = seq_l[n], seq_m[n], cf.upper_bound_U(m, n)
-            if not (lo <= mid <= hi <= 2 ** (m * n)):
-                bad.append((m, n, lo, mid, hi))
-    return CheckResult(
-        "bound-sandwich", not bad,
-        f"L <= M <= U <= 2^(mn) holds for all m, n <= {top}"
-        + (f"; failures: {bad[:5]}" if bad else ""), cells=cells)
+            ledger.record(lo <= mid <= hi <= 2 ** (m * n), (m, n, lo, mid, hi))
+    return ledger.result("bound-sandwich",
+                         f"L <= M <= U <= 2^(mn) holds for all m, n <= {top}")
 
 
 def check_perfect_square(params: dict) -> CheckResult:
     max_n = params["square_max_n"]
-    bad = []
-    cells = 0
+    ledger = _Ledger()
     for m in (2, 4, 6):
         seq = count_sequence(m, max_n, M_SET)
         for n in range(1, max_n + 1):
-            cells += 1
             black, white = map(dc.count_independent_sets, dc.split_by_color(m, n))
             value = seq[n]
-            if (math.isqrt(value) ** 2 != value or black != white
-                    or black * white != value):
-                bad.append((m, n))
-    return CheckResult(
-        "perfect-square", not bad,
+            ledger.record(math.isqrt(value) ** 2 == value and black == white
+                          and black * white == value, (m, n))
+    return ledger.result(
+        "perfect-square",
         f"even heights 2, 4, 6 give perfect squares with equal color counts "
-        f"for n <= {max_n}" + (f"; failures: {bad[:5]}" if bad else ""),
-        cells=cells)
+        f"for n <= {max_n}")
 
 
 def check_shape_formulas(params: dict) -> CheckResult:
     max_n = params["shape_max_n"]
-    bad = []
-    cells = 0
+    ledger = _Ledger()
     for m in (2, 3, 4, 5, 6):
         seq = count_sequence(m, max_n, M_SET)
         for n in range(max_n + 1):
-            cells += 1
-            if cf.shape_formula_M(m, n)[0] != seq[n]:
-                bad.append((m, n))
+            ledger.record(cf.shape_formula_M(m, n)[0] == seq[n], (m, n))
     for m in range(7, 17):
         black, white = colour_split_sequence(m, max_n)
         for n in range(max_n + 1):
-            cells += 1
-            if cf.colour_class_M(m, n) != black[n] * white[n]:
-                bad.append((m, n))
-    if cf.corrected_five_row_shapes() != (cf.GF_FIVE_ROW_A, cf.GF_FIVE_ROW_B):
-        bad.append("stored five-row pair differs from its refit")
+            ledger.record(cf.colour_class_M(m, n) == black[n] * white[n], (m, n))
+    ledger.record(cf.corrected_five_row_shapes() == (cf.GF_FIVE_ROW_A,
+                                                     cf.GF_FIVE_ROW_B),
+                  "stored five-row pair differs from its refit", cells=0)
     published_52 = (cf.PUBLISHED_FIVE_ROW_A.expand(3)[2]
                     * cf.PUBLISHED_FIVE_ROW_B.expand(3)[2])
-    erratum_seen = published_52 == 156 and cf.shape_formula_M(5, 2)[0] == 169
-    deviations = ()
-    if erratum_seen:
-        deviations = (
-            "expected deviation from published formulas: the five-row "
-            "generating-function pair gives 156 at (5,2) where the true "
-            "count is 169; the corrected fitted pair is used instead",)
-    return CheckResult(
-        "shape-formulas", not bad and erratum_seen,
+    erratum_seen = ledger.record(
+        published_52 == 156 and cf.shape_formula_M(5, 2)[0] == 169,
+        "published-pair erratum not seen at (5,2)", cells=0)
+    deviations = ("expected deviation from published formulas: the five-row "
+                  "generating-function pair gives 156 at (5,2) where the true "
+                  "count is 169; the corrected fitted pair is used instead",
+                  ) if erratum_seen else ()
+    return ledger.result(
+        "shape-formulas",
         f"heights 2..6 shape formulas match transfer exactly for n <= {max_n} "
         "(height 5 via the corrected fit), and the stored colour-class "
         "generating functions of heights 7..16 match the colour split, "
-        f"{cells} (m, n) cells in all; published-pair erratum "
-        "pinned at (5,2): 156 vs 169" + (f"; failures: {bad[:5]}" if bad else ""),
-        deviations, cells=cells)
+        f"{ledger.cells} (m, n) cells in all; published-pair erratum "
+        "pinned at (5,2): 156 vs 169", deviations)
 
 
 def check_tilings(params: dict) -> CheckResult:
-    bad = []
-    cells = 0
+    ledger = _Ledger()
     for m, n in _dims_within(params["tiling_cells"]):
-        cells += 1
-        if tl.count_tilings(m + 1, n + 1) != count_via_transfer(m, n, L_SET):
-            bad.append(("count", m, n))
+        ledger.record(tl.count_tilings(m + 1, n + 1) == count_via_transfer(m, n, L_SET),
+                      ("count", m, n))
     roundtrips = 0
     for m, n in _dims_within(params["roundtrip_cells"]):
-        cells += 1
         stream = 0
         for mat in enumerate_legal(m, n, L_SET):
             stream += 1
-            if tl.theta_inverse(tl.theta_forward(mat)) != mat:
-                bad.append(("roundtrip", m, n))
+            if not ledger.record(tl.theta_inverse(tl.theta_forward(mat)) == mat,
+                                 ("roundtrip", m, n)):
                 break
         roundtrips += stream
-        if stream != count_by_enumeration(m, n, L_SET):
-            bad.append(("stream", m, n))
-    cells += roundtrips
+        ledger.record(stream == count_by_enumeration(m, n, L_SET), ("stream", m, n))
     for n in range(params["closed_l_max_n"] + 1):
         for m in (1, 2):
-            cells += 1
-            if cf.closed_form_L(m, n) != tl.count_tilings(m + 1, n + 1):
-                bad.append((f"L{m}", n))
+            ledger.record(cf.closed_form_L(m, n) == tl.count_tilings(m + 1, n + 1),
+                          (f"L{m}", n))
     top_m, top_n = params["frontier_max_m"], params["frontier_max_n"]
     for m in range(1, top_m + 1):
         tilings = tl.tiling_sequence(m + 1, top_n + 1)[1:]
-        cells += len(tilings)
-        if not (isolated_sequence(m, top_n) == count_sequence(m, top_n, L_SET)
-                == tilings):
-            bad.append(("frontier", m))
-    return CheckResult(
-        "tiling-bijection", not bad,
+        ledger.record(isolated_sequence(m, top_n) == count_sequence(m, top_n, L_SET)
+                      == tilings, ("frontier", m), cells=len(tilings))
+    return ledger.result(
+        "tiling-bijection",
         f"tiling counts equal isolated-matrix counts for mn <= "
         f"{params['tiling_cells']}; bijection round-trips all "
         f"{roundtrips} legal matrices with mn <= {params['roundtrip_cells']}; "
         f"height 1/2 closed forms match for n <= {params['closed_l_max_n']}; "
         f"the frontier sweep equals the full transfer and the tiling counts "
-        f"for heights 1..{top_m}, n <= {top_n}"
-        + (f"; failures: {bad[:5]}" if bad else ""), cells=cells)
+        f"for heights 1..{top_m}, n <= {top_n}")
 
 
 def published_four_row_eigenvalues() -> list[float]:
@@ -360,7 +363,6 @@ def published_four_row_eigenvalues() -> list[float]:
 
 
 def check_eigenvalues(params: dict) -> CheckResult:
-    bad = []
     targets = {
         1: (2.0, 1e-8),
         2: (((1 + math.sqrt(5)) / 2) ** 2, 1e-8),
@@ -368,112 +370,94 @@ def check_eigenvalues(params: dict) -> CheckResult:
         # 8/3 + (4/3) sqrt(7) cos(arctan(3 sqrt(111)/67)/3)
         4: (published_four_row_eigenvalues()[-1], 1e-6),
     }
+    ledger = _Ledger()
     alphas = {}
-    cells = 0
     for m, (target, tol) in targets.items():
-        cells += 1
         alphas[m] = dominant_eigenvalue(m, M_SET)
-        if abs(alphas[m] - target) > tol:
-            bad.append(f"alpha_{m}={alphas[m]} vs {target}")
+        ledger.record(abs(alphas[m] - target) <= tol,
+                      f"alpha_{m}={alphas[m]} vs {target}")
     ratio_n = params["ratio_n"]
     for m in range(1, params["ratio_max_m"] + 1):
-        cells += 1
         seq = count_sequence(m, ratio_n + 1, M_SET)
         ratio = seq[ratio_n + 1] / seq[ratio_n]
-        if abs(ratio - alphas[m]) > 1e-6:
-            bad.append(f"ratio m={m}: {ratio}")
-    deviations = []
+        ledger.record(abs(ratio - alphas[m]) <= 1e-6, f"ratio m={m}: {ratio}")
     spectrum = spectrum_small(4, M_SET)
     matched = 0
     for idx, lam in enumerate(published_four_row_eigenvalues(), start=1):
-        cells += 1
         dist = min(abs(lam - s) for s in spectrum)
-        if dist <= 1e-6:
-            matched += 1
-        else:
-            deviations.append(
-                "expected deviation from published formulas: published "
-                f"height-4 eigenvalue #{idx} = {lam:.9f} is not in the "
-                f"computed spectrum (nearest at distance {dist:.3e}); the "
-                "remaining nonzero eigenvalue is +1.709275359")
+        matched += ledger.expect(
+            dist <= 1e-6,
+            "expected deviation from published formulas: published "
+            f"height-4 eigenvalue #{idx} = {lam:.9f} is not in the "
+            f"computed spectrum (nearest at distance {dist:.3e}); the "
+            "remaining nonzero eigenvalue is +1.709275359")
     near_zero = sum(1 for s in spectrum if abs(s) < 1e-9)
-    deviations.append(
-        f"note: the height-4 spectrum has {near_zero} eigenvalues equal to 0 "
-        "that the published nine-value list omits")
-    return CheckResult(
-        "dominant-eigenvalues", not bad,
+    return ledger.result(
+        "dominant-eigenvalues",
         f"power iteration reproduces alpha at heights 1..4; exact count "
         f"ratios at n = {ratio_n} agree within 1e-6 for heights <= "
         f"{params['ratio_max_m']}; {matched}/9 published height-4 "
-        "eigenvalues found in the spectrum"
-        + (f"; failures: {bad[:5]}" if bad else ""),
-        tuple(deviations), cells=cells)
+        "eigenvalues found in the spectrum",
+        (f"note: the height-4 spectrum has {near_zero} eigenvalues equal to 0 "
+         "that the published nine-value list omits",))
 
 
 def check_asymptotics(params: dict) -> CheckResult:
-    bad = []
+    ledger = _Ledger()
     limits = (("estimate_c(40)", cf.estimate_c(40), 1e-8),
               ("growth ratio(40)", cf.fib_product_growth_ratio(40), 1e-9))
     for name, value, tol in limits:
-        if abs(value - cf.FIB_PRODUCT_CONSTANT) > tol:
-            bad.append(f"{name}={value}")
+        ledger.record(abs(value - cf.FIB_PRODUCT_CONSTANT) <= tol, f"{name}={value}")
     gaps = [cf.golden_ratio_gap(k, k) for k in (10, 20, 40)]
     g10, g20, g40 = gaps
-    if not (abs(g40) < 0.05 and abs(g40) < abs(g20) < abs(g10)):
-        bad.append(f"gaps {g10}, {g20}, {g40}")
-    deviations = (
-        "expected deviation from published formulas: the printed growth "
-        "exponent for the Fibonacci product matches the product of the "
-        "first n-1 standard-seeded terms; the ratio here uses the "
-        "self-consistent exponent phi^(n(n+1)/2) * 5^(-n/2) over n "
-        "standard-seeded terms and converges to the same printed constant",)
-    return CheckResult(
-        "asymptotics", not bad,
+    ledger.record(abs(g40) < 0.05 and abs(g40) < abs(g20) < abs(g10),
+                  f"gaps {g10}, {g20}, {g40}", cells=len(gaps))
+    return ledger.result(
+        "asymptotics",
         f"partial product at 40 terms and the normalized Fibonacci product "
         f"both hit {cf.FIB_PRODUCT_CONSTANT:.10f} within tolerance; the "
         f"golden-ratio gap shrinks {g10:.4f} -> {g20:.4f} -> {g40:.4f} along "
-        "the square diagonal" + (f"; failures: {bad}" if bad else ""),
-        deviations, cells=len(limits) + len(gaps))
+        "the square diagonal",
+        ("expected deviation from published formulas: the printed growth "
+         "exponent for the Fibonacci product matches the product of the "
+         "first n-1 standard-seeded terms; the ratio here uses the "
+         "self-consistent exponent phi^(n(n+1)/2) * 5^(-n/2) over n "
+         "standard-seeded terms and converges to the same printed constant",))
 
 
 def check_isolated_height3(params: dict) -> CheckResult:
-    bad = []
-    cells = 0
+    ledger = _Ledger()
     seq = count_sequence(3, params["l3_exact_n"], L_SET)
     for n in range(params["l3_exact_n"] + 1):
-        cells += 1
-        if cf.closed_form_L(3, n) != seq[n]:
-            bad.append(("exact", n))
+        ledger.record(cf.closed_form_L(3, n) == seq[n], ("exact", n))
     for n in range(13):
-        cells += 1
         exact = cf.closed_form_L(3, n)
-        if abs(cf.l3_root_closed_form(n) - exact) > 1e-3 * exact:
-            bad.append(("float", n))
-    deviations = (
-        "expected deviation from published formulas: the root form uses "
-        "corrected coefficients sqrt(39)/3 and sqrt(13)/3 on the second and "
-        "third roots (as published, the roots do not sum to the recurrence "
-        "trace 2)",)
-    return CheckResult(
-        "isolated-height-3", not bad,
+        ledger.record(abs(cf.l3_root_closed_form(n) - exact) <= 1e-3 * exact,
+                      ("float", n))
+    return ledger.result(
+        "isolated-height-3",
         f"order-3 recurrence matches transfer exactly for n <= "
         f"{params['l3_exact_n']}; corrected root form agrees within 1e-3 "
-        "relative for n <= 12" + (f"; failures: {bad[:5]}" if bad else ""),
-        deviations, cells=cells)
+        "relative for n <= 12",
+        ("expected deviation from published formulas: the root form uses "
+         "corrected coefficients sqrt(39)/3 and sqrt(13)/3 on the second and "
+         "third roots (as published, the roots do not sum to the recurrence "
+         "trace 2)",))
 
 
 def check_growth_rates(params: dict) -> CheckResult:
     top = params["growth_max_m"]
     alphas = [dominant_eigenvalue(m, M_SET) for m in range(1, top + 2)]
-    monotone = all(a < b for a, b in zip(alphas, alphas[1:]))
-    bracket = all(1.5 < alphas[m - 1] ** (1 / m) <= 2.0
-                  for m in range(1, top + 1))
-    per_row = ", ".join(f"{alphas[m - 1] ** (1 / m):.4f}"
-                        for m in range(1, top + 1))
-    return CheckResult(
-        "per-row-growth", monotone and bracket,
+    rates = ", ".join(f"{alphas[m - 1] ** (1 / m):.4f}" for m in range(1, top + 1))
+    ledger = _Ledger()
+    ledger.record(all(a < b for a, b in zip(alphas, alphas[1:])),
+                  "alpha_m does not increase", cells=len(alphas))
+    ledger.record(all(1.5 < alphas[m - 1] ** (1 / m) <= 2.0 for m in range(1, top + 1)),
+                  "alpha_m^(1/m) leaves (1.5, 2.0]", cells=0)
+    return ledger.result(
+        "per-row-growth",
         f"alpha_m strictly increases up to height {top + 1} and "
-        f"alpha_m^(1/m) stays in (1.5, 2.0]: {per_row}", cells=len(alphas))
+        f"alpha_m^(1/m) stays in (1.5, 2.0]: {rates}")
 
 
 CHECKS = (

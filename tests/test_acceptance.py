@@ -1,47 +1,25 @@
-"""Acceptance suite: one test per acceptance criterion, run at full scale.
+"""Acceptance suite: one test per check of the verification battery, run at
+full scale.
 
-Each criterion maps onto one check of the verification battery (the same
-battery behind ``pawncount verify --level full``) and prints a pass/fail
-line; expected deviations from published formulas are reported but do not
-fail a criterion.
+The criteria are the checks of ``verify.CHECKS`` in battery order (the
+battery behind ``pawncount verify --level full``), so a check added there
+is a criterion here.  Each prints a pass/fail line; expected deviations
+from published formulas are reported but do not fail a criterion.
 """
 
 import pytest
 
 from pawncount import verify as vf
 
-CRITERIA = [
-    (1, "transfer matrices reproduce the printed references",
-     vf.check_transfer_reference),
-    (2, "oracle = transfer = closed forms for mn <= 20 over M, U, L",
-     vf.check_three_way_agreement),
-    (3, "radical closed forms match transfer for heights 1..3, n <= 15",
-     vf.check_closed_form_small_heights),
-    (4, "diagonal-word bound formulas equal the oracle counts",
-     vf.check_upper_bound),
-    (5, "bound sandwich L <= M <= U <= 2^(mn) for m, n <= 8",
-     vf.check_sandwich),
-    (6, "even heights give perfect squares with equal color counts",
-     vf.check_perfect_square),
-    (7, "shape formulas match transfer; five-row erratum pinned at 156 vs 169",
-     vf.check_shape_formulas),
-    (8, "tiling counts equal isolated counts; bijection round-trips mn <= 16",
-     vf.check_tilings),
-    (9, "power iteration reproduces the published eigenvalues and count ratios",
-     vf.check_eigenvalues),
-    (10, "asymptotic constant, product normalization, golden-ratio gap",
-     vf.check_asymptotics),
-    (11, "height-3 isolated closed forms (exact recurrence + corrected roots)",
-     vf.check_isolated_height3),
-]
 
-
-@pytest.mark.parametrize("number,description,check",
-                         CRITERIA, ids=[f"criterion-{c[0]:02d}" for c in CRITERIA])
-def test_acceptance_criterion(number, description, check):
+@pytest.mark.parametrize("name,check", vf.CHECKS,
+                         ids=[f"criterion-{i:02d}"
+                              for i in range(1, len(vf.CHECKS) + 1)])
+def test_acceptance_criterion(name, check):
     result = check(vf.FULL)
     status = "PASS" if result.passed else "FAIL"
-    print(f"criterion {number:2d} [{status}] {description}: {result.details}")
+    print(f"[{status}] {name}: {result.details}")
     for deviation in result.deviations:
-        print(f"             {deviation}")
-    assert result.passed, f"criterion {number}: {result.details}"
+        print(f"       {deviation}")
+    assert result.name == name
+    assert result.passed, f"{name}: {result.details}"

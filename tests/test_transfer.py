@@ -213,6 +213,15 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_via_transfer(3, -1, M_SET)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("count", [count_sequence, count_via_transfer])
+    def test_pattern_set_and_width_checked_before_any_column(self, count, n):
+        """An empty board refuses what a one-column board refuses."""
+        with pytest.raises(ValueError, match="two-cell patterns only"):
+            count(3, n, uk_set(3))
+        with pytest.raises(GuardExceeded, match="2\\^23 states"):
+            count(23, n)
+
 
 def reference_step(xs, width, allowed, keep):
     """Plain-loop zeta transform and gather, the reference for profile_step."""
