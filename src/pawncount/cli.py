@@ -32,6 +32,15 @@ transfer`` (the full 2^h column profile, for every quantity) sweep along
 the shorter side too.  ``eigen``'s power iteration runs the two-step
 colour operator on 2^floor(m/2) states.
 
+A height that serves one length only (every single count that sweeps,
+under any method) is swept to the board's middle column and no further: the right
+half of the board, turned by 180 degrees, is again a legal board, because
+the turn maps every two-cell pattern onto itself, U's one diagonal
+included.  So the count is the dot product of the state after a =
+ceil((n+1)/2) columns with the row-flipped state after n+1-a, in about
+half the steps (``transfer``'s module docstring); ``table`` keeps its
+whole sequences.
+
 Each sweep refuses a state array above 2^22 entries (exit 3) before it
 allocates one: 22 rows for the full profile, 30 for L's frontier sweep
 (whose guard counts frontiers, not column cells), 44 for M's colour
@@ -55,6 +64,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -104,22 +114,28 @@ def _plan(quantity: str, cells: list[tuple[int, int]]
     closed form, else a sweep along its shorter side h.  M, U and L are
     transpose symmetric, so one sweep per h, run to the longest side that
     h needs, covers all its cells: the colour split for M, the frontier
-    sweep for L (every U cell has a closed form).  The tallest h is swept
-    first, so a board too tall for its sweep is refused before any count
-    starts."""
+    sweep for L (every U cell has a closed form).  An h that serves one
+    length only is swept to that board's middle column.  The tallest h is
+    swept first, so a board too tall for its sweep is refused before any
+    count starts."""
     boards = [(cf.closed_forms(quantity, m, n), *sorted((m, n))) for m, n in cells]
-    lengths: dict[int, int] = {}
+    lengths: dict[int, set[int]] = {}
     for forms, h, length in boards:
         if not forms:
-            lengths[h] = max(lengths.get(h, 0), length)
+            lengths.setdefault(h, set()).add(length)
     if lengths:
-        from .transfer import colour_split_sequence, isolated_sequence
-    sweeps = {}
+        from .transfer import (colour_split_count, colour_split_sequence,
+                               isolated_count, isolated_sequence)
+    sweeps: dict[int, dict[int, int] | list[int]] = {}
     for h in sorted(lengths, reverse=True):
-        if quantity == "L":
-            sweeps[h] = isolated_sequence(h, lengths[h])
+        if len(lengths[h]) == 1:
+            length, = lengths[h]
+            sweeps[h] = {length: isolated_count(h, length) if quantity == "L"
+                         else math.prod(colour_split_count(h, length))}
+        elif quantity == "L":
+            sweeps[h] = isolated_sequence(h, max(lengths[h]))
         else:
-            black, white = colour_split_sequence(h, lengths[h])
+            black, white = colour_split_sequence(h, max(lengths[h]))
             sweeps[h] = [b * w for b, w in zip(black, white)]
     swept_by = "transfer" if quantity == "L" else "decomposition"
     return [("closed", *forms[0]()) if forms else (swept_by, sweeps[h][length], ())
@@ -151,16 +167,16 @@ def _route(quantity: str, m: int, n: int, k: int | None,
             f"no closed form covers a {m}x{n} board; use --method auto")
     if method in ("auto", "closed"):
         return _plan(quantity, [(m, n)])[0]
-    from .transfer import colour_split_sequence, count_via_transfer
+    from .transfer import colour_split_count, count_via_transfer
 
     # the column profile runs along the longer side, so its width is the
     # shorter one
     m, n = sorted((m, n))
     if method == "transfer":
         return "transfer", count_via_transfer(m, n, pats), ()
-    black, white = colour_split_sequence(m, n)
-    return "decomposition", black[n] * white[n], (
-        f"black/white shape counts: B={black[n]}, W={white[n]}",)
+    black, white = colour_split_count(m, n)
+    return "decomposition", black * white, (
+        f"black/white shape counts: B={black}, W={white}",)
 
 
 def cmd_count(args) -> int:

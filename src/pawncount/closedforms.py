@@ -10,7 +10,9 @@ M has a closed form at every height from 1 to 16: radical forms at
 heights 1..3, black/white shape formulas at 2..6, and at 7..16 the
 minimal colour-class generating functions, fitted once from the colour
 split and stored as data in ``classgf`` (imported on first use).  A stored
-generating function is expanded once per process, to the widest n asked.
+generating function is expanded term by term (``_terms``), holding only as
+many terms as its order, and each keeps where its expansion has got to, so
+a single count of any length holds O(order) terms.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Callable, Iterator
 
 from .errors import InvalidK, NoFitFound, NonIntegerResult
@@ -258,21 +260,20 @@ class LinearRecurrence:
 
     def expand(self, count: int) -> list[int]:
         """First ``count`` Taylor coefficients, exact integers."""
-        return _extend(self, [], count)
+        return list(islice(_terms(self), count))
 
 
-def _extend(rec: LinearRecurrence, terms: list[int], count: int) -> list[int]:
-    """Extend ``terms``, a prefix of rec's Taylor coefficients, in place to
-    its first ``count`` ones and return it."""
-    num, order = rec.numerator, len(rec.denominator) - 1
+def _terms(rec: LinearRecurrence) -> Iterator[int]:
+    """rec's Taylor coefficients in turn, exact integers: the one expander.
+    It holds only the last ``order`` of them (zeros before n = 0)."""
+    order = len(rec.denominator) - 1
     reverse = rec.denominator[:0:-1]  # den[order], ..., den[1]
-    for k in range(len(terms), count):
-        value = num[k] if k < len(num) else 0
-        start = max(0, k - order)
-        # den[j] * terms[k - j] over j = 1..min(k, order)
-        terms.append(value - sum(map(operator.mul, reverse[order - k + start:],
-                                     terms[start:k])))
-    return terms
+    last = deque([0] * order, maxlen=order)  # terms k-order .. k-1
+    for value in chain(rec.numerator, repeat(0)):
+        # num[k] less den[j] * term(k - j) over j = 1..order
+        term = value - sum(map(operator.mul, reverse, last))
+        last.append(term)
+        yield term
 
 
 def _berlekamp_massey(seq: list[Fraction]) -> tuple[list[Fraction], int]:
@@ -356,18 +357,26 @@ PUBLISHED_FIVE_ROW_B = LinearRecurrence((1, 3, 1, -5, 4), (1, -1, -8, 4, 6, -4))
 
 
 @lru_cache(maxsize=None)
-def _gf_terms(rec: LinearRecurrence) -> list[int]:
-    """The Taylor coefficients of rec worked out so far in this process;
-    ``_gf_term`` extends the list, so a table of many widths expands each
-    stored recurrence once, to its widest n."""
-    return []
+def _gf_window(rec: LinearRecurrence) -> list:
+    """[rec's expansion, the number of terms drawn from it, the last two
+    drawn]: how far this process has expanded rec."""
+    return [_terms(rec), 0, deque(maxlen=2)]
 
 
 def _gf_term(rec: LinearRecurrence, n: int) -> int:
-    terms = _gf_terms(rec)
-    if n >= len(terms):
-        _extend(rec, terms, n + 1)
-    return terms[n]
+    """Taylor coefficient n of a stored recurrence.  Each recurrence keeps
+    one expansion and the last two terms drawn from it: a request at or
+    past those draws the expansion on, an earlier one starts it again.  So
+    one count holds O(order) terms however large n is, and a table, which
+    asks each height for ascending widths (once as rows, once as columns),
+    expands each recurrence at most twice."""
+    window = _gf_window(rec)
+    terms, drawn, last = window
+    if n < drawn - len(last):
+        terms, drawn, last = window[:] = _terms(rec), 0, deque(maxlen=2)
+    last.extend(islice(terms, max(0, n + 1 - drawn)))
+    window[1] = drawn = max(drawn, n + 1)
+    return last[n - drawn]
 
 
 @lru_cache(maxsize=1)
@@ -441,7 +450,8 @@ def colour_class_M(m: int, n: int) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     pair = CLASS_GF[m]
-    black, white = pair * 2 if len(pair) == 1 else pair  # (B,): B = W
+    # (B,): B = W, whose second read is the term the first one drew
+    black, white = pair * 2 if len(pair) == 1 else pair
     return _gf_term(black, n) * _gf_term(white, n)
 
 

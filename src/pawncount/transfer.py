@@ -40,11 +40,27 @@ sweep holds that count to the same 2^22 bound, so L runs to m = 30.  A
 frontier's place in the state array is known in closed form (its m cells
 are ranked by their Zeckendorf sum), so each cell step is two gathers with
 no search.  The full sweep stays the independent check on it up to m = 22.
+
+A single count is read off the middle of its sweep (``_ends``): an n-column
+board is a board of a = ceil((n+1)/2) columns and one of b = n+1-a columns
+that share the middle column, so with u_j = (T^T)^(j-1) 1 the state after
+j columns, 1^T T^(n-1) 1 = u_a^T T^(b-1) 1: the identity Calkin and Wilf
+use for hard squares.  Each of ``count_via_transfer``,
+``colour_split_count`` and ``isolated_count`` sweeps to u_a only, keeps a
+copy of u_b (the step after it may overwrite it) and returns the dot
+product in Python ints, so n columns cost about n/2 steps.  The right half
+turned around must again be a board of the same rule: a 180-degree turn
+maps every two-cell pattern onto itself, so the full profile reads
+T^(b-1) 1 = R u_b, u_b at the row-flipped masks (T^T = R T R), which U,
+with its one diagonal, needs; M's colour classes and L ban both diagonals
+and are read left to right.  The sequences stay whole, for ``table`` and
+as the check on the midpoints.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import partial
 from itertools import accumulate, chain, cycle, islice, repeat
 from typing import Callable, Iterable, Iterator
@@ -202,17 +218,48 @@ def _states(m: int, pats: ForbiddenPatternSet) -> Iterator[np.ndarray]:
     yield from islice(sweep(x.astype(np.int64), repeat(step)), 1, None)
 
 
-def count_via_transfer(m: int, n: int, pats: ForbiddenPatternSet = M_SET) -> int:
-    """Exact count of legal m-by-n boards via n-1 transfer steps.
+def _ends(columns: Iterable[np.ndarray], n: int
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """(u_a, a copy of u_b) from the column states u_1, u_2, ... of a sweep,
+    for an n-column board (n >= 1) split at its middle column:
+    a = ceil((n+1)/2) and b = n+1-a, so a = b for odd n and a = b+1 for
+    even n.  The copy is needed because the step after u_b may overwrite
+    it; the sweep is not drawn past u_a."""
+    columns = iter(columns)
+    right = next(islice(columns, (n - 1) // 2, None)).copy()
+    return (next(columns) if n % 2 == 0 else right), right
 
-    n = 0 gives 1; n = 1 gives the number of admissible columns.  Agreement
-    with count_by_enumeration is what fixes the n-1 exponent.
+
+def _dot(x: np.ndarray, y: np.ndarray) -> int:
+    """sum(x * y) in Python ints: the two halves of a board may each fit
+    int64 while their dot product does not."""
+    return sum(map(operator.mul, x.tolist(), y.tolist()))
+
+
+def _reversed_bits(m: int) -> np.ndarray:
+    """r[w] is the m-bit mask w read bottom to top (R, the row flip)."""
+    r = np.zeros(1, dtype=np.int64)
+    for bit in reversed(range(m)):
+        r = np.concatenate((r, r | 1 << bit))
+    return r
+
+
+def count_via_transfer(m: int, n: int, pats: ForbiddenPatternSet = M_SET) -> int:
+    """Exact count of legal m-by-n boards: the sum over w of
+    u_a[w] * u_b[R w] at the middle column a, with R reversing a mask's m
+    bits (the 180-degree turn), in about n/2 transfer steps.  n <= 2 is
+    read off the plain sweep: n = 0 gives 1 and n = 1 the number of
+    admissible columns.
     """
     if m < 1:
         raise ValueError("height must be >= 1 (empty boards count 1 by convention)")
     if n < 0:
         raise ValueError("column count must be >= 0")
-    return int(next(islice(_states(m, pats), n, None)).sum())
+    states = _states(m, pats)
+    if n <= 2:
+        return int(next(islice(states, n, None)).sum())
+    left, right = _ends(islice(states, 1, None), n)
+    return _dot(left, right[_reversed_bits(m)])
 
 
 def count_sequence(m: int, n_max: int, pats: ForbiddenPatternSet = M_SET) -> list[int]:
@@ -236,13 +283,39 @@ def colour_split_sequence(m: int, n_max: int) -> tuple[list[int], list[int]]:
         raise ValueError("height must be >= 1")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    black, white = ([1] + [int(x.sum()) for x in islice(states, n_max)]
+                    for states in _colour_sweeps(m))
+    return black, white
+
+
+def _colour_sweeps(m: int) -> tuple[Iterator[np.ndarray], Iterator[np.ndarray]]:
+    """The black and the white class states after 1, 2, ... columns."""
     steps = _colour_steps(m)
+    return (sweep(np.ones(1 << (m + 1) // 2, dtype=np.int64), cycle(steps)),
+            sweep(np.ones(1 << m // 2, dtype=np.int64), cycle(steps[::-1])))
 
-    def counts(width: int, order: list) -> list[int]:
-        states = sweep(np.ones(1 << width, dtype=np.int64), cycle(order))
-        return [1] + [int(x.sum()) for x in islice(states, n_max)]
 
-    return counts((m + 1) // 2, steps), counts(m // 2, steps[::-1])
+def colour_split_count(m: int, n: int) -> tuple[int, int]:
+    """Exact colour-class counts (B, W) of the m-by-n board, read off the
+    middle column of each class sweep: M(m, n) = B * W.
+
+    Mirroring the b columns right of column a keeps each cell's row and
+    changes its colour iff n is even.  With b_j and w_j the black and white
+    class states after j columns, B = b_a . b_b and W = w_a . w_b for odd
+    n; B = b_a . w_b and W = w_a . b_b for even n.  n <= 2 is read off the
+    plain sweeps.
+    """
+    if m < 1:
+        raise ValueError("height must be >= 1")
+    if n < 0:
+        raise ValueError("column count must be >= 0")
+    if n <= 2:
+        black, white = colour_split_sequence(m, n)
+        return black[n], white[n]
+    (b_a, b_b), (w_a, w_b) = (_ends(states, n) for states in _colour_sweeps(m))
+    if n % 2 == 0:
+        b_b, w_b = w_b, b_b
+    return _dot(b_a, b_b), _dot(w_a, w_b)
 
 
 def _path_sets(m: int) -> np.ndarray:
@@ -252,6 +325,12 @@ def _path_sets(m: int) -> np.ndarray:
     for top in range(1, m):
         shorter, masks = masks, np.concatenate((masks, shorter | 1 << top))
     return masks
+
+
+def _extra_cell_legal(paths: np.ndarray, r: int) -> np.ndarray:
+    """By rank of f, whether the frontier (f, 1) after row r is legal: rows
+    r-1, r and r+1 of f are clear."""
+    return (paths & 7 << r >> 1) == 0
 
 
 def _isolated_steps(paths: np.ndarray, m: int
@@ -281,7 +360,7 @@ def _isolated_steps(paths: np.ndarray, m: int
     def ones(r: int) -> np.ndarray:
         """By rank of f, the index of the frontier (f, 1) after row r, or
         -1 where it is illegal."""
-        legal = (paths & 7 << r >> 1) == 0
+        legal = _extra_cell_legal(paths, r)
         index = np.full(len(paths), -1)
         index[legal] = len(paths) + np.arange(np.count_nonzero(legal))
         return index
@@ -316,6 +395,13 @@ def isolated_sequence(m: int, n_max: int) -> list[int]:
         raise ValueError("height must be >= 1")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    return [int(x.sum()) for x in islice(_isolated_columns(m), n_max + 1)]
+
+
+def _isolated_columns(m: int) -> Iterator[np.ndarray]:
+    """The frontier states of the L sweep after 0, 1, 2, ... whole columns:
+    every m-th cell state, checked against the guard before any array
+    exists."""
     frontiers = isolated_frontiers(m)
     if frontiers > MAX_STATES:
         raise GuardExceeded(
@@ -329,9 +415,37 @@ def isolated_sequence(m: int, n_max: int) -> list[int]:
     x = np.zeros(frontiers + 1, dtype=np.int64)
     x[0] = 1
     cells = chain.from_iterable(column or _isolated_steps(paths, m)
-                                for _ in range(n_max))
+                                for _ in repeat(None))
     steps = (lambda s, lo=lo, hi=hi: s[lo] + s[hi] for lo, hi in cells)
-    return [int(x.sum()) for x in islice(sweep(x, steps), 0, None, m)]
+    return islice(sweep(x, steps), 0, None, m)
+
+
+def isolated_count(m: int, n: int) -> int:
+    """Exact L count of the m-by-n board, y_a . y_b at the middle column of
+    the frontier sweep (L is mirror symmetric).
+
+    After a whole column the frontier (f, e) is that column f and the foot
+    e of the column before it, so the boards whose last column is f number
+    y[f] = x[(f, 0)] + x[(f, 1)].  n <= 2 is read off the plain sweep.
+    """
+    if m < 1:
+        raise ValueError("height must be >= 1")
+    if n < 0:
+        raise ValueError("column count must be >= 0")
+    columns = _isolated_columns(m)
+    if n <= 2:
+        return int(next(islice(columns, n, None)).sum())
+    paths = _path_sets(m)
+    legal = np.flatnonzero(_extra_cell_legal(paths, m - 1))
+
+    def fold(x: np.ndarray) -> np.ndarray:
+        # a copy: for odd n both ends are one array
+        y = x[:len(paths)].copy()
+        y[legal] += x[len(paths):len(paths) + len(legal)]
+        return y
+
+    left, right = _ends(islice(columns, 1, None), n)
+    return _dot(fold(left), fold(right))
 
 
 def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,

@@ -21,8 +21,9 @@ from . import closedforms as cf
 from . import decomposition as dc
 from . import tiling as tl
 from .oracle import L_SET, M_SET, U_SET, count_by_enumeration, enumerate_legal, uk_set
-from .transfer import (build_transfer, colour_split_sequence, count_sequence,
-                       count_via_transfer, dominant_eigenvalue,
+from .transfer import (build_transfer, colour_split_count,
+                       colour_split_sequence, count_sequence,
+                       count_via_transfer, dominant_eigenvalue, isolated_count,
                        isolated_sequence, spectrum_small)
 
 REFERENCE_T2 = """\
@@ -178,6 +179,9 @@ def check_three_way_agreement(params: dict) -> CheckResult:
     split = {m: colour_split_sequence(m, cells // m) for m in range(1, cells + 1)}
     isolated = {h: isolated_sequence(h, cells // h)
                 for h in range(1, math.isqrt(cells) + 1)}
+    # and once from each end, to the middle column
+    middle = {(h, n): isolated_count(h, n)
+              for h in isolated for n in range(h, cells // h + 1)}
     ledger = _Ledger()
     for quantity, pats in (("M", M_SET), ("U", U_SET), ("L", L_SET)):
         for m, n in _dims_within(cells):
@@ -188,8 +192,10 @@ def check_three_way_agreement(params: dict) -> CheckResult:
             if quantity == "M":
                 black, white = split[m]
                 values.add(black[n] * white[n])
+                values.add(math.prod(colour_split_count(m, n)))
             if quantity == "L":
                 values.add(isolated[min(m, n)][max(m, n)])
+                values.add(middle[min(m, n), max(m, n)])
             ledger.record(len(values) == 1, f"{quantity}({m},{n}): {sorted(values)}")
     return ledger.result(
         "three-way-agreement",

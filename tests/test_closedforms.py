@@ -342,16 +342,39 @@ class TestColourClassGeneratingFunctions:
         assert len(closed_forms("M", 16, 17)) == 1
         assert closed_forms("M", 17, 17) == []
 
-    def test_expanded_once_to_the_widest_n(self):
-        # a table asks for every width in turn: each call extends one list
+    def test_expanded_once_to_the_widest_n(self, monkeypatch):
+        # a table asks for every width in turn: each call draws the one
+        # expansion on, and an earlier width starts it again
         black = CLASS_GF[9][0]
-        terms = cf._gf_terms(black)
-        colour_class_M(9, 30)
-        colour_class_M(9, 4)
-        assert len(terms) >= 31
-        colour_class_M(9, 40)
-        assert cf._gf_terms(black) is terms
-        assert terms[:41] == black.expand(41)
+        expected = black.expand(41)
+        started = []
+        terms = cf._terms
+        monkeypatch.setattr(cf, "_terms", lambda rec: started.append(rec) or terms(rec))
+        cf._gf_window.cache_clear()
+        assert [cf._gf_term(black, n) for n in range(7, 41)] == expected[7:]
+        assert started == [black]
+        # the last two terms drawn are kept: the three-row formula reads
+        # t(i) and then t(i - 1)
+        assert cf._gf_term(black, 39) == expected[39]
+        assert started == [black]
+        assert cf._gf_term(black, 4) == expected[4]
+        assert started == [black, black]
+        window = cf._gf_window(black)
+        assert window[1] == 5 and list(window[2]) == expected[3:5]
+
+    def test_single_count_holds_order_terms(self, monkeypatch):
+        # one far term of a stored recurrence keeps no list of the terms
+        # before it, and a square class (B,) is expanded once
+        black, = CLASS_GF[12]
+        expected = black.expand(3001)[3000] ** 2
+        started = []
+        terms = cf._terms
+        monkeypatch.setattr(cf, "_terms", lambda rec: started.append(rec) or terms(rec))
+        cf._gf_window.cache_clear()
+        assert colour_class_M(12, 3000) == expected
+        assert started == [black]
+        _, drawn, last = cf._gf_window(black)
+        assert drawn == 3001 and len(last) == 2
 
     def test_out_of_range_height(self):
         for m in (6, 17):

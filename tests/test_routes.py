@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from pawncount.cli import main
 from pawncount.closedforms import closed_forms
 from pawncount.oracle import L_SET, M_SET, U_SET, count_by_enumeration
-from pawncount.transfer import (colour_split_sequence, count_via_transfer,
+from pawncount.transfer import (colour_split_count, colour_split_sequence,
+                                count_via_transfer, isolated_count,
                                 isolated_sequence)
 
 PATTERNS = {"M": M_SET, "U": U_SET, "L": L_SET}
@@ -31,8 +32,11 @@ def test_every_route_agrees(board):
     if quantity == "M":
         black, white = colour_split_sequence(m, n)
         values.add(black[n] * white[n])
+        black, white = colour_split_count(m, n)
+        values.add(black * white)
     if quantity == "L":
         values.add(isolated_sequence(m, n)[n])
+        values.add(isolated_count(m, n))
     assert len(values) == 1, values
 
 

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from pawncount.oracle import (L_SET, M_SET, U_SET, BinaryMatrix,
                               count_by_enumeration, enumerate_legal,
                               find_violation, uk_set)
 from pawncount.tiling import count_tilings, tiling_sequence
-from pawncount.transfer import (_isolated_steps, _path_sets, build_transfer,
+from pawncount.transfer import (_ends, _isolated_steps, _path_sets,
+                                _states, build_transfer, colour_split_count,
                                 colour_split_sequence, count_sequence,
                                 count_via_transfer, dominant_eigenvalue, exact,
-                                isolated_frontiers, isolated_sequence,
-                                profile_step, spectrum_small, sweep)
+                                isolated_count, isolated_frontiers,
+                                isolated_sequence, profile_step,
+                                spectrum_small, sweep)
 
 T2_REFERENCE = """\
 1 1 1 1
@@ -143,14 +146,21 @@ class TestBuildTransfer:
 class TestWidthGuard:
     """Each sweep refuses more than 2^22 states before allocating them:
     the full profile at height 23, the L frontier sweep at height 31 and
-    the colour split at height 45."""
+    the colour split at height 45.  The midpoint counts (n >= 3) and their
+    plain-sweep fallback (n <= 2) refuse the same heights."""
 
     @pytest.mark.parametrize("sweep", [
         lambda: count_via_transfer(23, 2),
+        lambda: count_via_transfer(23, 40),
+        lambda: count_via_transfer(23, 40, U_SET),
         lambda: count_sequence(23, 2),
         lambda: colour_split_sequence(45, 2),
+        lambda: colour_split_count(45, 2),
+        lambda: colour_split_count(45, 45),
         lambda: dominant_eigenvalue(45),
         lambda: isolated_sequence(31, 2),
+        lambda: isolated_count(31, 2),
+        lambda: isolated_count(31, 31),
     ])
     def test_refused_at_once(self, sweep):
         start = time.perf_counter()
@@ -221,6 +231,69 @@ class TestCounting:
             count(3, n, uk_set(3))
         with pytest.raises(GuardExceeded, match="2\\^23 states"):
             count(23, n)
+
+
+class TestMidpoint:
+    """A single count read off the middle column a of a sweep, from its
+    states after a and b = n + 1 - a columns, equals the whole sweep's."""
+
+    @pytest.mark.parametrize("pats", [M_SET, U_SET, L_SET])
+    def test_full_profile_equals_the_sequence(self, pats):
+        for m in range(1, 12):
+            seq = count_sequence(m, 13, pats)
+            assert [count_via_transfer(m, n, pats) for n in range(14)] == seq, m
+
+    def test_frontier_sweep_equals_the_sequence(self):
+        for m in range(1, 12):
+            seq = isolated_sequence(m, 13)
+            assert [isolated_count(m, n) for n in range(14)] == seq, m
+
+    def test_colour_split_equals_the_sequence(self):
+        for m in range(1, 12):
+            black, white = colour_split_sequence(m, 13)
+            assert ([colour_split_count(m, n) for n in range(14)]
+                    == list(zip(black, white))), m
+
+    @pytest.mark.parametrize("m,n,pats", [
+        (4, 21, U_SET), (3, 27, U_SET), (4, 24, M_SET), (5, 27, L_SET)])
+    def test_dot_product_past_int64(self, m, n, pats):
+        """Both halves still fit int64, the count does not: the dot
+        product is taken in Python ints."""
+        left, right = _ends(islice(_states(m, pats), 1, None), n)
+        assert left.dtype == right.dtype == np.int64
+        value = count_via_transfer(m, n, pats)
+        assert value == count_sequence(m, n, pats)[n]
+        assert value.bit_length() > 63
+
+    def test_u_needs_the_row_flip(self):
+        """U bans one diagonal, so its right half must be turned by 180
+        degrees (T^T = R T R), not only read right to left."""
+        left, right = _ends(islice(_states(2, U_SET), 1, None), 3)
+        assert int(left @ right) == 40
+        assert count_via_transfer(2, 3, U_SET) == 36 == count_by_enumeration(
+            2, 3, U_SET)
+
+    @pytest.mark.parametrize("run,steps", [
+        # a = 4 columns of 7: 3 steps where the whole sweep takes 6
+        (lambda: count_via_transfer(5, 7, U_SET), 3),
+        (lambda: count_via_transfer(5, 6, M_SET), 3),
+        (lambda: colour_split_count(5, 7), 2 * 3),
+        # the frontier sweep steps once per cell, from an empty column 0
+        (lambda: isolated_count(4, 7), 4 * 4),
+    ])
+    def test_sweeps_to_the_middle_column_only(self, monkeypatch, run, steps):
+        calls = []
+        monkeypatch.setattr(transfer, "exact",
+                            lambda x, exact=exact: calls.append(x) or exact(x))
+        run()
+        assert len(calls) == steps
+
+    @pytest.mark.parametrize("count", [colour_split_count, isolated_count])
+    def test_bad_arguments(self, count):
+        with pytest.raises(ValueError):
+            count(0, 3)
+        with pytest.raises(ValueError):
+            count(3, -1)
 
 
 def reference_step(xs, width, allowed, keep):
