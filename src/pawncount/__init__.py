@@ -7,8 +7,12 @@ formulas, black/white shape products and a square-tiling bijection, and
 cross-validates them against each other.
 
 The exports below resolve lazily (PEP 562): ``from pawncount import X``
-imports only the submodule that defines X, so a closed-form or bijection
-call never loads numpy, which only the sweeps and the enumeration need.
+imports only the submodule that defines X, so a closed-form, enumeration
+or bijection call never loads numpy, which only the sweeps need.  The
+value types are named tuples, and ``QuadraticValue``, which must not act
+as a sequence, a slotted class.  None is a dataclass: importing
+``dataclasses`` (with the ``inspect`` it pulls in) takes longer than
+importing the whole package.
 """
 
 from importlib import import_module

@@ -52,24 +52,25 @@ Exact counts are serialized as decimal strings in JSON (they outgrow
 doubles quickly), in full however many digits they have; floats appear
 only for eigenvalues and asymptotics.
 
-The sweeps (``transfer``) and the battery (``verify``) are imported inside
-the commands that run them, after the closed forms are tried, so a
+A module that only some commands use is imported inside them: the sweeps
+(``transfer``) after the closed forms are tried, the battery (``verify``)
+in ``verify``, ``tiling`` and ``pathlib`` in ``bijection``, ``json`` for
+JSON output only and ``csv`` for ``table --format csv`` only.  So a
 closed-form count (M with a side of 1..16 rows among them), U and U_k,
-a table whose boards all have closed forms and ``bijection`` start
-without loading numpy.
+``--method oracle``, a table whose boards all have closed forms and
+``bijection`` start without loading numpy, and none of them but
+``bijection`` loads ``tiling``.  No module of the package imports
+``dataclasses``: with the ``inspect`` it pulls in, it takes longer to
+import than the whole package.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
-from pathlib import Path
 
 from . import closedforms as cf
-from . import tiling as tl
 from .errors import MAX_STATES, MAX_WIDTH, GuardExceeded, PawncountError
 from .oracle import (L_SET, M_SET, U_SET, BinaryMatrix, count_by_enumeration,
                      uk_set)
@@ -94,6 +95,8 @@ def _record(command: str, annotations=(), **fields) -> dict:
 
 def _emit(record: dict, as_json: bool) -> None:
     if as_json:
+        import json
+
         print(json.dumps(record))
         return
     quantity = record.get("quantity", "")
@@ -229,11 +232,15 @@ def cmd_table(args) -> int:
     values = {cell: value for cell, (_, value, _) in
               zip(cells, _plan(args.quantity, cells))}
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["m", "n", "quantity", "value"])
         for (m, n), value in values.items():
             writer.writerow([m, n, args.quantity, str(value)])
     elif args.format == "json":
+        import json
+
         rows = [{"m": m, "n": n, "quantity": args.quantity, "value": str(value)}
                 for (m, n), value in values.items()]
         print(json.dumps(rows))
@@ -252,6 +259,10 @@ def cmd_bijection(args) -> int:
         raise ValueError("give exactly one of --matrix-file or --tiling-json")
     if args.invert and args.matrix_file is not None:
         raise ValueError("--invert takes a tiling (--tiling-json), not a matrix")
+    from pathlib import Path
+
+    from . import tiling as tl
+
     if args.matrix_file is not None:
         text = Path(args.matrix_file).read_text(encoding="utf-8")
         matrix = BinaryMatrix.from_text(text)
@@ -272,6 +283,8 @@ def cmd_verify(args) -> int:
 
     report = run_verification(args.level)
     if args.json:
+        import json
+
         print(json.dumps(report.to_dict()))
     else:
         for check in report.checks:

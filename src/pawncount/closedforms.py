@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat
@@ -94,13 +93,42 @@ def _sheared_rows(m: int, n: int, k: int) -> int:
     return longest ** (abs(n - m) + 1) * math.prod(rows) ** 2
 
 
-@dataclass(frozen=True)
 class QuadraticValue:
-    """Exact element p + q*sqrt(d) of a fixed real quadratic field."""
+    """Exact element p + q*sqrt(d) of a fixed real quadratic field.
 
-    rational: Fraction
-    radical: Fraction
-    d: int
+    Immutable and hashable.  Not a tuple: ``2 * q`` and ``q + (1,)`` raise
+    TypeError rather than repeat or concatenate."""
+
+    __slots__ = ("rational", "radical", "d")
+
+    def __init__(self, rational: Fraction, radical: Fraction, d: int):
+        object.__setattr__(self, "rational", rational)
+        object.__setattr__(self, "radical", radical)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.rational, self.radical, self.d
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"QuadraticValue(rational={self.rational!r}, "
+                f"radical={self.radical!r}, d={self.d!r})")
+
+    def __reduce__(self):
+        return QuadraticValue, self._key()
 
     def _require_same_field(self, other: "QuadraticValue") -> None:
         if self.d != other.d:
@@ -235,19 +263,17 @@ def l3_root_closed_form(n: int) -> float:
     return a * r1 ** n + b * r2 ** n + c * r3 ** n
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
+class LinearRecurrence(namedtuple("LinearRecurrence", "numerator denominator")):
     """Rational generating function: integer numerator over an integer
     denominator with constant term 1; denominator degree = recurrence order."""
 
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        num = tuple(int(c) for c in self.numerator)
-        den = tuple(int(c) for c in self.denominator)
-        if any(num[i] != self.numerator[i] for i in range(len(num))) or \
-           any(den[i] != self.denominator[i] for i in range(len(den))):
+    def __new__(cls, numerator: tuple[int, ...], denominator: tuple[int, ...]):
+        num = tuple(int(c) for c in numerator)
+        den = tuple(int(c) for c in denominator)
+        if any(num[i] != numerator[i] for i in range(len(num))) or \
+           any(den[i] != denominator[i] for i in range(len(den))):
             raise ValueError("coefficients must be integers")
         while len(num) > 1 and num[-1] == 0:
             num = num[:-1]
@@ -255,8 +281,7 @@ class LinearRecurrence:
             den = den[:-1]
         if not den or den[0] != 1:
             raise ValueError("denominator must have constant term 1")
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        return super().__new__(cls, num, den)
 
     def expand(self, count: int) -> list[int]:
         """First ``count`` Taylor coefficients, exact integers."""

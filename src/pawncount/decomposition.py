@@ -12,8 +12,7 @@ stay an independent check on it.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import partial
 from itertools import pairwise
 
@@ -28,17 +27,16 @@ DEFAULT_SHAPE_GUARD = 40
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ShapeGraph:
+class ShapeGraph(namedtuple("ShapeGraph", "cells")):
     """Cells at 1-based (row, col) positions, with edges at diagonal adjacency."""
 
-    cells: tuple[Cell, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.cells))
+    def __new__(cls, cells: tuple[Cell, ...]):
+        ordered = tuple(sorted(cells))
         if len(set(ordered)) != len(ordered):
             raise ValueError("duplicate cells")
-        object.__setattr__(self, "cells", ordered)
+        return super().__new__(cls, ordered)
 
     @property
     def vertex_count(self) -> int:

@@ -18,7 +18,7 @@ validated against this one.  The module imports no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator
 
@@ -29,24 +29,24 @@ ENUMERATION_GUARD = 25
 _CHUNK_BITS = 16
 
 
-@dataclass(frozen=True)
-class BoardDims:
+class BoardDims(namedtuple("BoardDims", "m n")):
     """Board size; an empty board (m == 0 or n == 0) has one placement."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 0 or self.n < 0:
-            raise ValueError(f"dimensions must be nonnegative, got {self.m}x{self.n}")
+    def __new__(cls, m: int, n: int):
+        if m < 0 or n < 0:
+            raise ValueError(f"dimensions must be nonnegative, got {m}x{n}")
+        return super().__new__(cls, m, n)
 
     @property
     def cells(self) -> int:
         return self.m * self.n
 
 
-@dataclass(frozen=True)
-class ForbiddenPatternSet:
+class ForbiddenPatternSet(namedtuple(
+        "ForbiddenPatternSet",
+        "diag_down diag_up horiz_pair vert_pair diag_run_k")):
     """Which two-cell words (or k-cell diagonal runs) are banned.
 
     diag_down forbids 1s at (i, j) and (i+1, j+1); diag_up forbids 1s at
@@ -55,21 +55,20 @@ class ForbiddenPatternSet:
     diag_down (a run of two is that same pattern).
     """
 
-    diag_down: bool = False
-    diag_up: bool = False
-    horiz_pair: bool = False
-    vert_pair: bool = False
-    diag_run_k: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.diag_run_k is not None:
-            if self.diag_run_k < 2:
-                raise InvalidK(f"diagonal run length must be >= 2, got {self.diag_run_k}")
-            if self.diag_down:
+    def __new__(cls, diag_down: bool = False, diag_up: bool = False,
+                horiz_pair: bool = False, vert_pair: bool = False,
+                diag_run_k: int | None = None):
+        if diag_run_k is not None:
+            if diag_run_k < 2:
+                raise InvalidK(f"diagonal run length must be >= 2, got {diag_run_k}")
+            if diag_down:
                 raise ValueError("diag_run_k and diag_down are mutually exclusive")
-        if not (self.diag_down or self.diag_up or self.horiz_pair
-                or self.vert_pair or self.diag_run_k):
+        if not (diag_down or diag_up or horiz_pair or vert_pair or diag_run_k):
             raise ValueError("at least one forbidden pattern must be set")
+        return super().__new__(cls, diag_down, diag_up, horiz_pair, vert_pair,
+                               diag_run_k)
 
 
 #: Nonattacking pawns: both diagonal pairs banned.
@@ -86,19 +85,18 @@ def uk_set(k: int) -> ForbiddenPatternSet:
     return ForbiddenPatternSet(diag_run_k=k)
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
+class BinaryMatrix(namedtuple("BinaryMatrix", "dims packed")):
     """Bit grid packed row-major into one int: cell (i, j) is bit
     m*n - (i-1)*n - j, so row 1 column 1 is the most significant."""
 
-    dims: BoardDims
-    packed: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.packed < 1 << self.dims.cells:
+    def __new__(cls, dims: BoardDims, packed: int):
+        if not 0 <= packed < 1 << dims.cells:
             raise ValueError(
-                f"{self.packed} does not fit the {self.dims.cells} cells of a "
-                f"{self.dims.m}x{self.dims.n} matrix")
+                f"{packed} does not fit the {dims.cells} cells of a "
+                f"{dims.m}x{dims.n} matrix")
+        return super().__new__(cls, dims, packed)
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":

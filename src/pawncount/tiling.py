@@ -11,8 +11,9 @@ exact-sweep driver with the transfer engine (``transfer.profile_step``,
 2x2 tiles already cover, is its own, so a tiling count is still an
 independent check on the isolated-matrix counts.  The step itself is
 checked independently by the brute-force oracle and the closed forms.
-Only the counter imports numpy and ``transfer``; the bijection and the
-JSON format load without them.
+Only the counter imports numpy and ``transfer``, and only the two JSON
+functions import ``json``; the bijection and ``render_ascii`` load
+neither.
 
 ``Tiling`` stores its anchors as one packed int: the (rows-1)x(cols-1)
 matrix with a 1 on every anchor, in ``BinaryMatrix``'s packing.  So theta
@@ -38,9 +39,7 @@ guard and still works.
 
 from __future__ import annotations
 
-import json
-import string
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterable
@@ -89,18 +88,19 @@ def _check_overlaps(ordered: list[Anchor]) -> None:
                     position=(r2, c2))
 
 
-@dataclass(frozen=True, init=False)
-class Tiling:
+class Tiling(namedtuple("Tiling", "rows cols packed")):
     """Board with 2x2 tiles at ``anchors`` (1-based top-left cells) and 1x1
     tiles everywhere else.  ``packed`` holds the anchors as the
     (rows-1)x(cols-1) matrix with a 1 on each, in ``BinaryMatrix``'s
-    packing; ``anchors`` reads them back sorted row-major."""
+    packing; ``anchors`` reads them back sorted row-major.
 
-    rows: int
-    cols: int
-    packed: int
+    ``Tiling(rows, cols, anchors)`` checks and packs an anchor list;
+    ``Tiling._make((rows, cols, packed))`` wraps a packed int the caller
+    has checked."""
 
-    def __init__(self, rows: int, cols: int, anchors: Iterable[Anchor]):
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, anchors: Iterable[Anchor]):
         if rows < 0 or cols < 0:
             raise ValueError("dimensions must be nonnegative")
         ordered = sorted(anchors)
@@ -115,20 +115,11 @@ class Tiling:
         bits = bytearray(b"0" * (m * n))
         for (r, c) in ordered:
             bits[(r - 1) * n + c - 1] = ord("1")
-        packed = int(bits, 2) if bits else 0
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "packed", packed)
+        return super().__new__(cls, rows, cols, int(bits, 2) if bits else 0)
 
-    @classmethod
-    def _wrap(cls, mat: BinaryMatrix) -> "Tiling":
-        """The tiling of the board one row and one column larger than mat,
-        anchored on mat's 1s, which the caller has checked."""
-        tiling = object.__new__(cls)
-        object.__setattr__(tiling, "rows", mat.dims.m + 1)
-        object.__setattr__(tiling, "cols", mat.dims.n + 1)
-        object.__setattr__(tiling, "packed", mat.packed)
-        return tiling
+    def __reduce__(self):
+        # copy and pickle rebuild from the packed int, not an anchor list
+        return self._make, (tuple(self),)
 
     @property
     def anchors(self) -> tuple[Anchor, ...]:
@@ -147,7 +138,7 @@ def theta_forward(mat: BinaryMatrix) -> Tiling:
         raise IllegalMatrix(
             f"matrix has forbidden {pattern} at {pos}; only fully-isolated "
             "matrices map to tilings", position=pos)
-    return Tiling._wrap(mat)
+    return Tiling._make((mat.dims.m + 1, mat.dims.n + 1, mat.packed))
 
 
 def theta_inverse(tiling: Tiling) -> BinaryMatrix:
@@ -215,7 +206,7 @@ def render_ascii(tiling: Tiling) -> str:
         return ""
     grid = [["."] * tiling.cols for _ in range(tiling.rows)]
     for idx, (r, c) in enumerate(tiling.anchors):
-        ch = string.ascii_lowercase[idx % 26]
+        ch = "abcdefghijklmnopqrstuvwxyz"[idx % 26]
         for dr in (0, 1):
             for dc in (0, 1):
                 grid[r - 1 + dr][c - 1 + dc] = ch
@@ -225,6 +216,8 @@ def render_ascii(tiling: Tiling) -> str:
 def tiling_to_json(tiling: Tiling) -> str:
     """Canonical JSON: {"rows": R, "cols": C, "anchors": [[r, c], ...]}
     with anchors sorted row-major."""
+    import json
+
     return json.dumps({
         "rows": tiling.rows,
         "cols": tiling.cols,
@@ -234,6 +227,8 @@ def tiling_to_json(tiling: Tiling) -> str:
 
 def tiling_from_json(text: str) -> Tiling:
     """Parse and validate the tiling JSON format."""
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

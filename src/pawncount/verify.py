@@ -15,7 +15,7 @@ is kept; its details then end with the first five labels.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from collections import namedtuple
 
 from . import closedforms as cf
 from . import decomposition as dc
@@ -85,26 +85,20 @@ FULL = dict(
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple(
+        "CheckResult", "name passed details deviations cells elapsed_s",
+        defaults=((), 0, None))):
     """One check's outcome; ``cells`` is the number of values it compared
     (a count, a matrix entry, a limit or a round trip each count once)."""
 
-    name: str
-    passed: bool
-    details: str
-    deviations: tuple[str, ...] = ()
-    cells: int = 0
-    elapsed_s: float | None = None
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    level: str
-    checks: tuple[CheckResult, ...]
+class VerificationReport(namedtuple("VerificationReport", "level checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -494,5 +488,5 @@ def run_verification(level: str = "quick") -> VerificationReport:
     for _, fn in CHECKS:
         start = perf_counter()
         result = fn(params)
-        results.append(replace(result, elapsed_s=perf_counter() - start))
+        results.append(result._replace(elapsed_s=perf_counter() - start))
     return VerificationReport(level, tuple(results))

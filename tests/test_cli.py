@@ -537,6 +537,32 @@ class TestVerify:
             "tiling-bijection": 16248, "dominant-eigenvalues": 17,
             "asymptotics": 5, "isolated-height-3": 44, "per-row-growth": 13}
 
+    def test_report_values(self):
+        check = vf.CheckResult("c", True, "fine", ("dev",), 3, 0.5)
+        same = vf.CheckResult(name="c", passed=True, details="fine",
+                              deviations=("dev",), cells=3, elapsed_s=0.5)
+        assert check == same and hash(check) == hash(same)
+        assert check != vf.CheckResult("c", True, "fine", ("dev",), 3)
+        assert repr(vf.CheckResult("c", False, "bad")) == (
+            "CheckResult(name='c', passed=False, details='bad', "
+            "deviations=(), cells=0, elapsed_s=None)")
+        report = vf.VerificationReport("quick", (check,))
+        assert report == vf.VerificationReport("quick", (same,))
+        assert hash(report) == hash(vf.VerificationReport("quick", (same,)))
+        assert repr(report) == f"VerificationReport(level='quick', checks=({check!r},))"
+        for value, field in ((check, "passed"), (report, "level")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+
+    def test_report_dict_key_order(self):
+        check = vf.CheckResult("c", False, "bad", ("dev",), 3, 0.5)
+        assert list(check.to_dict().items()) == [
+            ("name", "c"), ("passed", False), ("details", "bad"),
+            ("deviations", ("dev",)), ("cells", 3), ("elapsed_s", 0.5)]
+        report = vf.VerificationReport("full", (check,)).to_dict()
+        assert list(report) == ["level", "passed", "checks"]
+        assert report["passed"] is False
+
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         from pawncount.verify import CheckResult, VerificationReport
 
@@ -559,29 +585,29 @@ def test_module_entry_point():
     assert "M(2,2) = 9" in result.stdout
 
 
-def test_mpmath_is_not_imported():
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, pawncount.cli; print('mpmath' in sys.modules)"],
-        capture_output=True, text=True)
-    assert result.returncode == 0
-    assert result.stdout.strip() == "False"
-
+#: Modules that a call loads only when its command needs them; the
+#: package itself never loads dataclasses or mpmath.
+_OPTIONAL = ("numpy", "dataclasses", "inspect", "json", "csv",
+             "pawncount.tiling", "pawncount.transfer", "mpmath")
 
 # Runs one CLI call in a fresh interpreter and reports its exit code, its
-# output and whether numpy was loaded by the time it returned.
-_NUMPY_PROBE = """
-import contextlib, io, json, sys
+# output and which of the optional modules were loaded by the time it
+# returned.  The modules are read before the probe imports json for its
+# own report.
+_IMPORT_PROBE = f"""
+import contextlib, io, sys
 from pawncount.cli import main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(sys.argv[1:])
-print(json.dumps([code, out.getvalue(), "numpy" in sys.modules]))
+loaded = [name for name in {_OPTIONAL!r} if name in sys.modules]
+import json
+print(json.dumps([code, out.getvalue(), loaded]))
 """
 
 
 def _probe(*argv):
-    result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
@@ -592,10 +618,11 @@ def _probe(*argv):
 def test_numpy_is_not_imported_by_the_package(statement):
     result = subprocess.run(
         [sys.executable, "-c",
-         f"import sys; {statement}; print('numpy' in sys.modules)"],
+         f"import sys; {statement}; "
+         f"print([name for name in {_OPTIONAL!r} if name in sys.modules])"],
         capture_output=True, text=True)
     assert result.returncode == 0
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -607,35 +634,54 @@ def test_numpy_is_not_imported_by_the_package(statement):
     ("table", "--quantity", "U", "--max-m", "6", "--max-n", "10"),
     ("count", "-m", "16", "-n", "17"),
     ("table", "--quantity", "M", "--max-m", "13", "--max-n", "40"),
+    ("count", "-m", "40", "-n", "3", "--quantity", "L"),
+    ("table", "--quantity", "L", "--max-m", "3", "--max-n", "9"),
 ])
 def test_closed_form_calls_skip_numpy(argv):
-    code, out, numpy_loaded = _probe(*argv)
+    code, out, loaded = _probe(*argv)
     assert code == 0 and out
-    assert not numpy_loaded
+    assert loaded == []
+
+
+@pytest.mark.parametrize("argv,module", [
+    (("count", "-m", "3", "-n", "5", "--json"), "json"),
+    (("count", "-m", "93", "-n", "70", "--quantity", "U", "--json"), "json"),
+    (("count", "-m", "5", "-n", "4", "--method", "oracle", "--json"), "json"),
+    (("table", "--max-m", "9", "--max-n", "14", "--format", "json"), "json"),
+    (("table", "--max-m", "9", "--max-n", "14", "--format", "csv"), "csv"),
+])
+def test_json_and_csv_load_only_their_module(argv, module):
+    code, out, loaded = _probe(*argv)
+    assert code == 0 and out
+    assert loaded == [module]
 
 
 def test_bijection_skips_numpy(tmp_path):
     matrix = tmp_path / "mat.txt"
     matrix.write_text("10010\n00000\n01001")
-    code, out, numpy_loaded = _probe("bijection", "--matrix-file", str(matrix))
-    assert code == 0 and not numpy_loaded
+    code, out, loaded = _probe("bijection", "--matrix-file", str(matrix))
+    assert code == 0 and loaded == ["json", "pawncount.tiling"]
     tiling = tmp_path / "tiling.json"
     tiling.write_text(out)
-    code, out, numpy_loaded = _probe("bijection", "--tiling-json", str(tiling),
-                                     "--invert")
-    assert code == 0 and not numpy_loaded
+    code, out, loaded = _probe("bijection", "--tiling-json", str(tiling),
+                               "--invert")
+    assert code == 0 and loaded == ["json", "pawncount.tiling"]
     assert out.rstrip("\n") == matrix.read_text()
+    code, out, loaded = _probe("bijection", "--matrix-file", str(matrix),
+                               "--ascii")
+    assert code == 0 and loaded == ["pawncount.tiling"]
+    assert out == "aa.bb.\naa.bb.\n.cc.dd\n.cc.dd\n"
 
 
 def test_five_row_shape_dp_still_loads_on_demand():
-    code, out, numpy_loaded = _probe("count", "-m", "5", "-n", "2",
-                                     "--method", "closed", "--json")
+    code, out, loaded = _probe("count", "-m", "5", "-n", "2",
+                               "--method", "closed", "--json")
     assert code == 0
     record = json.loads(out)
     assert record["value"] == "169"
     assert any("156" in note for note in record["annotations"])
     # the stored corrected pair answers without the shape DP
-    assert not numpy_loaded
+    assert loaded == ["json"]
 
 
 @pytest.mark.parametrize("quantity,expected", [
@@ -644,16 +690,31 @@ def test_five_row_shape_dp_still_loads_on_demand():
     ("L", "L(5,4) = 1213"),
 ])
 def test_oracle_skips_numpy(quantity, expected):
-    code, out, numpy_loaded = _probe("count", "-m", "5", "-n", "4",
-                                     "--quantity", quantity, "--method", "oracle")
+    code, out, loaded = _probe("count", "-m", "5", "-n", "4",
+                               "--quantity", quantity, "--method", "oracle")
     assert code == 0 and out.strip() == expected
-    assert not numpy_loaded
+    assert loaded == []
 
 
 def test_sweeping_call_loads_numpy():
-    code, out, numpy_loaded = _probe("count", "-m", "17", "-n", "17")
+    code, out, loaded = _probe("count", "-m", "17", "-n", "17")
     assert code == 0 and out
-    assert numpy_loaded
+    assert {"numpy", "pawncount.transfer"} <= set(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "-m", "17", "-n", "17", "--json"),
+    ("count", "-m", "5", "-n", "6", "--quantity", "L", "--method", "transfer"),
+    ("count", "-m", "8", "-n", "9", "--method", "decomposition", "--json"),
+    ("table", "--quantity", "L", "--max-m", "5", "--max-n", "6",
+     "--format", "csv"),
+    ("eigen", "-m", "4", "--spectrum", "--json"),
+    ("verify", "--level", "quick", "--json"),
+])
+def test_no_command_loads_dataclasses(argv):
+    code, out, loaded = _probe(*argv)
+    assert code == 0 and out
+    assert "numpy" in loaded and "dataclasses" not in loaded
 
 
 def test_lazy_package_exports():

@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 
@@ -122,6 +123,35 @@ class TestQuadraticValue:
         with pytest.raises(NonIntegerResult):
             QuadraticValue(Fraction(1), Fraction(1), 5).to_int()
 
+    def test_equal_and_hashed_by_value(self):
+        phi = QuadraticValue(Fraction(1, 2), Fraction(1, 2), 5)
+        same = QuadraticValue(rational=Fraction(1, 2), radical=Fraction(1, 2), d=5)
+        assert phi == same and hash(phi) == hash(same)
+        assert phi != phi.conjugate()
+        assert phi != QuadraticValue(Fraction(1, 2), Fraction(1, 2), 13)
+        # a value, not a tuple of its parts
+        assert phi != (Fraction(1, 2), Fraction(1, 2), 5)
+        assert copy.copy(phi) == phi and copy.deepcopy(phi) == phi
+
+    def test_repr(self):
+        assert repr(QuadraticValue(Fraction(1, 2), Fraction(1), 5)) == (
+            "QuadraticValue(rational=Fraction(1, 2), radical=Fraction(1, 1), d=5)")
+
+    def test_fields_cannot_be_assigned(self):
+        phi = QuadraticValue(Fraction(1, 2), Fraction(1, 2), 5)
+        with pytest.raises(AttributeError):
+            phi.d = 13
+        with pytest.raises(AttributeError):
+            del phi.rational
+        assert phi == QuadraticValue(Fraction(1, 2), Fraction(1, 2), 5)
+
+    def test_no_sequence_arithmetic(self):
+        phi = QuadraticValue(Fraction(1, 2), Fraction(1, 2), 5)
+        with pytest.raises(TypeError):
+            2 * phi
+        with pytest.raises(TypeError):
+            phi + (1,)
+
 
 class TestClosedFormM:
     @pytest.mark.parametrize("m,n,expected", [
@@ -175,6 +205,29 @@ class TestGeneratingFunctions:
         rec = LinearRecurrence((1, 0, 0), (1, -2, 0))
         assert rec.numerator == (1,)
         assert rec.denominator == (1, -2)
+
+    def test_equal_and_hashed_by_value(self):
+        rec = LinearRecurrence((1, 0), (1, -1))
+        same = LinearRecurrence(numerator=[1], denominator=(1, -1, 0))
+        assert rec == same and hash(rec) == hash(same)
+        assert rec != LinearRecurrence((1,), (1, -2))
+        assert repr(rec) == "LinearRecurrence(numerator=(1,), denominator=(1, -1))"
+
+    def test_fields_cannot_be_assigned(self):
+        rec = LinearRecurrence((1,), (1, -1))
+        with pytest.raises(AttributeError):
+            rec.numerator = (2,)
+
+    @pytest.mark.parametrize("numerator,denominator,message", [
+        ((1.5,), (1,), "coefficients must be integers"),
+        ((1,), (1, Fraction(1, 2)), "coefficients must be integers"),
+        ((1,), (2, -1), "denominator must have constant term 1"),
+        ((1,), (), "denominator must have constant term 1"),
+    ])
+    def test_validation_messages(self, numerator, denominator, message):
+        with pytest.raises(ValueError) as raised:
+            LinearRecurrence(numerator, denominator)
+        assert str(raised.value) == message
 
 
 class TestFitting:

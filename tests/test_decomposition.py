@@ -93,8 +93,18 @@ class TestCountIndependentSets:
             count_independent_sets(column, guard=50)
 
     def test_duplicate_cells_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             ShapeGraph(((1, 1), (1, 1)))
+        assert str(raised.value) == "duplicate cells"
+
+    def test_value_type(self):
+        shape = ShapeGraph(((1, 3), (1, 1)))
+        same = ShapeGraph(cells=[(1, 1), (1, 3)])
+        assert shape == same and hash(shape) == hash(same)
+        assert shape != ShapeGraph(((1, 1),))
+        assert repr(shape) == "ShapeGraph(cells=((1, 1), (1, 3)))"
+        with pytest.raises(AttributeError):
+            shape.cells = ()
 
 
 class TestColourSplitSweep:

@@ -67,6 +67,57 @@ class TestPatternSet:
             ForbiddenPatternSet(diag_down=True, diag_run_k=3)
 
 
+class TestValueTypes:
+    """The value types compare, hash, print and refuse assignment like the
+    frozen records they have always been, with the same messages."""
+
+    def test_equal_and_hashed_by_value(self):
+        pairs = [(BoardDims(2, 3), BoardDims(m=2, n=3)),
+                 (ForbiddenPatternSet(diag_down=True, diag_up=True), M_SET),
+                 (uk_set(3), ForbiddenPatternSet(diag_run_k=3)),
+                 (BinaryMatrix(BoardDims(2, 3), 5),
+                  BinaryMatrix.from_text("000\n101"))]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+        assert BoardDims(2, 3) != BoardDims(3, 2)
+        assert M_SET != U_SET and U_SET != uk_set(3)
+        assert BinaryMatrix(BoardDims(2, 3), 5) != BinaryMatrix(BoardDims(3, 2), 5)
+        assert len({M_SET, U_SET, L_SET, uk_set(3), uk_set(3)}) == 4
+
+    def test_repr(self):
+        assert repr(BoardDims(2, 3)) == "BoardDims(m=2, n=3)"
+        assert repr(BinaryMatrix(BoardDims(2, 3), 5)) == (
+            "BinaryMatrix(dims=BoardDims(m=2, n=3), packed=5)")
+        assert repr(uk_set(3)) == (
+            "ForbiddenPatternSet(diag_down=False, diag_up=False, "
+            "horiz_pair=False, vert_pair=False, diag_run_k=3)")
+
+    @pytest.mark.parametrize("value,field", [
+        (BoardDims(2, 3), "m"), (M_SET, "diag_up"),
+        (BinaryMatrix(BoardDims(2, 3), 5), "packed")])
+    def test_fields_cannot_be_assigned(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    @pytest.mark.parametrize("make,error,message", [
+        (lambda: BoardDims(-1, 2), ValueError,
+         "dimensions must be nonnegative, got -1x2"),
+        (lambda: ForbiddenPatternSet(), ValueError,
+         "at least one forbidden pattern must be set"),
+        (lambda: uk_set(1), InvalidK, "diagonal run length must be >= 2, got 1"),
+        (lambda: ForbiddenPatternSet(diag_down=True, diag_run_k=3), ValueError,
+         "diag_run_k and diag_down are mutually exclusive"),
+        (lambda: BinaryMatrix(BoardDims(2, 2), 16), ValueError,
+         "16 does not fit the 4 cells of a 2x2 matrix"),
+    ])
+    def test_validation_messages(self, make, error, message):
+        with pytest.raises(error) as raised:
+            make()
+        assert str(raised.value) == message
+
+
 class TestMatrixAvoids:
     def test_worked_3x6_board_is_legal(self):
         mat = BinaryMatrix.from_text("101101\n100000\n001011")

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import time
@@ -183,6 +184,33 @@ class TestTilingValue:
         assert made == mapped and hash(made) == hash(mapped)
         assert len({made, mapped, Tiling(4, 4, ())}) == 2
         assert Tiling(4, 4, ()) != Tiling(4, 5, ())
+
+    def test_repr_and_copies(self):
+        tiling = Tiling(3, 4, ((2, 3), (1, 1)))
+        assert repr(tiling) == "Tiling(rows=3, cols=4, packed=33)"
+        for twin in (copy.copy(tiling), copy.deepcopy(tiling)):
+            assert twin == tiling and twin.anchors == ((1, 1), (2, 3))
+
+    def test_fields_cannot_be_assigned(self):
+        tiling = Tiling(3, 4, ((1, 1),))
+        for field in ("rows", "cols", "packed"):
+            with pytest.raises(AttributeError):
+                setattr(tiling, field, 2)
+        assert tiling.anchors == ((1, 1),)
+
+    @pytest.mark.parametrize("rows,cols,anchors,error,message", [
+        (-1, 3, (), ValueError, "dimensions must be nonnegative"),
+        (3, 3, ((3, 1),), InvalidTiling, "anchor (3,1) leaves the 3x3 board"),
+        (4, 4, ((2, 2), (1, 1)), InvalidTiling, "anchors (1,1) and (2,2) overlap"),
+        (4, 4, ((1, 1), (1, 1)), InvalidTiling, "anchors (1,1) and (1,1) overlap"),
+        (5000, 5000, (), GuardExceeded,
+         "a 5000x5000 tiling maps to a 4999x4999 matrix of 24990001 cells, "
+         "above the 2^22 limit"),
+    ])
+    def test_validation_messages(self, rows, cols, anchors, error, message):
+        with pytest.raises(error) as raised:
+            Tiling(rows, cols, anchors)
+        assert str(raised.value) == message
 
     def test_empty_boards(self):
         for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (1, 5)]:
