@@ -9,8 +9,7 @@ cross-validates them against each other.
 The exports below resolve lazily (PEP 562): ``from pawncount import X``
 imports only the submodule that defines X, so a closed-form, enumeration
 or bijection call never loads numpy, which only the sweeps need.  The
-value types are named tuples, and ``QuadraticValue``, which must not act
-as a sequence, a slotted class.  None is a dataclass: importing
+value types are named tuples.  None is a dataclass: importing
 ``dataclasses`` (with the ``inspect`` it pulls in) takes longer than
 importing the whole package.
 """
@@ -19,11 +18,11 @@ from importlib import import_module
 
 _EXPORTS = {
     "closedforms": (
-        "FIB_PRODUCT_CONSTANT", "LinearRecurrence", "QuadraticValue",
-        "closed_form_L", "closed_form_M", "colour_class_M", "estimate_c",
-        "fib_product", "fib_product_growth_ratio", "fibonacci",
-        "fit_linear_recurrence", "golden_ratio_gap", "l3_root_closed_form",
-        "shape_formula_M", "upper_bound_U", "upper_bound_U_k"),
+        "FIB_PRODUCT_CONSTANT", "LinearRecurrence", "closed_form_L",
+        "closed_form_M", "colour_class_M", "estimate_c", "fib_product",
+        "fib_product_growth_ratio", "fibonacci", "fit_linear_recurrence",
+        "golden_ratio_gap", "l3_root_closed_form", "shape_formula_M",
+        "upper_bound_U", "upper_bound_U_k"),
     "decomposition": ("ShapeGraph", "count_independent_sets", "split_by_color"),
     "errors": (
         "GuardExceeded", "IllegalMatrix", "InvalidK", "InvalidTiling",

@@ -2,9 +2,9 @@
 
 Everything here is exact unless a function explicitly returns float.  One
 Fibonacci indexing is used throughout: F(0) = F(1) = 1, so F runs
-1, 1, 2, 3, 5, 8, ...  Radical formulas are evaluated in quadratic fields
-with Fraction components so that integrality is a hard correctness check,
-never a rounding accident.
+1, 1, 2, 3, 5, 8, ...  Radical formulas are evaluated in Z[sqrt(d)]
+with integer components, and their denominator is divided out exactly, so
+that integrality is a hard correctness check, never a rounding accident.
 
 M has a closed form at every height from 1 to 16: radical forms at
 heights 1..3, black/white shape formulas at 2..6, and at 7..16 the
@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque, namedtuple
-from fractions import Fraction
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import chain, islice, repeat
-from typing import Callable, Iterator
 
 from .errors import InvalidK, NoFitFound, NonIntegerResult
 
@@ -93,105 +92,38 @@ def _sheared_rows(m: int, n: int, k: int) -> int:
     return longest ** (abs(n - m) + 1) * math.prod(rows) ** 2
 
 
-class QuadraticValue:
-    """Exact element p + q*sqrt(d) of a fixed real quadratic field.
+def _surd_power(a: int, b: int, d: int, e: int) -> tuple[int, int]:
+    """The integers (p, q) with p + q*sqrt(d) = (a + b*sqrt(d))^e, by
+    repeated squaring in Z[sqrt(d)]; e >= 0."""
+    p, q = 1, 0
+    while e:
+        if e & 1:
+            p, q = p * a + d * q * b, p * b + q * a
+        a, b = a * a + d * b * b, 2 * a * b
+        e >>= 1
+    return p, q
 
-    Immutable and hashable.  Not a tuple: ``2 * q`` and ``q + (1,)`` raise
-    TypeError rather than repeat or concatenate."""
 
-    __slots__ = ("rational", "radical", "d")
-
-    def __init__(self, rational: Fraction, radical: Fraction, d: int):
-        object.__setattr__(self, "rational", rational)
-        object.__setattr__(self, "radical", radical)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return self.rational, self.radical, self.d
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"QuadraticValue(rational={self.rational!r}, "
-                f"radical={self.radical!r}, d={self.d!r})")
-
-    def __reduce__(self):
-        return QuadraticValue, self._key()
-
-    def _require_same_field(self, other: "QuadraticValue") -> None:
-        if self.d != other.d:
-            raise ValueError(f"mixed fields: sqrt({self.d}) vs sqrt({other.d})")
-
-    @staticmethod
-    def _coerce(value, d: int) -> "QuadraticValue":
-        if isinstance(value, QuadraticValue):
-            return value
-        return QuadraticValue(Fraction(value), Fraction(0), d)
-
-    def __add__(self, other):
-        other = self._coerce(other, self.d)
-        self._require_same_field(other)
-        return QuadraticValue(self.rational + other.rational,
-                              self.radical + other.radical, self.d)
-
-    def __sub__(self, other):
-        other = self._coerce(other, self.d)
-        self._require_same_field(other)
-        return QuadraticValue(self.rational - other.rational,
-                              self.radical - other.radical, self.d)
-
-    def __mul__(self, other):
-        other = self._coerce(other, self.d)
-        self._require_same_field(other)
-        return QuadraticValue(
-            self.rational * other.rational + self.d * self.radical * other.radical,
-            self.rational * other.radical + self.radical * other.rational,
-            self.d)
-
-    def __pow__(self, exponent: int) -> "QuadraticValue":
-        if exponent < 0:
-            raise ValueError("negative powers not supported")
-        result = QuadraticValue(Fraction(1), Fraction(0), self.d)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def conjugate(self) -> "QuadraticValue":
-        return QuadraticValue(self.rational, -self.radical, self.d)
-
-    def to_int(self) -> int:
-        """Collapse to an exact integer or raise NonIntegerResult."""
-        if self.radical != 0:
-            raise NonIntegerResult(f"radical part {self.radical} did not cancel")
-        if self.rational.denominator != 1:
-            raise NonIntegerResult(f"non-integer rational part {self.rational}")
-        return int(self.rational)
+def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
+    """numerator / denominator, which must be an integer: a closed form
+    whose division leaves a remainder raises instead of being rounded."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        # no operands in the message: past 4300 digits str() of them raises
+        raise NonIntegerResult(f"closed form of {what} left a remainder")
+    return quotient
 
 
 def closed_form_M(m: int, n: int) -> int:
     """Radical closed forms for the pawn count at heights 1..3.
 
-    Height 1 is 2^n.  Heights 2 and 3 are evaluated exactly in the fields
-    with sqrt(5) and sqrt(13); for height 3 the sqrt(3)-power term is
-    rational once split by the parity of n.  A non-integer outcome raises
-    instead of being rounded away.
+    Height 1 is 2^n.  Height 2 is (7/10)(phi^2n + phibar^2n)
+    + (3/10)sqrt(5)(phi^2n - phibar^2n) + 2/5 for odd n (- 2/5 for even n),
+    with phi = (1 + sqrt(5))/2.  Height 3 is (r^(n+2) + rbar^(n+2) + e)/13
+    with r = (5 + sqrt(13))/2, where the sqrt(3)-power term e is rational
+    once split by the parity of n.  Each power is taken in Z[sqrt(d)]
+    with the denominator cleared, the conjugate terms cancel the sqrt(d)
+    part, and the cleared denominator is divided out exactly.
     """
     if m not in (1, 2, 3):
         raise ValueError(f"closed forms cover heights 1..3, got {m}")
@@ -200,27 +132,17 @@ def closed_form_M(m: int, n: int) -> int:
     if m == 1:
         return 2 ** n
     if m == 2:
-        half = Fraction(1, 2)
-        phi = QuadraticValue(half, half, 5)
-        phi_bar = phi.conjugate()
-        a = phi ** (2 * n)
-        b = phi_bar ** (2 * n)
-        sqrt5 = QuadraticValue(Fraction(0), Fraction(1), 5)
-        total = (a + b) * Fraction(7, 10) + sqrt5 * (a - b) * Fraction(3, 10)
-        total = total + (Fraction(2, 5) if n % 2 else Fraction(-2, 5))
-        return total.to_int()
-    root = QuadraticValue(Fraction(5, 2), Fraction(1, 2), 13)
-    power_sum = (root ** (n + 2) + root.conjugate() ** (n + 2))
-    if power_sum.radical != 0:
-        raise NonIntegerResult("conjugate powers did not cancel")
-    if n % 2:
-        extra = 8 * 3 ** ((n + 1) // 2)
-    else:
-        extra = -6 * 3 ** (n // 2)
-    total = (power_sum.rational + extra) / 13
-    if total.denominator != 1:
-        raise NonIntegerResult(f"height-3 closed form gave {total} at n={n}")
-    return int(total)
+        # (1 + sqrt5)^(2n) = p + q sqrt5 = 4^n phi^(2n)
+        p, q = _surd_power(1, 1, 5, 2 * n)
+        scale = 4 ** n
+        sign = 1 if n % 2 else -1
+        return _exact_quotient(7 * p + 15 * q + sign * 2 * scale, 5 * scale,
+                               f"M(2,{n})")
+    # (5 + sqrt13)^(n+2) = p + q sqrt13 = 2^(n+2) r^(n+2)
+    p, _ = _surd_power(5, 1, 13, n + 2)
+    scale = 2 ** (n + 2)
+    extra = 8 * 3 ** ((n + 1) // 2) if n % 2 else -6 * 3 ** (n // 2)
+    return _exact_quotient(2 * p + extra * scale, 13 * scale, f"M(3,{n})")
 
 
 def closed_form_L(m: int, n: int) -> int:
@@ -237,9 +159,7 @@ def closed_form_L(m: int, n: int) -> int:
     if m == 1:
         return fibonacci(n + 1)
     if m == 2:
-        numerator = 2 ** (n + 2) - (-1) ** n
-        assert numerator % 3 == 0
-        return numerator // 3
+        return _exact_quotient(2 ** (n + 2) - (-1) ** n, 3, f"L(2,{n})")
     return _gf_term(GF_THREE_ROW_L, n)
 
 
@@ -301,9 +221,13 @@ def _terms(rec: LinearRecurrence) -> Iterator[int]:
         yield term
 
 
-def _berlekamp_massey(seq: list[Fraction]) -> tuple[list[Fraction], int]:
-    """Minimal connection polynomial C with C[0] = 1 and
-    sum_j C[j] * seq[n - j] == 0 for all n >= len(C) - 1."""
+def _berlekamp_massey(values: list[int]) -> tuple[list, int]:
+    """Minimal connection polynomial C, as Fractions, with C[0] = 1 and
+    sum_j C[j] * values[n - j] == 0 for all n >= len(C) - 1."""
+    # the only exact rationals in the package: loaded for a fit alone
+    from fractions import Fraction
+
+    seq = [Fraction(v) for v in values]
     connection = [Fraction(1)]
     backup = [Fraction(1)]
     order = 0
@@ -349,7 +273,7 @@ def fit_linear_recurrence(seq, max_order: int) -> LinearRecurrence:
         raise ValueError(
             f"need at least {2 * max_order + 2} terms to certify order "
             f"{max_order}, got {len(values)}")
-    connection, order = _berlekamp_massey([Fraction(v) for v in values])
+    connection, order = _berlekamp_massey(values)
     if order > max_order:
         raise NoFitFound(
             f"minimal recurrence order {order} exceeds max_order {max_order}")

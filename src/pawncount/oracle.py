@@ -19,8 +19,8 @@ validated against this one.  The module imports no numpy.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import GuardExceeded, InvalidK, MatrixFormatError
 

@@ -40,17 +40,14 @@ guard and still works.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from functools import partial
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable
 
 from .errors import (MAX_STATES, MAX_WIDTH, GuardExceeded, IllegalMatrix,
                      InvalidTiling)
 from .oracle import (L_SET, BinaryMatrix, BoardDims, find_violation,
                      one_positions)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Anchor = tuple[int, int]
 

@@ -61,9 +61,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import accumulate, chain, cycle, islice, repeat
-from typing import Callable, Iterable, Iterator
 
 import numpy as np
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -588,7 +589,8 @@ def test_module_entry_point():
 #: Modules that a call loads only when its command needs them; the
 #: package itself never loads dataclasses or mpmath.
 _OPTIONAL = ("numpy", "dataclasses", "inspect", "json", "csv",
-             "pawncount.tiling", "pawncount.transfer", "mpmath")
+             "fractions", "decimal", "pawncount.tiling", "pawncount.transfer",
+             "mpmath")
 
 # Runs one CLI call in a fresh interpreter and reports its exit code, its
 # output and which of the optional modules were loaded by the time it
@@ -641,6 +643,22 @@ def test_closed_form_calls_skip_numpy(argv):
     code, out, loaded = _probe(*argv)
     assert code == 0 and out
     assert loaded == []
+
+
+def test_no_typing_or_rationals_at_run_time():
+    # -S leaves site out, so every module loaded is the package's doing;
+    # the package dir goes on PYTHONPATH, which -S still reads
+    src = os.path.dirname(os.path.dirname(cf.__file__))
+    probe = ("import sys\n"
+             "import pawncount.cli, pawncount.tiling\n"
+             "code = pawncount.cli.main(['count', '-m', '3', '-n', '5'])\n"
+             "print(code, [name for name in ('typing', 'fractions', 'decimal',"
+             " 'numbers') if name in sys.modules])\n")
+    result = subprocess.run([sys.executable, "-S", "-c", probe],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "M(3,5) = 2117\n0 []\n"
 
 
 @pytest.mark.parametrize("argv,module", [

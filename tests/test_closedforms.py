@@ -1,4 +1,3 @@
-import copy
 import math
 from fractions import Fraction
 
@@ -11,8 +10,8 @@ from pawncount.classgf import CLASS_GF
 from pawncount.closedforms import (FIB_PRODUCT_CONSTANT, GF_FIVE_ROW_A,
                                    GF_FIVE_ROW_B, LinearRecurrence,
                                    PUBLISHED_FIVE_ROW_A, PUBLISHED_FIVE_ROW_B,
-                                   QuadraticValue, closed_form_L,
-                                   closed_form_M, closed_forms,
+                                   closed_form_L, closed_form_M,
+                                   closed_forms,
                                    colour_class_M, corrected_five_row_shapes,
                                    estimate_c, fib_product,
                                    fib_product_growth_ratio, fibonacci,
@@ -98,61 +97,6 @@ class TestUpperBound:
             upper_bound_U_k(2, 2, 1)
 
 
-class TestQuadraticValue:
-    def test_multiplication_expands_radical(self):
-        phi = QuadraticValue(Fraction(1, 2), Fraction(1, 2), 5)
-        sq = phi * phi
-        assert sq == QuadraticValue(Fraction(3, 2), Fraction(1, 2), 5)
-
-    def test_pow_matches_repeated_mul(self):
-        x = QuadraticValue(Fraction(5, 2), Fraction(1, 2), 13)
-        acc = QuadraticValue(Fraction(1), Fraction(0), 13)
-        for e in range(6):
-            assert x ** e == acc
-            acc = acc * x
-
-    def test_mixed_fields_rejected(self):
-        with pytest.raises(ValueError):
-            QuadraticValue(Fraction(1), Fraction(1), 5) * QuadraticValue(
-                Fraction(1), Fraction(1), 13)
-
-    def test_to_int(self):
-        assert QuadraticValue(Fraction(4), Fraction(0), 5).to_int() == 4
-        with pytest.raises(NonIntegerResult):
-            QuadraticValue(Fraction(1, 2), Fraction(0), 5).to_int()
-        with pytest.raises(NonIntegerResult):
-            QuadraticValue(Fraction(1), Fraction(1), 5).to_int()
-
-    def test_equal_and_hashed_by_value(self):
-        phi = QuadraticValue(Fraction(1, 2), Fraction(1, 2), 5)
-        same = QuadraticValue(rational=Fraction(1, 2), radical=Fraction(1, 2), d=5)
-        assert phi == same and hash(phi) == hash(same)
-        assert phi != phi.conjugate()
-        assert phi != QuadraticValue(Fraction(1, 2), Fraction(1, 2), 13)
-        # a value, not a tuple of its parts
-        assert phi != (Fraction(1, 2), Fraction(1, 2), 5)
-        assert copy.copy(phi) == phi and copy.deepcopy(phi) == phi
-
-    def test_repr(self):
-        assert repr(QuadraticValue(Fraction(1, 2), Fraction(1), 5)) == (
-            "QuadraticValue(rational=Fraction(1, 2), radical=Fraction(1, 1), d=5)")
-
-    def test_fields_cannot_be_assigned(self):
-        phi = QuadraticValue(Fraction(1, 2), Fraction(1, 2), 5)
-        with pytest.raises(AttributeError):
-            phi.d = 13
-        with pytest.raises(AttributeError):
-            del phi.rational
-        assert phi == QuadraticValue(Fraction(1, 2), Fraction(1, 2), 5)
-
-    def test_no_sequence_arithmetic(self):
-        phi = QuadraticValue(Fraction(1, 2), Fraction(1, 2), 5)
-        with pytest.raises(TypeError):
-            2 * phi
-        with pytest.raises(TypeError):
-            phi + (1,)
-
-
 class TestClosedFormM:
     @pytest.mark.parametrize("m,n,expected", [
         (1, 0, 1), (1, 7, 128),
@@ -171,6 +115,32 @@ class TestClosedFormM:
     def test_out_of_range_height(self):
         with pytest.raises(ValueError):
             closed_form_M(4, 2)
+
+    def test_radical_forms_equal_the_shape_formulas(self):
+        # independent routes: the square of the path count at height 2,
+        # the interleaved t recurrence at height 3
+        for n in range(1001):
+            assert closed_form_M(2, n) == fibonacci(n + 1) ** 2
+            assert closed_form_M(3, n) == shape_formula_M(3, n)[0]
+
+    @pytest.mark.parametrize("a,b,d", [(1, 1, 5), (5, 1, 13), (-3, 2, 13)])
+    def test_surd_power_matches_repeated_multiplication(self, a, b, d):
+        p, q = 1, 0
+        for e in range(9):
+            assert cf._surd_power(a, b, d, e) == (p, q)
+            p, q = p * a + d * q * b, p * b + q * a
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_remainder_raises(self, m, monkeypatch):
+        surd_power = cf._surd_power
+
+        def off_by_one(*args):
+            p, q = surd_power(*args)
+            return p + 1, q
+
+        monkeypatch.setattr(cf, "_surd_power", off_by_one)
+        with pytest.raises(NonIntegerResult):
+            closed_form_M(m, 5)
 
 
 class TestClosedFormL:
