@@ -368,9 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (PawncountError, OSError, ValueError) as exc:
-        position = getattr(exc, "position", None)
-        where = f" at {position}" if position else ""
-        print(f"error: {exc}{where}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         # a package error names its own code; MatrixFormatError and InvalidK
         # are ValueErrors too, so this test comes first.  Only input files
         # are decoded, so a UnicodeDecodeError is a bad file.

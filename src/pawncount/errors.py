@@ -40,19 +40,11 @@ class IllegalMatrix(PawncountError):
 
     exit_code = 5
 
-    def __init__(self, message: str, position: tuple[int, int] | None = None):
-        super().__init__(message)
-        self.position = position
-
 
 class InvalidTiling(PawncountError):
     """Tiling is malformed: anchor out of range or overlapping tiles."""
 
     exit_code = 5
-
-    def __init__(self, message: str, position: tuple[int, int] | None = None):
-        super().__init__(message)
-        self.position = position
 
 
 class MatrixFormatError(PawncountError, ValueError):

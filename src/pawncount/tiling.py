@@ -81,8 +81,7 @@ def _check_overlaps(ordered: list[Anchor]) -> None:
         for (r2, c2) in later:
             if (r2, c2) in taken:
                 raise InvalidTiling(
-                    f"anchors ({r},{c}) and ({r2},{c2}) overlap",
-                    position=(r2, c2))
+                    f"anchors ({r},{c}) and ({r2},{c2}) overlap")
 
 
 class Tiling(namedtuple("Tiling", "rows cols packed")):
@@ -104,8 +103,7 @@ class Tiling(namedtuple("Tiling", "rows cols packed")):
         for (r, c) in ordered:
             if not (1 <= r < rows and 1 <= c < cols):
                 raise InvalidTiling(
-                    f"anchor ({r},{c}) leaves the {rows}x{cols} board",
-                    position=(r, c))
+                    f"anchor ({r},{c}) leaves the {rows}x{cols} board")
         _check_overlaps(ordered)
         _check_size(rows, cols)
         m, n = max(rows - 1, 0), max(cols - 1, 0)
@@ -134,7 +132,7 @@ def theta_forward(mat: BinaryMatrix) -> Tiling:
         pattern, pos = violation
         raise IllegalMatrix(
             f"matrix has forbidden {pattern} at {pos}; only fully-isolated "
-            "matrices map to tilings", position=pos)
+            "matrices map to tilings")
     return Tiling._make((mat.dims.m + 1, mat.dims.n + 1, mat.packed))
 
 

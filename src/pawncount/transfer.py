@@ -41,20 +41,25 @@ frontier's place in the state array is known in closed form (its m cells
 are ranked by their Zeckendorf sum), so each cell step is two gathers with
 no search.  The full sweep stays the independent check on it up to m = 22.
 
-A single count is read off the middle of its sweep (``_ends``): an n-column
-board is a board of a = ceil((n+1)/2) columns and one of b = n+1-a columns
-that share the middle column, so with u_j = (T^T)^(j-1) 1 the state after
-j columns, 1^T T^(n-1) 1 = u_a^T T^(b-1) 1: the identity Calkin and Wilf
-use for hard squares.  Each of ``count_via_transfer``,
-``colour_split_count`` and ``isolated_count`` sweeps to u_a only, keeps a
-copy of u_b (the step after it may overwrite it) and returns the dot
-product in Python ints, so n columns cost about n/2 steps.  The right half
-turned around must again be a board of the same rule: a 180-degree turn
-maps every two-cell pattern onto itself, so the full profile reads
+Each of the three exact sweeps (``_states``, ``_colour_sweeps`` and
+``_isolated_columns``) yields its column states u_0, u_1, u_2, ..., u_0 the
+empty board's, after the checks that guard it.  Two readers turn them into
+counts: ``_sequence`` takes the totals of u_0..u_n_max, for ``table`` and as
+the check on the midpoints, and ``_midpoint`` reads one board off the middle
+of its sweep (``_ends``).  An n-column board is a board of
+a = ceil((n+1)/2) columns and one of b = n+1-a columns that share the
+middle column, so with u_j = (T^T)^(j-1) 1 the state after j columns,
+1^T T^(n-1) 1 = u_a^T T^(b-1) 1: the identity Calkin and Wilf use for hard
+squares.  ``_midpoint`` sweeps to u_a only, keeps a copy of u_b (the step
+after it may overwrite it) and returns the dot product in Python ints, so n
+columns cost about n/2 steps; n <= 2 is u_n's total.  The right half turned
+around must again be a board of the same rule: a 180-degree turn maps every
+two-cell pattern onto itself, so ``count_via_transfer`` reads
 T^(b-1) 1 = R u_b, u_b at the row-flipped masks (T^T = R T R), which U,
-with its one diagonal, needs; M's colour classes and L ban both diagonals
-and are read left to right.  The sequences stay whole, for ``table`` and
-as the check on the midpoints.
+with its one diagonal, needs.  M's colour classes and L ban both diagonals
+and are read left to right: ``isolated_count`` folds each frontier state
+onto its column first, and ``colour_split_count`` crosses the two classes'
+ends at even n.
 """
 
 from __future__ import annotations
@@ -186,8 +191,7 @@ def build_transfer(m: int, pats: ForbiddenPatternSet = M_SET,
     """The 0/1 transfer matrix for height m as an int8 array over the
     admissible columns in ascending mask order: entry (i, j) is 1 iff
     column i may sit left of column j."""
-    if m < 1:
-        raise ValueError("height must be >= 1")
+    _check_board(m)
     if m > guard:
         raise GuardExceeded(
             f"dense transfer at height {m} needs up to 2^{m} vertices, above "
@@ -218,15 +222,29 @@ def _states(m: int, pats: ForbiddenPatternSet) -> Iterator[np.ndarray]:
     yield from islice(sweep(x.astype(np.int64), repeat(step)), 1, None)
 
 
+def _check_board(m: int, n: int = 0) -> None:
+    """Refuse a height below 1 or a negative column count."""
+    if m < 1:
+        raise ValueError("height must be >= 1")
+    if n < 0:
+        raise ValueError("column count must be >= 0")
+
+
+def _sequence(columns: Iterable[np.ndarray], n_max: int) -> list[int]:
+    """The totals of the column states u_0, u_1, ..., u_n_max of a sweep:
+    the counts for n = 0..n_max (index by n)."""
+    return [int(x.sum()) for x in islice(columns, n_max + 1)]
+
+
 def _ends(columns: Iterable[np.ndarray], n: int
           ) -> tuple[np.ndarray, np.ndarray]:
-    """(u_a, a copy of u_b) from the column states u_1, u_2, ... of a sweep,
+    """(u_a, a copy of u_b) from the column states u_0, u_1, ... of a sweep,
     for an n-column board (n >= 1) split at its middle column:
     a = ceil((n+1)/2) and b = n+1-a, so a = b for odd n and a = b+1 for
     even n.  The copy is needed because the step after u_b may overwrite
     it; the sweep is not drawn past u_a."""
     columns = iter(columns)
-    right = next(islice(columns, (n - 1) // 2, None)).copy()
+    right = next(islice(columns, (n + 1) // 2, None)).copy()
     return (next(columns) if n % 2 == 0 else right), right
 
 
@@ -234,6 +252,18 @@ def _dot(x: np.ndarray, y: np.ndarray) -> int:
     """sum(x * y) in Python ints: the two halves of a board may each fit
     int64 while their dot product does not."""
     return sum(map(operator.mul, x.tolist(), y.tolist()))
+
+
+def _midpoint(columns: Iterable[np.ndarray], n: int,
+              turn: Callable[[np.ndarray], np.ndarray] = lambda x: x) -> int:
+    """The count of the n-column board from the column states u_0, u_1, ...
+    of a sweep: u_a . turn(u_b) at the middle column (``_ends``), where turn
+    reads the right half from its far end.  n <= 2 is u_n's total, so an
+    empty board still draws u_0 and the checks made before it."""
+    if n <= 2:
+        return int(next(islice(columns, n, None)).sum())
+    left, right = _ends(columns, n)
+    return _dot(left, turn(right))
 
 
 def _reversed_bits(m: int) -> np.ndarray:
@@ -251,24 +281,14 @@ def count_via_transfer(m: int, n: int, pats: ForbiddenPatternSet = M_SET) -> int
     read off the plain sweep: n = 0 gives 1 and n = 1 the number of
     admissible columns.
     """
-    if m < 1:
-        raise ValueError("height must be >= 1 (empty boards count 1 by convention)")
-    if n < 0:
-        raise ValueError("column count must be >= 0")
-    states = _states(m, pats)
-    if n <= 2:
-        return int(next(islice(states, n, None)).sum())
-    left, right = _ends(islice(states, 1, None), n)
-    return _dot(left, right[_reversed_bits(m)])
+    _check_board(m, n)
+    return _midpoint(_states(m, pats), n, lambda x: x[_reversed_bits(m)])
 
 
 def count_sequence(m: int, n_max: int, pats: ForbiddenPatternSet = M_SET) -> list[int]:
     """Counts for n = 0..n_max in one sweep (index by n)."""
-    if m < 1:
-        raise ValueError("height must be >= 1")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return [int(x.sum()) for x in islice(_states(m, pats), n_max + 1)]
+    _check_board(m, n_max)
+    return _sequence(_states(m, pats), n_max)
 
 
 def colour_split_sequence(m: int, n_max: int) -> tuple[list[int], list[int]]:
@@ -279,20 +299,18 @@ def colour_split_sequence(m: int, n_max: int) -> tuple[list[int], list[int]]:
     column 1 and W on its even rows; each step moves a class to the other
     rows of the next column.
     """
-    if m < 1:
-        raise ValueError("height must be >= 1")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    black, white = ([1] + [int(x.sum()) for x in islice(states, n_max)]
-                    for states in _colour_sweeps(m))
+    _check_board(m, n_max)
+    black, white = (_sequence(states, n_max) for states in _colour_sweeps(m))
     return black, white
 
 
 def _colour_sweeps(m: int) -> tuple[Iterator[np.ndarray], Iterator[np.ndarray]]:
-    """The black and the white class states after 1, 2, ... columns."""
+    """The black and the white class states after 0, 1, 2, ... columns; the
+    empty board's state is the single entry 1."""
     steps = _colour_steps(m)
-    return (sweep(np.ones(1 << (m + 1) // 2, dtype=np.int64), cycle(steps)),
-            sweep(np.ones(1 << m // 2, dtype=np.int64), cycle(steps[::-1])))
+    empty = [np.ones(1, dtype=np.int64)]
+    return tuple(chain(empty, sweep(np.ones(1 << width, dtype=np.int64), cycle(order)))
+                 for width, order in (((m + 1) // 2, steps), (m // 2, steps[::-1])))
 
 
 def colour_split_count(m: int, n: int) -> tuple[int, int]:
@@ -305,17 +323,12 @@ def colour_split_count(m: int, n: int) -> tuple[int, int]:
     n; B = b_a . w_b and W = w_a . b_b for even n.  n <= 2 is read off the
     plain sweeps.
     """
-    if m < 1:
-        raise ValueError("height must be >= 1")
-    if n < 0:
-        raise ValueError("column count must be >= 0")
-    if n <= 2:
-        black, white = colour_split_sequence(m, n)
-        return black[n], white[n]
-    (b_a, b_b), (w_a, w_b) = (_ends(states, n) for states in _colour_sweeps(m))
-    if n % 2 == 0:
-        b_b, w_b = w_b, b_b
-    return _dot(b_a, b_b), _dot(w_a, w_b)
+    _check_board(m, n)
+    black, white = _colour_sweeps(m)
+    if n <= 2 or n % 2:
+        return _midpoint(black, n), _midpoint(white, n)
+    (b_a, b_b), (w_a, w_b) = _ends(black, n), _ends(white, n)
+    return _dot(b_a, w_b), _dot(w_a, b_b)
 
 
 def _path_sets(m: int) -> np.ndarray:
@@ -391,11 +404,8 @@ def isolated_sequence(m: int, n_max: int) -> list[int]:
     in MAX_STATES entries (to m = 24); past that they are rebuilt for each
     column.
     """
-    if m < 1:
-        raise ValueError("height must be >= 1")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return [int(x.sum()) for x in islice(_isolated_columns(m), n_max + 1)]
+    _check_board(m, n_max)
+    return _sequence(_isolated_columns(m), n_max)
 
 
 def _isolated_columns(m: int) -> Iterator[np.ndarray]:
@@ -428,24 +438,18 @@ def isolated_count(m: int, n: int) -> int:
     e of the column before it, so the boards whose last column is f number
     y[f] = x[(f, 0)] + x[(f, 1)].  n <= 2 is read off the plain sweep.
     """
-    if m < 1:
-        raise ValueError("height must be >= 1")
-    if n < 0:
-        raise ValueError("column count must be >= 0")
+    _check_board(m, n)
     columns = _isolated_columns(m)
-    if n <= 2:
-        return int(next(islice(columns, n, None)).sum())
     paths = _path_sets(m)
     legal = np.flatnonzero(_extra_cell_legal(paths, m - 1))
 
     def fold(x: np.ndarray) -> np.ndarray:
-        # a copy: for odd n both ends are one array
+        # a copy: the sweep steps on from x
         y = x[:len(paths)].copy()
         y[legal] += x[len(paths):len(paths) + len(legal)]
         return y
 
-    left, right = _ends(islice(columns, 1, None), n)
-    return _dot(fold(left), fold(right))
+    return _midpoint(map(fold, columns), n)
 
 
 def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,
@@ -461,8 +465,7 @@ def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,
     iteration from the all-ones state converges; successive Rayleigh
     estimates within tol relative difference stop the loop.
     """
-    if m < 1:
-        raise ValueError("height must be >= 1")
+    _check_board(m)
     if pats != M_SET:
         raise ValueError("the dominant eigenvalue is computed for M only")
     if tol <= 0:

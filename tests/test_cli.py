@@ -423,6 +423,22 @@ class TestBijection:
         assert code == 5
         assert "(1, 1)" in err
 
+    @pytest.mark.parametrize("flag,text,line", [
+        ("--matrix-file", "11\n00",
+         "error: matrix has forbidden horiz_pair at (1, 1); only "
+         "fully-isolated matrices map to tilings"),
+        ("--tiling-json", '{"rows": 4, "cols": 4, "anchors": [[1, 1], [1, 2]]}',
+         "error: anchors (1,1) and (1,2) overlap"),
+        ("--tiling-json", '{"rows": 4, "cols": 4, "anchors": [[5, 1]]}',
+         "error: anchor (5,1) leaves the 4x4 board"),
+    ], ids=["illegal-matrix", "overlap", "off-board"])
+    def test_error_names_its_cell_once(self, flag, text, line, tmp_path,
+                                       capsys):
+        src = tmp_path / "input"
+        src.write_text(text)
+        code, out, err = run_cli("bijection", flag, str(src), capsys=capsys)
+        assert (code, out, err) == (5, "", line + "\n")
+
     @pytest.mark.parametrize("text", [
         '{"rows": 2, "cols": 2, "anchors": [[5, 5]]}',
         '{"rows": -1, "cols": 2, "anchors": []}',

@@ -61,8 +61,9 @@ class TestThetaForward:
     def test_illegal_matrix_rejected_with_position(self):
         with pytest.raises(IllegalMatrix) as info:
             theta_forward(BinaryMatrix.from_text("11"))
-        assert info.value.position == (1, 1)
-        assert "forbidden horiz_pair at (1, 1)" in str(info.value)
+        assert str(info.value) == (
+            "matrix has forbidden horiz_pair at (1, 1); only fully-isolated "
+            "matrices map to tilings")
 
 
 class TestThetaInverse:
@@ -85,7 +86,7 @@ class TestThetaInverse:
     def test_overlapping_anchors(self):
         with pytest.raises(InvalidTiling) as info:
             Tiling(4, 4, ((1, 1), (2, 2)))
-        assert info.value.position == (2, 2)
+        assert str(info.value) == "anchors (1,1) and (2,2) overlap"
 
     def test_duplicate_anchors(self):
         with pytest.raises(InvalidTiling):
@@ -96,7 +97,6 @@ class TestThetaInverse:
         with pytest.raises(InvalidTiling) as info:
             Tiling(4, 8, ((2, 6), (2, 2), (1, 5), (2, 1)))
         assert str(info.value) == "anchors (1,5) and (2,6) overlap"
-        assert info.value.position == (2, 6)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=8))
@@ -118,7 +118,6 @@ class TestThetaInverse:
         else:
             (r, c), (r2, c2) = expected
             assert str(found) == f"anchors ({r},{c}) and ({r2},{c2}) overlap"
-            assert found.position == (r2, c2)
 
 
 class TestRoundtrip:

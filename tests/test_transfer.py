@@ -2,7 +2,6 @@ import math
 import subprocess
 import sys
 import time
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -150,15 +149,20 @@ class TestWidthGuard:
     plain-sweep fallback (n <= 2) refuse the same heights."""
 
     @pytest.mark.parametrize("sweep", [
+        lambda: count_via_transfer(23, 0),
         lambda: count_via_transfer(23, 2),
         lambda: count_via_transfer(23, 40),
         lambda: count_via_transfer(23, 40, U_SET),
         lambda: count_sequence(23, 2),
+        lambda: colour_split_sequence(45, 0),
         lambda: colour_split_sequence(45, 2),
+        lambda: colour_split_count(45, 0),
         lambda: colour_split_count(45, 2),
         lambda: colour_split_count(45, 45),
         lambda: dominant_eigenvalue(45),
+        lambda: isolated_sequence(31, 0),
         lambda: isolated_sequence(31, 2),
+        lambda: isolated_count(31, 0),
         lambda: isolated_count(31, 2),
         lambda: isolated_count(31, 31),
     ])
@@ -259,7 +263,7 @@ class TestMidpoint:
     def test_dot_product_past_int64(self, m, n, pats):
         """Both halves still fit int64, the count does not: the dot
         product is taken in Python ints."""
-        left, right = _ends(islice(_states(m, pats), 1, None), n)
+        left, right = _ends(_states(m, pats), n)
         assert left.dtype == right.dtype == np.int64
         value = count_via_transfer(m, n, pats)
         assert value == count_sequence(m, n, pats)[n]
@@ -268,7 +272,7 @@ class TestMidpoint:
     def test_u_needs_the_row_flip(self):
         """U bans one diagonal, so its right half must be turned by 180
         degrees (T^T = R T R), not only read right to left."""
-        left, right = _ends(islice(_states(2, U_SET), 1, None), 3)
+        left, right = _ends(_states(2, U_SET), 3)
         assert int(left @ right) == 40
         assert count_via_transfer(2, 3, U_SET) == 36 == count_by_enumeration(
             2, 3, U_SET)
@@ -278,8 +282,11 @@ class TestMidpoint:
         (lambda: count_via_transfer(5, 7, U_SET), 3),
         (lambda: count_via_transfer(5, 6, M_SET), 3),
         (lambda: colour_split_count(5, 7), 2 * 3),
+        # even n crosses the classes' ends: a = 5 columns of 8
+        (lambda: colour_split_count(5, 8), 2 * 4),
         # the frontier sweep steps once per cell, from an empty column 0
         (lambda: isolated_count(4, 7), 4 * 4),
+        (lambda: isolated_count(4, 8), 5 * 4),
     ])
     def test_sweeps_to_the_middle_column_only(self, monkeypatch, run, steps):
         calls = []
@@ -294,6 +301,17 @@ class TestMidpoint:
             count(0, 3)
         with pytest.raises(ValueError):
             count(3, -1)
+
+
+@pytest.mark.parametrize("count", [
+    count_via_transfer, count_sequence, colour_split_count,
+    colour_split_sequence, isolated_count, isolated_sequence])
+def test_one_message_per_argument(count):
+    """The six entry points word each refusal alike."""
+    with pytest.raises(ValueError, match="height must be >= 1"):
+        count(0, 3)
+    with pytest.raises(ValueError, match="column count must be >= 0"):
+        count(3, -1)
 
 
 def reference_step(xs, width, allowed, keep):
