@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque, namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Collection, Iterator
 from functools import lru_cache
 from itertools import chain, islice, repeat
 
@@ -114,6 +114,16 @@ def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
     return quotient
 
 
+def _check_form(m: int, n: int, heights: Collection[int], what: str) -> None:
+    """Refuse a height outside ``heights`` (a range, or the keys of a
+    dict of stored heights), naming its span, then a negative n."""
+    if m not in heights:
+        raise ValueError(f"{what} cover heights {min(heights)}..{max(heights)}, "
+                         f"got {m}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+
 def closed_form_M(m: int, n: int) -> int:
     """Radical closed forms for the pawn count at heights 1..3.
 
@@ -125,10 +135,7 @@ def closed_form_M(m: int, n: int) -> int:
     with the denominator cleared, the conjugate terms cancel the sqrt(d)
     part, and the cleared denominator is divided out exactly.
     """
-    if m not in (1, 2, 3):
-        raise ValueError(f"closed forms cover heights 1..3, got {m}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_form(m, n, range(1, 4), "closed forms")
     if m == 1:
         return 2 ** n
     if m == 2:
@@ -152,10 +159,7 @@ def closed_form_L(m: int, n: int) -> int:
     the order-3 integer recurrence L(k) = 2L(k-1) + 3L(k-2) - 2L(k-3) with
     seeds 1, 5, 11 (the float root form is a numeric check only, see
     l3_root_closed_form)."""
-    if m not in (1, 2, 3):
-        raise ValueError(f"closed forms cover heights 1..3, got {m}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_form(m, n, range(1, 4), "closed forms")
     if m == 1:
         return fibonacci(n + 1)
     if m == 2:
@@ -359,10 +363,7 @@ def shape_formula_M(m: int, n: int) -> tuple[int, tuple[str, ...]]:
     from n = 2 on, so the corrected fitted pair supplies the value and the
     published one is reported alongside as an annotation.
     """
-    if m not in (2, 3, 4, 5, 6):
-        raise ValueError(f"shape formulas cover heights 2..6, got {m}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_form(m, n, range(2, 7), "shape formulas")
     if m == 2:
         # square of the path independent-set count
         return fibonacci(n + 1) ** 2, ()
@@ -393,11 +394,7 @@ def colour_class_M(m: int, n: int) -> int:
     fitted them and the certificate that they hold for every n)."""
     from .classgf import CLASS_GF
 
-    if m not in CLASS_GF:
-        raise ValueError(f"colour-class generating functions cover heights "
-                         f"7..16, got {m}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_form(m, n, CLASS_GF, "colour-class generating functions")
     pair = CLASS_GF[m]
     # (B,): B = W, whose second read is the term the first one drew
     black, white = pair * 2 if len(pair) == 1 else pair

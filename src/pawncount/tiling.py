@@ -220,13 +220,39 @@ def tiling_to_json(tiling: Tiling) -> str:
     })
 
 
+def _clipped_repr(item, limit: int = 80) -> str:
+    """repr(item) for a decoded JSON value, or its first ``limit`` - 3
+    characters and '...' when it is longer than ``limit``.  An explicit
+    stack stands in for repr's recursion and the walk stops at the limit,
+    so a deeply nested entry neither recurses nor prints a page of
+    brackets.  Literal text rides the stack as 1-tuples, which JSON never
+    decodes to."""
+    text, stack = "", [item]
+    while stack and len(text) <= limit:
+        x = stack.pop()
+        if isinstance(x, tuple):
+            text += x[0]
+        elif isinstance(x, list):
+            inner = [p for value in x for p in ((", ",), value)][1:]
+            stack += [("]",), *reversed(inner), ("[",)]
+        elif isinstance(x, dict):
+            inner = [p for key, value in x.items()
+                     for p in ((", ",), (f"{key!r}: ",), value)][1:]
+            stack += [("}",), *reversed(inner), ("{",)]
+        else:
+            text += repr(x)
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
 def tiling_from_json(text: str) -> Tiling:
     """Parse and validate the tiling JSON format."""
     import json
 
+    # the decoder recurses once per nested array or object, so a deep
+    # enough file raises RecursionError
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidTiling(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidTiling("tiling JSON must be an object")
@@ -249,6 +275,6 @@ def tiling_from_json(text: str) -> Tiling:
     for item in raw_anchors:
         if (not isinstance(item, list) or len(item) != 2
                 or not all(type(x) is int for x in item)):
-            raise InvalidTiling(f"bad anchor entry {item!r}")
+            raise InvalidTiling(f"bad anchor entry {_clipped_repr(item)}")
         anchors.append((item[0], item[1]))
     return Tiling(rows, cols, tuple(anchors))

@@ -457,6 +457,20 @@ class TestBijection:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"rows": 3, "cols": 3, "anchors": [' + "[" * 500 + "]" * 500 + "]}",
+    ], ids=["100000-deep-file", "500-deep-anchor"])
+    def test_deep_nesting_exit_5(self, text, tmp_path, capsys):
+        # the JSON decoder and repr() both recurse once per level
+        src = tmp_path / "tiling.json"
+        src.write_text(text)
+        code, out, err = run_cli("bijection", "--tiling-json", str(src),
+                                 "--invert", capsys=capsys)
+        assert (code, out) == (5, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and len(err) < 200
+
     def test_oversized_tiling_exit_3(self, tmp_path, capsys):
         # 43 bytes that name a 3000x3000 matrix, above the 2^22-cell bound
         src = tmp_path / "tiling.json"

@@ -327,6 +327,13 @@ class TestColourClassGeneratingFunctions:
                           12: {28}, 13: {44}, 14: {49}, 15: {74}, 16: {86}}
         assert all(len(pair) == 1 + m % 2 for m, pair in CLASS_GF.items())
 
+    def test_odd_heights_share_one_denominator(self):
+        # classgf writes that denominator once for both classes
+        for m, pair in CLASS_GF.items():
+            if m % 2:
+                black, white = pair
+                assert black.denominator == white.denominator, m
+
     def test_certified_for_every_n(self):
         """Each stored B and W equals the colour split at every n >= 0.
 
@@ -405,6 +412,28 @@ class TestColourClassGeneratingFunctions:
                 colour_class_M(m, 3)
         with pytest.raises(ValueError):
             colour_class_M(7, -1)
+
+
+@pytest.mark.parametrize("family,m,n,message", [
+    (closed_form_M, 0, 2, "closed forms cover heights 1..3, got 0"),
+    (closed_form_M, 4, 2, "closed forms cover heights 1..3, got 4"),
+    (closed_form_M, 1, -1, "n must be >= 0"),
+    (closed_form_L, 0, 2, "closed forms cover heights 1..3, got 0"),
+    (closed_form_L, 4, 2, "closed forms cover heights 1..3, got 4"),
+    (closed_form_L, 3, -1, "n must be >= 0"),
+    (shape_formula_M, 1, 2, "shape formulas cover heights 2..6, got 1"),
+    (shape_formula_M, 7, 2, "shape formulas cover heights 2..6, got 7"),
+    (shape_formula_M, 6, -1, "n must be >= 0"),
+    (colour_class_M, 6, 2,
+     "colour-class generating functions cover heights 7..16, got 6"),
+    (colour_class_M, 17, 2,
+     "colour-class generating functions cover heights 7..16, got 17"),
+    (colour_class_M, 16, -1, "n must be >= 0"),
+])
+def test_refusal_messages(family, m, n, message):
+    with pytest.raises(ValueError) as raised:
+        family(m, n)
+    assert str(raised.value) == message
 
 
 class TestAsymptotics:

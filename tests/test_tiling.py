@@ -346,6 +346,21 @@ class TestSerialization:
         with pytest.raises(InvalidTiling):
             tiling_from_json(text)
 
+    @pytest.mark.parametrize("entry", [
+        "[1]", "[]", "{}", """["a'b\\"", null, -0.0, 1e300, true, [[]]]""",
+        '{"k": [1, {"x": null}], "j": 2}', '{"b": 1, "a": 2}',
+        "[" * 40 + "]" * 40, '"' + "x" * 78 + '"',
+        "[" * 41 + "]" * 41, '"' + "x" * 79 + '"', str(list(range(30))),
+    ])
+    def test_bad_anchor_echo(self, entry):
+        # the entry's repr, cut to 77 characters and '...' past 80
+        shown = repr(json.loads(entry))
+        if len(shown) > 80:
+            shown = shown[:77] + "..."
+        with pytest.raises(InvalidTiling) as info:
+            tiling_from_json(f'{{"rows": 3, "cols": 3, "anchors": [{entry}]}}')
+        assert str(info.value) == f"bad anchor entry {shown}"
+
     def test_ascii_rendering(self):
         tiling = theta_forward(BinaryMatrix.from_text("10\n00"))
         assert render_ascii(tiling) == "aa.\naa.\n..."
