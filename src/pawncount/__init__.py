@@ -8,7 +8,8 @@ cross-validates them against each other.
 
 The exports below resolve lazily (PEP 562): ``from pawncount import X``
 imports only the submodule that defines X, so a closed-form, enumeration
-or bijection call never loads numpy, which only the sweeps need.  The
+or bijection call never loads numpy.  Only the sweeps, the dense matrix
+and its spectrum, and power iteration past 2^12 states need it.  The
 value types are named tuples.  None is a dataclass: importing
 ``dataclasses`` (with the ``inspect`` it pulls in) takes longer than
 importing the whole package.
@@ -36,9 +37,10 @@ _EXPORTS = {
         "Tiling", "count_tilings", "render_ascii", "theta_forward",
         "theta_inverse", "tiling_from_json", "tiling_sequence",
         "tiling_to_json"),
+    "power": ("dominant_eigenvalue",),
     "transfer": (
         "build_transfer", "count_sequence", "count_via_transfer",
-        "dominant_eigenvalue", "isolated_sequence", "spectrum_small"),
+        "isolated_sequence", "spectrum_small"),
     "verify": ("CheckResult", "VerificationReport", "run_verification"),
 }
 

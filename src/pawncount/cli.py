@@ -29,8 +29,9 @@ L on the frontier sweep, one cell at a time over the legal frontiers only
 (its JSON ``method`` stays ``transfer``); every U board has a closed
 form.  ``--method decomposition`` (the colour split) and ``--method
 transfer`` (the full 2^h column profile, for every quantity) sweep along
-the shorter side too.  ``eigen``'s power iteration runs the two-step
-colour operator on 2^floor(m/2) states.
+the shorter side too.  ``eigen``'s power iteration (``power``) runs the
+two-step colour operator on 2^floor(m/2) states: on float lists up to
+2^12 states (m <= 25), on ``transfer``'s numpy steps past that.
 
 A height that serves one length only (every single count that sweeps,
 under any method) is swept to the board's middle column and no further: the right
@@ -47,21 +48,24 @@ allocates one: 22 rows for the full profile, 30 for L's frontier sweep
 split.  Only the shorter side of a board meets that limit, and a table
 too tall for its sweep is refused before any count starts, as is one of
 more than 2^22 cells before its list of boards is built.  ``bijection
---invert`` holds the matrix a tiling names to the same 2^22 cells.
+--invert`` holds the matrix a tiling names to the same 2^22 cells, and
+``count`` refuses a non-empty board with a side above ``sys.maxsize``.
 Exact counts are serialized as decimal strings in JSON (they outgrow
 doubles quickly), in full however many digits they have; floats appear
 only for eigenvalues and asymptotics.
 
 A module that only some commands use is imported inside them: the sweeps
-(``transfer``) after the closed forms are tried, the battery (``verify``)
+(``transfer``) after the closed forms are tried, ``transfer`` in
+``eigen`` only for ``--spectrum`` or past m = 25, the battery (``verify``)
 in ``verify``, ``tiling`` and ``pathlib`` in ``bijection``, ``json`` for
 JSON output only and ``csv`` for ``table --format csv`` only.  So a
 closed-form count (M with a side of 1..16 rows among them), U and U_k,
-``--method oracle``, a table whose boards all have closed forms and
-``bijection`` start without loading numpy, and none of them but
-``bijection`` loads ``tiling``.  No module of the package imports
-``dataclasses``: with the ``inspect`` it pulls in, it takes longer to
-import than the whole package.
+``--method oracle``, a table whose boards all have closed forms,
+``bijection`` and ``eigen`` without ``--spectrum`` at m <= 25 start
+without loading numpy, and none of them but ``bijection`` loads
+``tiling``.  No module of the package imports ``dataclasses``: with the
+``inspect`` it pulls in, it takes longer to import than the whole
+package.
 """
 
 from __future__ import annotations
@@ -185,6 +189,11 @@ def _route(quantity: str, m: int, n: int, k: int | None,
 def cmd_count(args) -> int:
     if args.m < 0 or args.n < 0:
         raise ValueError("dimensions must be nonnegative")
+    # no route indexes or steps past a machine-sized side
+    if args.m and args.n and max(args.m, args.n) > sys.maxsize:
+        raise GuardExceeded(
+            f"a board side of {max(args.m, args.n)} is above the "
+            f"{sys.maxsize} (sys.maxsize) limit")
     quantity = args.quantity
     k = args.k
     if k is not None:
@@ -202,10 +211,12 @@ def cmd_count(args) -> int:
 def cmd_eigen(args) -> int:
     if args.m < 1:
         raise ValueError("-m must be >= 1")
-    from .transfer import dominant_eigenvalue, spectrum_small
+    from .power import dominant_eigenvalue
 
     extra = {}
     if args.spectrum:
+        from .transfer import spectrum_small
+
         extra["spectrum"] = [float(v) for v in spectrum_small(args.m, M_SET)]
     # flags left unset fall back on dominant_eigenvalue's own defaults
     given = {name: flag for name, flag in

@@ -7,7 +7,8 @@ them; iterating that relation counts boards column by column.  One step is
 a subset-sum (zeta) transform followed by a gather, costing O(m * 2^m)
 additions instead of O(4^m) pair tests, so the dense matrix is only ever
 materialized for printing and spectra.  ``profile_step`` is that step, and
-every column-profile count in the package runs on it.
+every column-profile count in the package runs on it; ``power`` repeats it
+on float lists for power iteration on up to 2^12 states.
 
 Every exact sweep runs on ``sweep``, the one place ``exact`` is applied:
 it holds the counts in int64 while they fit and in Python ints
@@ -24,9 +25,11 @@ For M the profile splits by colour: diagonal attacks join odd rows of one
 column only to even rows of the next, so the black and white cells form
 two independent rotated square lattices (the hard-square model) and
 M(m, n) = B * W.  ``colour_split_sequence`` sweeps each class on half-height
-columns of 2^ceil(m/2) and 2^floor(m/2) states; ``dominant_eigenvalue``
-iterates the two-step operator on the even-row states.  The full 2^m sweep
-stays the route for every pattern set and the check on the colour split.
+columns of 2^ceil(m/2) and 2^floor(m/2) states; ``power.dominant_eigenvalue``
+iterates the two-step operator on the even-row states, on these steps
+(``colour_estimates``, the kernel's one float caller) past 2^12 states
+only.  The full 2^m sweep stays the route for every pattern set and the
+check on the colour split.
 ``check_width`` guards every 2^w state array where its tables are built,
 so the full sweep stops at m = 22 and the colour split at m = 44.
 
@@ -64,7 +67,6 @@ ends at even n.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
@@ -73,12 +75,11 @@ from itertools import accumulate, chain, cycle, islice, repeat
 import numpy as np
 
 from .closedforms import fibonacci
-from .errors import MAX_STATES, MAX_WIDTH, GuardExceeded, NonConverged
+from .errors import MAX_STATES, MAX_WIDTH, GuardExceeded
 from .oracle import M_SET, ForbiddenPatternSet
+from .power import dominant_eigenvalue  # noqa: F401  (re-exported)
 
 DEFAULT_DENSE_GUARD = 12
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200_000
 
 
 def _keep_table(m: int, pats: ForbiddenPatternSet) -> np.ndarray | None:
@@ -452,42 +453,17 @@ def isolated_count(m: int, n: int) -> int:
     return _midpoint(map(fold, columns), n)
 
 
-def dominant_eigenvalue(m: int, pats: ForbiddenPatternSet = M_SET,
-                        tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Largest eigenvalue alpha_m of the M transfer operator by power
-    iteration on the colour split's two-step operator.
-
-    With X the even-row to odd-row step, T^2 is X X^T (x) X^T X up to a
-    state permutation, so alpha_m is the Perron root of the symmetric
-    X^T X on 2^floor(m/2) states.  Every entry of X^T X is positive (the
-    empty odd-row state fits every even-row state), so plain power
-    iteration from the all-ones state converges; successive Rayleigh
-    estimates within tol relative difference stop the loop.
-    """
-    _check_board(m)
-    if pats != M_SET:
-        raise ValueError("the dominant eigenvalue is computed for M only")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    # a NaN tolerance never stops the loop, an infinite one stops it at once
-    if not math.isfinite(tol):
-        raise ValueError("tolerance must be finite")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+def colour_estimates(m: int) -> Iterator[float]:
+    """``power``'s Rayleigh estimates of X^T X (x = 1, A 1, ..., each
+    scaled to a top entry of 1) on the numpy colour steps, for operators
+    too wide for its list path; the width is checked before any array
+    exists."""
     from_odd, from_even = _colour_steps(m)
     x = np.ones(1 << (m // 2))
-    prev = None
-    for _ in range(max_iter):
+    while True:
         y = from_odd(from_even(x.copy()))
-        estimate = float(x @ y) / float(x @ x)
-        if prev is not None and abs(estimate - prev) <= tol * abs(estimate):
-            return estimate
-        prev = estimate
+        yield float(x @ y) / float(x @ x)
         x = y / np.max(y)
-    raise NonConverged(
-        f"power iteration did not converge within {max_iter} iterations "
-        f"(tol={tol}); raise max_iter")
 
 
 def spectrum_small(m: int, pats: ForbiddenPatternSet = M_SET,

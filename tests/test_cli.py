@@ -234,6 +234,27 @@ class TestGuards:
         assert run_cli(*argv, capsys=capsys)[0] == code
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("argv", [
+        ("count", "-m", "4", "-n", "99999999999999999999"),
+        ("count", "-m", "12", "-n", "99999999999999999999"),
+        ("count", "-m", "3", "-n", "99999999999999999999", "--quantity", "L"),
+        ("count", "-m", "99999999999999999999", "-n", "1"),
+    ])
+    def test_side_past_maxsize_exit_3(self, argv, capsys):
+        """A side no route can index or step through is refused by name,
+        not by an internal error or an allocation that never ends."""
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and str(sys.maxsize) in err
+        assert time.perf_counter() - start < 2.0
+
+    def test_empty_board_with_a_huge_side(self, capsys):
+        huge = "99999999999999999999"
+        assert run_cli("count", "-m", huge, "-n", "0", capsys=capsys) == (
+            0, f"M({huge},0) = 1\n", "")
+
     @pytest.mark.parametrize("max_m,max_n", [(100000, 100000), (2049, 2048)])
     def test_table_cell_guard(self, max_m, max_n, capsys):
         """A table of more than 2^22 boards is refused before its list of
@@ -746,6 +767,24 @@ def test_oracle_skips_numpy(quantity, expected):
 
 def test_sweeping_call_loads_numpy():
     code, out, loaded = _probe("count", "-m", "17", "-n", "17")
+    assert code == 0 and out
+    assert {"numpy", "pawncount.transfer"} <= set(loaded)
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (("eigen", "-m", "18"), []),
+    (("eigen", "-m", "25", "--json"), ["json"]),
+])
+def test_power_iteration_on_lists_skips_numpy(argv, loaded):
+    code, out, modules = _probe(*argv)
+    assert code == 0 and out
+    assert modules == loaded
+
+
+@pytest.mark.parametrize("argv", [("eigen", "-m", "26"),
+                                  ("eigen", "-m", "8", "--spectrum")])
+def test_wide_or_dense_eigen_loads_numpy(argv):
+    code, out, loaded = _probe(*argv)
     assert code == 0 and out
     assert {"numpy", "pawncount.transfer"} <= set(loaded)
 

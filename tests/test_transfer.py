@@ -2,11 +2,12 @@ import math
 import subprocess
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from pawncount import transfer
+from pawncount import power, transfer
 from pawncount.closedforms import closed_form_L, closed_form_M, shape_formula_M
 from pawncount.decomposition import count_independent_sets, split_by_color
 from pawncount.errors import GuardExceeded, NonConverged
@@ -599,6 +600,24 @@ class TestEigenvalues:
         for m in range(1, 11):
             top = spectrum_small(m, M_SET)[0]
             assert dominant_eigenvalue(m, M_SET) == pytest.approx(top, rel=1e-9)
+
+    @pytest.mark.parametrize("m", range(1, 28))
+    def test_list_and_numpy_operators_agree(self, m):
+        """The float-list operator (m <= 25) and the numpy colour steps
+        (past it) give the same Rayleigh estimates at every height either
+        side of the bound."""
+        estimates = zip(power._list_estimates(m), transfer.colour_estimates(m))
+        for listed, stepped in islice(estimates, 12):
+            assert listed == pytest.approx(stepped, rel=1e-12)
+
+    def test_transfer_re_exports_the_one_function(self):
+        # span wrappers rebind the function by identity in every module
+        assert transfer.dominant_eigenvalue is power.dominant_eigenvalue
+
+    def test_too_tall_names_the_width_guard(self):
+        with pytest.raises(GuardExceeded, match=r"^a column profile of 23 cells "
+                           r"needs 2\^23 states, above the 2\^22 limit$"):
+            dominant_eigenvalue(45)
 
     def test_other_pattern_sets_rejected(self):
         for pats in (U_SET, L_SET):
