@@ -37,10 +37,11 @@ _EXPORTS = {
         "Tiling", "count_tilings", "render_ascii", "theta_forward",
         "theta_inverse", "tiling_from_json", "tiling_sequence",
         "tiling_to_json"),
+    "frontier": ("isolated_sequence",),
     "power": ("dominant_eigenvalue",),
     "transfer": (
         "build_transfer", "count_sequence", "count_via_transfer",
-        "isolated_sequence", "spectrum_small"),
+        "spectrum_small"),
     "verify": ("CheckResult", "VerificationReport", "run_verification"),
 }
 

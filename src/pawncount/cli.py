@@ -26,12 +26,14 @@ its shorter side h: one sweep per h, run to the longest side that h
 needs, tallest h first.  M sweeps on the colour split from 17 rows up
 (the same B * W, each factor a sweep over half-height columns),
 L on the frontier sweep, one cell at a time over the legal frontiers only
-(its JSON ``method`` stays ``transfer``); every U board has a closed
-form.  ``--method decomposition`` (the colour split) and ``--method
-transfer`` (the full 2^h column profile, for every quantity) sweep along
-the shorter side too.  ``eigen``'s power iteration (``power``) runs the
-two-step colour operator on 2^floor(m/2) states: on float lists up to
-2^12 states (m <= 25), on ``transfer``'s numpy steps past that.
+(``frontier``: on packed Python ints while its estimated work is within
+``PACKED_WORK``, on ``transfer``'s numpy arrays past that; its JSON
+``method`` stays ``transfer``); every U board has a closed form.
+``--method decomposition`` (the colour split) and ``--method transfer``
+(the full 2^h column profile, for every quantity) sweep along the shorter
+side too.  ``eigen``'s power iteration (``power``) runs the two-step
+colour operator on 2^floor(m/2) states: on float lists up to 2^12 states
+(m <= 25), on ``transfer``'s numpy steps past that.
 
 A height that serves one length only (every single count that sweeps,
 under any method) is swept to the board's middle column and no further: the right
@@ -55,12 +57,15 @@ doubles quickly), in full however many digits they have; floats appear
 only for eigenvalues and asymptotics.
 
 A module that only some commands use is imported inside them: the sweeps
-(``transfer``) after the closed forms are tried, ``transfer`` in
-``eigen`` only for ``--spectrum`` or past m = 25, the battery (``verify``)
-in ``verify``, ``tiling`` and ``pathlib`` in ``bijection``, ``json`` for
-JSON output only and ``csv`` for ``table --format csv`` only.  So a
-closed-form count (M with a side of 1..16 rows among them), U and U_k,
-``--method oracle``, a table whose boards all have closed forms,
+(``transfer``) after the closed forms are tried, for M, for ``--method
+transfer`` or ``decomposition``, and for an L sweep past ``frontier``'s
+work bound only; ``transfer`` in ``eigen`` only for ``--spectrum`` or
+past m = 25, the battery (``verify``) in ``verify``, ``tiling`` and
+``pathlib`` in ``bijection``, ``json`` for JSON output only and ``csv``
+for ``table --format csv`` only.  So a closed-form count (M with a side
+of 1..16 rows among them), U and U_k, ``--method oracle``, a table whose
+boards all have closed forms, an L count or table whose sweeps are within
+the bound (L(16, 20), L(14, 31) and the L table to 14 x 40 among them),
 ``bijection`` and ``eigen`` without ``--spectrum`` at m <= 25 start
 without loading numpy, and none of them but ``bijection`` loads
 ``tiling``.  No module of the package imports ``dataclasses``: with the
@@ -130,9 +135,10 @@ def _plan(quantity: str, cells: list[tuple[int, int]]
     for forms, h, length in boards:
         if not forms:
             lengths.setdefault(h, set()).add(length)
-    if lengths:
-        from .transfer import (colour_split_count, colour_split_sequence,
-                               isolated_count, isolated_sequence)
+    if quantity == "L":
+        from .frontier import isolated_count, isolated_sequence
+    elif lengths:
+        from .transfer import colour_split_count, colour_split_sequence
     sweeps: dict[int, dict[int, int] | list[int]] = {}
     for h in sorted(lengths, reverse=True):
         if len(lengths[h]) == 1:

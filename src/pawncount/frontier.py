@@ -1,0 +1,219 @@
+"""The L frontier sweep on packed Python ints, and the route to numpy's.
+
+L counts the boards whose 1s touch nowhere, diagonals included.  Its
+sweep places one cell at a time over the legal frontiers: the m latest
+cells, one per row, plus the cell left of the newest one, which its lower
+neighbour still touches diagonally (``transfer._isolated_steps`` numbers
+them).  A frontier is (f, e): f an m-bit path set (no two adjacent bits,
+row 0 in the low bit), ranked by its Zeckendorf sum, and e that extra
+cell.  This module checks the arguments and the frontier guard, then runs
+the sweep either here, on packed ints, or on ``transfer``'s numpy arrays.
+
+Packed, the (f, 0) counts are one int and the (f, 1) counts another, each
+frontier an S-bit slot at the rank of f; an (f, 1) slot is 0 where that
+frontier is illegal.  Placing the cell in row r moves the old row-r cell
+into e, so with k = S * F(r+1), the rank offset of bit r, the cell step
+is seven big-int operations:
+
+    t  = x0 + x1
+    x0 = t ^ ((t ^ (u << k)) & set_r)    u = t in row 0, else x0
+    x1 = (t >> k) & legal_r
+
+set_r holds the slots whose f has bit r set, so x0 takes u's slot one
+rank offset down there and t's slot elsewhere ((t & ~set_r) | ((u << k) &
+set_r) with no second mask); legal_r holds those with rows r-1, r and r+1
+of f clear.  The old e is the cell up and to the left of the new one, so
+it drops out where the new cell is set, except in row 0, whose old e lies
+at the foot of a column two back.  After a whole column, the boards whose
+last column is f number x0[f] + x1[f], so y = x0 + x1 holds the column
+state, and its total is the sum of its slots, y mod (2^S - 1).
+
+Slot width.  A sweep to u_N, the state after N columns, holds partial
+boards of at most N columns; each extends with empty cells to a legal
+board of N columns, so no slot exceeds L(m, N).  Cutting a board between
+two columns leaves two legal boards, so L(m, a + b) <= L(m, a) L(m, b),
+and L(m, N) <= L(m, 4)^ceil(N/4).  L(m, 4) is the transposed L(4, m),
+swept here at height 4 on 8 path sets, where F(5)^m bounds it.  S is one
+bit past the smaller of that bound and F(m+1)^N (a column is one of
+F(m+1) path sets), rounded up to whole bytes, so no slot, no sum t and no
+total carries into the next slot.
+
+Route.  The packed sweep costs about m * N * F(m+1) * S bit operations,
+and S grows with N, so its cost grows as N^2; numpy's object arrays cost
+about m * N * F(m+1) Python-int additions of S bits, but importing numpy
+takes about 0.1 s.  A sweep whose estimate is at most PACKED_WORK runs
+here; a longer one runs on ``transfer``.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterator
+from itertools import islice
+from operator import mul
+
+from .closedforms import fibonacci
+from .errors import MAX_STATES, MAX_WIDTH, GuardExceeded
+
+#: Largest estimated packed sweep, in bit operations (m * columns * F(m+1)
+#: * S), that runs on packed ints.  Cold calls on both routes tied at
+#: estimates of 6 to 11 * 10^8 (2 vCPUs); packed won everywhere below.
+PACKED_WORK = 500_000_000
+
+
+def check_board(m: int, n: int = 0) -> None:
+    """Refuse a height below 1 or a negative column count."""
+    if m < 1:
+        raise ValueError("height must be >= 1")
+    if n < 0:
+        raise ValueError("column count must be >= 0")
+
+
+def isolated_frontiers(m: int) -> int:
+    """Most legal frontiers the L sweep of height m holds after one cell:
+    F(m+1) path independent sets, plus F(m-1) with the extra cell set
+    (after the cell in row 0, whose extra cell needs rows 0 and 1 clear)."""
+    return fibonacci(m + 1) + fibonacci(m - 1)
+
+
+def check_frontiers(m: int) -> int:
+    """The frontier count of height m, refused above MAX_STATES before
+    any state exists (L runs to m = 30)."""
+    frontiers = isolated_frontiers(m)
+    if frontiers > MAX_STATES:
+        raise GuardExceeded(
+            f"the L sweep at height {m} holds {frontiers} frontiers, above "
+            f"the 2^{MAX_WIDTH} limit")
+    return frontiers
+
+
+def isolated_sequence(m: int, n_max: int) -> list[int]:
+    """Exact L counts (no two 1s touch, diagonals included) of the m-by-n
+    boards for n = 0..n_max (index by n), from one frontier sweep."""
+    check_board(m, n_max)
+    check_frontiers(m)
+    width = _packed_width(m, n_max)
+    if width is None:
+        from .transfer import _isolated_sequence
+
+        return _isolated_sequence(m, n_max)
+    return _packed_sequence(m, n_max, width)
+
+
+def isolated_count(m: int, n: int) -> int:
+    """Exact L count of the m-by-n board, read off the middle column of
+    the frontier sweep: with a = ceil((n+1)/2) and b = n+1-a, the boards
+    of n columns are pairs of an a-column and a b-column board that share
+    column a (L is mirror symmetric), so the count is y_a . y_b in about
+    n/2 columns.  n <= 2 is read off the plain sweep."""
+    check_board(m, n)
+    check_frontiers(m)
+    width = _packed_width(m, n if n <= 2 else (n + 2) // 2)
+    if width is None:
+        from .transfer import _isolated_count
+
+        return _isolated_count(m, n)
+    return _packed_count(m, n, width)
+
+
+def _packed_width(m: int, columns: int) -> int | None:
+    """The slot width S of the packed sweep of height m to u_columns, or
+    None if its estimated work, m * columns * F(m+1) * S, is above
+    PACKED_WORK.  A sweep too long even at S = 8 is refused before its
+    bound, a power with about columns * m bits, is taken."""
+    slots = m * columns * fibonacci(m + 1)
+    if slots * 8 > PACKED_WORK:
+        return None
+    width = _width(m, columns)
+    return width if slots * width <= PACKED_WORK else None
+
+
+def _width(m: int, columns: int) -> int:
+    """Slot width S, in bits, of a sweep of height m to u_columns: whole
+    bytes for values up to min(F(m+1)^columns, L(m, 4)^ceil(columns/4))
+    (the module docstring's bound), one bit spare."""
+    # L(m, 4) = L(4, m); F(5)^m bounds the slots of that sweep
+    four = _packed_sequence(4, m, _bytes(fibonacci(5) ** m))[m]
+    return _bytes(min(fibonacci(m + 1) ** columns, four ** -(-columns // 4)))
+
+
+def _bytes(bound: int) -> int:
+    """Bits in whole bytes for values up to bound, one bit spare."""
+    return -(-(bound.bit_length() + 1) // 8) * 8
+
+
+def _row_masks(m: int, width: int) -> list[int]:
+    """set_r for r = 0..m-1: the slots of the f with bit r set, every bit
+    of such a slot set, over the m-bit path sets by rank.
+
+    The k-bit path sets are the (k-1)-bit ones, then 2^(k-1) joined to the
+    (k-2)-bit ones at rank F(k) on, so each mask of height k is built
+    from those of heights k-1 and k-2 by a shift and an OR of whole slot
+    blocks: bit k-2 is never set in the upper block, and bit k-1 is set
+    exactly there, on F(k-1) slots."""
+    shorter, masks = [], []
+    size, below = 1, 1          # F(k), F(k-1) for k = 1
+    for _ in range(m):
+        shift = width * size
+        shorter, masks = masks, [
+            *(a | b << shift for a, b in zip(masks, shorter)),
+            *masks[len(shorter):],
+            ((1 << width * below) - 1) << shift]
+        size, below = size + below, size
+    return masks
+
+
+def _packed_columns(m: int, width: int) -> Iterator[int]:
+    """The packed column states y_0, y_1, y_2, ... of the sweep of height
+    m at slot width `width`, y_0 the empty board's; the masks are built
+    once y_0 is drawn.  The caller draws only the columns `width` holds."""
+    yield 1
+    sets = _row_masks(m, width)
+    full = (1 << width * fibonacci(m + 1)) - 1
+    # the (f, 1) frontier after row r needs rows r-1, r and r+1 of f clear
+    legal = [full ^ (sets[r] | (sets[r - 1] if r else 0)
+                     | (sets[r + 1] if r + 1 < m else 0)) for r in range(m)]
+    (k_0, set_0, legal_0), *rest = zip(
+        (width * fibonacci(r + 1) for r in range(m)), sets, legal)
+    x0, x1 = 1, 0
+    while True:
+        t = x0 + x1
+        x0, x1 = t ^ (t ^ t << k_0) & set_0, t >> k_0 & legal_0
+        for k, set_r, legal_r in rest:
+            t = x0 + x1
+            x0, x1 = t ^ (t ^ x0 << k) & set_r, t >> k & legal_r
+        yield x0 + x1
+
+
+def _total(y: int, width: int) -> int:
+    """The sum of the slots of y (y mod 2^width - 1): the upper half of
+    the slots is added onto the lower half until one slot is left.  No
+    sum carries, as each is part of the column's total."""
+    while y.bit_length() > width:
+        half = -(-y.bit_length() // (2 * width)) * width
+        y = (y >> half) + (y & (1 << half) - 1)
+    return y
+
+
+def _packed_sequence(m: int, n_max: int, width: int) -> list[int]:
+    """The totals of y_0..y_n_max: the counts for n = 0..n_max."""
+    return [_total(y, width)
+            for y in islice(_packed_columns(m, width), n_max + 1)]
+
+
+def _packed_count(m: int, n: int, width: int) -> int:
+    """The count of the n-column board: y_n's total for n <= 2, else
+    y_a . y_b, each unpacked into Python ints."""
+    if n <= 2:
+        return _packed_sequence(m, n, width)[n]
+    columns = _packed_columns(m, width)
+    right = next(islice(columns, (n + 1) // 2, None))
+    left = next(columns) if n % 2 == 0 else right
+    return sum(map(mul, _slots(left, m, width), _slots(right, m, width)))
+
+
+def _slots(y: int, m: int, width: int) -> list[int]:
+    """The F(m+1) slots of a packed column state, by rank."""
+    step = width // 8
+    raw = y.to_bytes(step * fibonacci(m + 1), "little")
+    return [int.from_bytes(raw[i:i + step], "little")
+            for i in range(0, len(raw), step)]

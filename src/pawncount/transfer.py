@@ -35,14 +35,18 @@ so the full sweep stops at m = 22 and the colour split at m = 44.
 
 For L a legal column has no two vertical neighbours, so only F(m+1) of
 its 2^m states can be non-zero (F(0) = F(1) = 1, as in ``closedforms``).
-``isolated_sequence`` sweeps the board one cell at a time (a broken
-profile) over the legal frontiers only: the m latest cells, one per row,
-plus the cell left of the newest one, which its lower neighbour still
-touches diagonally.  There are at most F(m+1) + F(m-1) of them, and the
-sweep holds that count to the same 2^22 bound, so L runs to m = 30.  A
-frontier's place in the state array is known in closed form (its m cells
-are ranked by their Zeckendorf sum), so each cell step is two gathers with
-no search.  The full sweep stays the independent check on it up to m = 22.
+The L sweep goes one cell at a time (a broken profile) over the legal
+frontiers only: the m latest cells, one per row, plus the cell left of
+the newest one, which its lower neighbour still touches diagonally.
+There are at most F(m+1) + F(m-1) of them, and ``frontier`` holds that
+count to the same 2^22 bound, so L runs to m = 30.  ``frontier`` owns
+``isolated_sequence`` and ``isolated_count`` (re-exported here): it runs
+a sweep on packed Python ints while its estimated work is within its
+bound, and this module's ``_isolated_sequence`` and ``_isolated_count``
+past it.  A frontier's place in the state array is known in closed form
+(its m cells are ranked by their Zeckendorf sum), so each numpy cell
+step is two gathers with no search.  The full sweep stays the
+independent check on both up to m = 22.
 
 Each of the three exact sweeps (``_states``, ``_colour_sweeps`` and
 ``_isolated_columns``) yields its column states u_0, u_1, u_2, ..., u_0 the
@@ -60,7 +64,7 @@ around must again be a board of the same rule: a 180-degree turn maps every
 two-cell pattern onto itself, so ``count_via_transfer`` reads
 T^(b-1) 1 = R u_b, u_b at the row-flipped masks (T^T = R T R), which U,
 with its one diagonal, needs.  M's colour classes and L ban both diagonals
-and are read left to right: ``isolated_count`` folds each frontier state
+and are read left to right: ``_isolated_count`` folds each frontier state
 onto its column first, and ``colour_split_count`` crosses the two classes'
 ends at even n.
 """
@@ -76,10 +80,15 @@ import numpy as np
 
 from .closedforms import fibonacci
 from .errors import MAX_STATES, MAX_WIDTH, GuardExceeded
+from .frontier import check_board, check_frontiers
+from .frontier import (isolated_count, isolated_frontiers,  # noqa: F401
+                       isolated_sequence)  # (re-exported)
 from .oracle import M_SET, ForbiddenPatternSet
 from .power import dominant_eigenvalue  # noqa: F401  (re-exported)
 
 DEFAULT_DENSE_GUARD = 12
+#: Largest total ``exact`` leaves in int64.
+INT64_MAX = np.iinfo(np.int64).max
 
 
 def _keep_table(m: int, pats: ForbiddenPatternSet) -> np.ndarray | None:
@@ -145,18 +154,11 @@ def check_width(width: int) -> None:
             f"the 2^{MAX_WIDTH} limit")
 
 
-def isolated_frontiers(m: int) -> int:
-    """Most legal frontiers the L sweep of height m holds after one cell:
-    F(m+1) path independent sets, plus F(m-1) with the extra cell set
-    (after the cell in row 0, whose extra cell needs rows 0 and 1 clear)."""
-    return fibonacci(m + 1) + fibonacci(m - 1)
-
-
 def exact(x: np.ndarray) -> np.ndarray:
     """x itself while int64 holds its total and the next step exactly
     (len(x) * max(x) < 2^63, the counts being >= 0), else x as Python
     ints (dtype=object).  An object array passes on its dtype alone."""
-    if x.dtype == object or len(x) * int(x.max()) <= np.iinfo(np.int64).max:
+    if x.dtype == object or len(x) * int(x.max()) <= INT64_MAX:
         return x
     return x.astype(object)
 
@@ -192,7 +194,7 @@ def build_transfer(m: int, pats: ForbiddenPatternSet = M_SET,
     """The 0/1 transfer matrix for height m as an int8 array over the
     admissible columns in ascending mask order: entry (i, j) is 1 iff
     column i may sit left of column j."""
-    _check_board(m)
+    check_board(m)
     if m > guard:
         raise GuardExceeded(
             f"dense transfer at height {m} needs up to 2^{m} vertices, above "
@@ -221,14 +223,6 @@ def _states(m: int, pats: ForbiddenPatternSet) -> Iterator[np.ndarray]:
     yield x
     step = partial(profile_step, width=m, allowed=_allowed_table(m, pats), keep=keep)
     yield from islice(sweep(x.astype(np.int64), repeat(step)), 1, None)
-
-
-def _check_board(m: int, n: int = 0) -> None:
-    """Refuse a height below 1 or a negative column count."""
-    if m < 1:
-        raise ValueError("height must be >= 1")
-    if n < 0:
-        raise ValueError("column count must be >= 0")
 
 
 def _sequence(columns: Iterable[np.ndarray], n_max: int) -> list[int]:
@@ -282,13 +276,13 @@ def count_via_transfer(m: int, n: int, pats: ForbiddenPatternSet = M_SET) -> int
     read off the plain sweep: n = 0 gives 1 and n = 1 the number of
     admissible columns.
     """
-    _check_board(m, n)
+    check_board(m, n)
     return _midpoint(_states(m, pats), n, lambda x: x[_reversed_bits(m)])
 
 
 def count_sequence(m: int, n_max: int, pats: ForbiddenPatternSet = M_SET) -> list[int]:
     """Counts for n = 0..n_max in one sweep (index by n)."""
-    _check_board(m, n_max)
+    check_board(m, n_max)
     return _sequence(_states(m, pats), n_max)
 
 
@@ -300,7 +294,7 @@ def colour_split_sequence(m: int, n_max: int) -> tuple[list[int], list[int]]:
     column 1 and W on its even rows; each step moves a class to the other
     rows of the next column.
     """
-    _check_board(m, n_max)
+    check_board(m, n_max)
     black, white = (_sequence(states, n_max) for states in _colour_sweeps(m))
     return black, white
 
@@ -324,7 +318,7 @@ def colour_split_count(m: int, n: int) -> tuple[int, int]:
     n; B = b_a . w_b and W = w_a . b_b for even n.  n <= 2 is read off the
     plain sweeps.
     """
-    _check_board(m, n)
+    check_board(m, n)
     black, white = _colour_sweeps(m)
     if n <= 2 or n % 2:
         return _midpoint(black, n), _midpoint(white, n)
@@ -393,31 +387,21 @@ def _isolated_steps(paths: np.ndarray, m: int
         before = index
 
 
-def isolated_sequence(m: int, n_max: int) -> list[int]:
-    """Exact L counts (no two 1s touch, diagonals included) of the m-by-n
-    boards for n = 0..n_max (index by n), by a cell-by-cell sweep over the
-    legal frontiers.  Each cell is one ``sweep`` step, so ``exact`` checks
-    every cell state, and a column's count is read off every m-th state.
-
-    The frontier count is held to MAX_STATES before any array exists, so
-    L runs to m = 30.  The board starts from an empty column 0.  The
-    gather tables of one column are kept for the whole sweep when they fit
-    in MAX_STATES entries (to m = 24); past that they are rebuilt for each
-    column.
-    """
-    _check_board(m, n_max)
+def _isolated_sequence(m: int, n_max: int) -> list[int]:
+    """``frontier.isolated_sequence`` on numpy, past its packed bound: a
+    cell-by-cell sweep over the legal frontiers.  Each cell is one
+    ``sweep`` step, so ``exact`` checks every cell state, and a column's
+    count is read off every m-th state.  The gather tables of one column
+    are kept for the whole sweep when they fit in MAX_STATES entries (to
+    m = 24); past that they are rebuilt for each column."""
     return _sequence(_isolated_columns(m), n_max)
 
 
 def _isolated_columns(m: int) -> Iterator[np.ndarray]:
-    """The frontier states of the L sweep after 0, 1, 2, ... whole columns:
-    every m-th cell state, checked against the guard before any array
-    exists."""
-    frontiers = isolated_frontiers(m)
-    if frontiers > MAX_STATES:
-        raise GuardExceeded(
-            f"the L sweep at height {m} holds {frontiers} frontiers, above "
-            f"the 2^{MAX_WIDTH} limit")
+    """The frontier states of the L sweep after 0, 1, 2, ... whole columns,
+    from an empty column 0: every m-th cell state, checked against the
+    frontier guard before any array exists."""
+    frontiers = check_frontiers(m)
     paths = _path_sets(m)
     column = None
     if m * frontiers <= MAX_STATES:
@@ -431,15 +415,14 @@ def _isolated_columns(m: int) -> Iterator[np.ndarray]:
     return islice(sweep(x, steps), 0, None, m)
 
 
-def isolated_count(m: int, n: int) -> int:
-    """Exact L count of the m-by-n board, y_a . y_b at the middle column of
-    the frontier sweep (L is mirror symmetric).
+def _isolated_count(m: int, n: int) -> int:
+    """``frontier.isolated_count`` on numpy, past its packed bound:
+    y_a . y_b at the middle column of the frontier sweep.
 
     After a whole column the frontier (f, e) is that column f and the foot
     e of the column before it, so the boards whose last column is f number
     y[f] = x[(f, 0)] + x[(f, 1)].  n <= 2 is read off the plain sweep.
     """
-    _check_board(m, n)
     columns = _isolated_columns(m)
     paths = _path_sets(m)
     legal = np.flatnonzero(_extra_cell_legal(paths, m - 1))

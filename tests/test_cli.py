@@ -789,12 +789,42 @@ def test_wide_or_dense_eigen_loads_numpy(argv):
     assert {"numpy", "pawncount.transfer"} <= set(loaded)
 
 
+@pytest.mark.parametrize("argv,loaded", [
+    (("count", "-m", "16", "-n", "20", "--quantity", "L"), []),
+    (("count", "-m", "31", "-n", "14", "--quantity", "L", "--json"), ["json"]),
+    (("table", "--quantity", "L", "--max-m", "14", "--max-n", "40",
+      "--format", "csv"), ["csv"]),
+])
+def test_short_l_sweeps_skip_numpy(argv, loaded):
+    code, out, modules = _probe(*argv)
+    assert code == 0 and out
+    assert modules == loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "-m", "16", "-n", "200", "--quantity", "L"),
+    ("count", "-m", "14", "-n", "21", "--quantity", "U", "--method", "transfer"),
+])
+def test_long_l_sweeps_and_u_by_transfer_load_numpy(argv):
+    code, out, loaded = _probe(*argv)
+    assert code == 0 and out
+    assert {"numpy", "pawncount.transfer"} <= set(loaded)
+
+
+def test_too_tall_l_sweep_refused_before_numpy(capsys):
+    code, out, loaded = _probe("count", "-m", "31", "-n", "31", "--quantity", "L")
+    assert (code, out, loaded) == (3, "", [])
+    assert run_cli("count", "-m", "31", "-n", "31", "--quantity", "L",
+                   capsys=capsys) == (
+        3, "", "error: the L sweep at height 31 holds 4870847 frontiers, "
+               "above the 2^22 limit\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("count", "-m", "17", "-n", "17", "--json"),
     ("count", "-m", "5", "-n", "6", "--quantity", "L", "--method", "transfer"),
     ("count", "-m", "8", "-n", "9", "--method", "decomposition", "--json"),
-    ("table", "--quantity", "L", "--max-m", "5", "--max-n", "6",
-     "--format", "csv"),
+    ("table", "--max-m", "17", "--max-n", "17", "--format", "csv"),
     ("eigen", "-m", "4", "--spectrum", "--json"),
     ("verify", "--level", "quick", "--json"),
 ])

@@ -285,9 +285,10 @@ class TestMidpoint:
         (lambda: colour_split_count(5, 7), 2 * 3),
         # even n crosses the classes' ends: a = 5 columns of 8
         (lambda: colour_split_count(5, 8), 2 * 4),
-        # the frontier sweep steps once per cell, from an empty column 0
-        (lambda: isolated_count(4, 7), 4 * 4),
-        (lambda: isolated_count(4, 8), 5 * 4),
+        # the numpy frontier sweep steps once per cell, from an empty
+        # column 0
+        (lambda: transfer._isolated_count(4, 7), 4 * 4),
+        (lambda: transfer._isolated_count(4, 8), 5 * 4),
     ])
     def test_sweeps_to_the_middle_column_only(self, monkeypatch, run, steps):
         calls = []
@@ -426,7 +427,7 @@ class TestSweep:
     @pytest.mark.parametrize("run,steps", [
         (lambda: count_sequence(5, 6, M_SET), 5),
         (lambda: colour_split_sequence(5, 6), 10),
-        (lambda: isolated_sequence(4, 3), 12),
+        (lambda: transfer._isolated_sequence(4, 3), 12),
         (lambda: tiling_sequence(3, 4), 4),
         (lambda: count_independent_sets(split_by_color(3, 4)[0]), 4),
     ])
@@ -513,12 +514,13 @@ class TestIsolatedSequence:
 
     def test_past_the_full_profile(self):
         # no 2^m route reaches height 23; the transposed closed forms do,
-        # and past 24 rows the gather tables are rebuilt for each column
+        # and past 24 rows the numpy sweep rebuilds its gather tables for
+        # each column
         for m in (23, 24, 25):
-            assert isolated_sequence(m, 3) == [1] + [closed_form_L(n, m)
-                                                     for n in (1, 2, 3)]
+            assert transfer._isolated_sequence(m, 3) == [1] + [
+                closed_form_L(n, m) for n in (1, 2, 3)]
         # the bijection: L(25, 4) counts the tilings of a 5-by-26 board
-        assert isolated_sequence(25, 4)[4] == count_tilings(5, 26)
+        assert transfer._isolated_sequence(25, 4)[4] == count_tilings(5, 26)
 
     def test_steps_number_frontiers_by_rank(self):
         for m in range(1, 17):
@@ -561,7 +563,8 @@ class TestIsolatedSequence:
         monkeypatch.setattr(transfer, "MAX_STATES", 1000)
         monkeypatch.setattr(transfer, "_isolated_steps",
                             lambda *args: built.append(args) or steps(*args))
-        assert isolated_sequence(10, 12) == count_sequence(10, 12, L_SET)
+        assert (transfer._isolated_sequence(10, 12)
+                == count_sequence(10, 12, L_SET))
         assert len(built) == 12
 
     def test_frontier_counts(self):
