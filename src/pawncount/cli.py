@@ -27,8 +27,9 @@ needs, tallest h first.  M sweeps on the colour split from 17 rows up
 (the same B * W, each factor a sweep over half-height columns),
 L on the frontier sweep, one cell at a time over the legal frontiers only
 (``frontier``: on packed Python ints while its estimated work is within
-``PACKED_WORK``, on ``transfer``'s numpy arrays past that; its JSON
-``method`` stays ``transfer``); every U board has a closed form.
+``PACKED_WORK``, on numpy arrays past that, both forms with one frontier
+layout and one cell step; its JSON ``method`` stays ``transfer``); every
+U board has a closed form.
 ``--method decomposition`` (the colour split) and ``--method transfer``
 (the full 2^h column profile, for every quantity) sweep along the shorter
 side too.  ``eigen``'s power iteration (``power``) runs the two-step

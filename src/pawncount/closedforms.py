@@ -74,7 +74,7 @@ def upper_bound_U_k(m: int, n: int, k: int) -> int:
     """Count of m-by-n matrices with no k-run on a down-right diagonal;
     same shape as upper_bound_U with k-generalized Fibonacci numbers."""
     if k < 2:
-        raise InvalidK(f"k must be >= 2, got {k}")
+        raise InvalidK(f"diagonal run length must be >= 2, got {k}")
     return _sheared_rows(m, n, k)
 
 

@@ -1,32 +1,43 @@
-"""The L frontier sweep on packed Python ints, and the route to numpy's.
+"""The L frontier sweep, in two forms: on packed Python ints and on
+numpy arrays.
 
 L counts the boards whose 1s touch nowhere, diagonals included.  Its
 sweep places one cell at a time over the legal frontiers: the m latest
 cells, one per row, plus the cell left of the newest one, which its lower
-neighbour still touches diagonally (``transfer._isolated_steps`` numbers
-them).  A frontier is (f, e): f an m-bit path set (no two adjacent bits,
-row 0 in the low bit), ranked by its Zeckendorf sum, and e that extra
-cell.  This module checks the arguments and the frontier guard, then runs
-the sweep either here, on packed ints, or on ``transfer``'s numpy arrays.
+neighbour still touches diagonally.  A frontier is (f, e): f an m-bit path
+set (no two adjacent bits, row 0 in the low bit), ranked by its Zeckendorf
+sum (``transfer._path_sets`` lists them by rank), and e that extra cell.
+This module checks the arguments and the frontier guard, then runs the
+sweep in one of its two forms, which share one layout and one cell step.
 
-Packed, the (f, 0) counts are one int and the (f, 1) counts another, each
-frontier an S-bit slot at the rank of f; an (f, 1) slot is 0 where that
-frontier is illegal.  Placing the cell in row r moves the old row-r cell
-into e, so with k = S * F(r+1), the rank offset of bit r, the cell step
-is seven big-int operations:
+The state is x0, the (f, 0) counts by rank of f, and x1, the (f, 1) counts
+by rank, 0 where that frontier is illegal.  Placing the cell in row r
+moves the old row-r cell into e, so with k = F(r+1), the rank offset of
+bit r, the cell step is
 
     t  = x0 + x1
-    x0 = t ^ ((t ^ (u << k)) & set_r)    u = t in row 0, else x0
+    x0 = t, but u k ranks down where f has bit r set (set_r),
+         u = t in row 0, else the old x0
+    x1 = t k ranks up where rows r-1, r and r+1 of f are clear (legal_r),
+         else 0
+
+The old e is the cell up and to the left of the new one, so it drops out
+where the new cell is set, except in row 0, whose old e lies at the foot
+of a column two back.  After a whole column, the boards whose last column
+is f number x0[f] + x1[f], so y = x0 + x1 holds the column state.
+
+Packed, x0 and x1 are one int each, each frontier an S-bit slot at the
+rank of f, and with k = S * F(r+1) the step is seven big-int operations:
+
+    t  = x0 + x1
+    x0 = t ^ ((t ^ (u << k)) & set_r)
     x1 = (t >> k) & legal_r
 
-set_r holds the slots whose f has bit r set, so x0 takes u's slot one
-rank offset down there and t's slot elsewhere ((t & ~set_r) | ((u << k) &
-set_r) with no second mask); legal_r holds those with rows r-1, r and r+1
-of f clear.  The old e is the cell up and to the left of the new one, so
-it drops out where the new cell is set, except in row 0, whose old e lies
-at the foot of a column two back.  After a whole column, the boards whose
-last column is f number x0[f] + x1[f], so y = x0 + x1 holds the column
-state, and its total is the sum of its slots, y mod (2^S - 1).
+set_r sets every bit of the slots whose f has bit r set, so x0 takes u's
+slot one rank offset down there and t's slot elsewhere ((t & ~set_r) |
+((u << k) & set_r) with no second mask); legal_r sets those of the f with
+rows r-1, r and r+1 clear.  A column's total is the sum of y's slots,
+y mod (2^S - 1).
 
 Slot width.  A sweep to u_N, the state after N columns, holds partial
 boards of at most N columns; each extends with empty cells to a legal
@@ -38,17 +49,25 @@ bit past the smaller of that bound and F(m+1)^N (a column is one of
 F(m+1) path sets), rounded up to whole bytes, so no slot, no sum t and no
 total carries into the next slot.
 
+As arrays, x0 and x1 are the two halves of one array of 2 F(m+1) entries,
+each cell one ``transfer.sweep`` step (int64 while ``exact`` allows it,
+Python ints after), and the step is one addition and two masked copies,
+its masks taken from the path sets at each cell.  The guard counts the
+legal frontiers, F(m+1) + F(m-1); the F(m+1) - F(m-1) illegal (f, 1)
+entries stay 0, and at m = 30 they take the array 4% past 2^22 entries.
+
 Route.  The packed sweep costs about m * N * F(m+1) * S bit operations,
-and S grows with N, so its cost grows as N^2; numpy's object arrays cost
-about m * N * F(m+1) Python-int additions of S bits, but importing numpy
-takes about 0.1 s.  A sweep whose estimate is at most PACKED_WORK runs
-here; a longer one runs on ``transfer``.
+and S grows with N, so its cost grows as N^2; the array sweep costs about
+m * N * F(m+1) additions of S-bit Python ints once past int64, but
+importing numpy takes about 0.1 s.  A sweep whose estimate is at most
+PACKED_WORK runs packed; a longer one runs on arrays.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import islice
+from functools import partial
+from itertools import cycle, islice
 from operator import mul
 
 from .closedforms import fibonacci
@@ -93,9 +112,7 @@ def isolated_sequence(m: int, n_max: int) -> list[int]:
     check_frontiers(m)
     width = _packed_width(m, n_max)
     if width is None:
-        from .transfer import _isolated_sequence
-
-        return _isolated_sequence(m, n_max)
+        return _array_sequence(m, n_max)
     return _packed_sequence(m, n_max, width)
 
 
@@ -109,9 +126,7 @@ def isolated_count(m: int, n: int) -> int:
     check_frontiers(m)
     width = _packed_width(m, n if n <= 2 else (n + 2) // 2)
     if width is None:
-        from .transfer import _isolated_count
-
-        return _isolated_count(m, n)
+        return _array_count(m, n)
     return _packed_count(m, n, width)
 
 
@@ -217,3 +232,50 @@ def _slots(y: int, m: int, width: int) -> list[int]:
     raw = y.to_bytes(step * fibonacci(m + 1), "little")
     return [int.from_bytes(raw[i:i + step], "little")
             for i in range(0, len(raw), step)]
+
+
+def _array_sequence(m: int, n_max: int) -> list[int]:
+    """The counts for n = 0..n_max from the array sweep."""
+    from .transfer import _sequence
+
+    return _sequence(_array_columns(m), n_max)
+
+
+def _array_count(m: int, n: int) -> int:
+    """The count of the n-column board from the array sweep: y_n's total
+    for n <= 2, else y_a . y_b (``transfer._midpoint``)."""
+    from .transfer import _midpoint
+
+    return _midpoint(_array_columns(m), n)
+
+
+def _array_columns(m: int) -> Iterator[np.ndarray]:
+    """The column states y_0, y_1, y_2, ... of the array sweep of height m,
+    each x0 + x1 by rank after a whole column of cell steps."""
+    import numpy as np
+
+    from .transfer import _path_sets, sweep
+
+    paths = _path_sets(m)
+    size = len(paths)
+    x = np.zeros(2 * size, dtype=np.int64)
+    x[0] = 1
+    cells = sweep(x, (partial(_array_step, paths=paths, r=r)
+                      for r in cycle(range(m))))
+    return (state[:size] + state[size:]
+            for state in islice(cells, 0, None, m))
+
+
+def _array_step(x: np.ndarray, paths: np.ndarray, r: int) -> np.ndarray:
+    """The cell step in row r on x = x0 then x1, into a new array; paths
+    is ``transfer._path_sets(m)``."""
+    import numpy as np
+
+    size, k = len(paths), fibonacci(r + 1)
+    y = np.zeros_like(x)
+    t = np.add(x[:size], x[size:], out=y[:size])
+    # x1 is set before x0 overwrites t
+    np.copyto(y[size:-k], t[k:], where=(paths[:-k] & 7 << r >> 1) == 0)
+    np.copyto(t[k:], (t if r == 0 else x)[:size - k],
+              where=(paths[k:] >> r & 1).astype(bool))
+    return y

@@ -34,28 +34,20 @@ check on the colour split.
 so the full sweep stops at m = 22 and the colour split at m = 44.
 
 For L a legal column has no two vertical neighbours, so only F(m+1) of
-its 2^m states can be non-zero (F(0) = F(1) = 1, as in ``closedforms``).
-The L sweep goes one cell at a time (a broken profile) over the legal
-frontiers only: the m latest cells, one per row, plus the cell left of
-the newest one, which its lower neighbour still touches diagonally.
-There are at most F(m+1) + F(m-1) of them, and ``frontier`` holds that
-count to the same 2^22 bound, so L runs to m = 30.  ``frontier`` owns
-``isolated_sequence`` and ``isolated_count`` (re-exported here): it runs
-a sweep on packed Python ints while its estimated work is within its
-bound, and this module's ``_isolated_sequence`` and ``_isolated_count``
-past it.  A frontier's place in the state array is known in closed form
-(its m cells are ranked by their Zeckendorf sum), so each numpy cell
-step is two gathers with no search.  The full sweep stays the
-independent check on both up to m = 22.
+its 2^m states can be non-zero (F(0) = F(1) = 1, as in ``closedforms``);
+``_path_sets`` lists them.  L past height 3 is counted by ``frontier``'s
+cell-by-cell sweep, whose numpy form runs on ``sweep``, ``_sequence`` and
+``_midpoint`` here.  The full sweep stays the independent check on it up
+to m = 22.
 
-Each of the three exact sweeps (``_states``, ``_colour_sweeps`` and
-``_isolated_columns``) yields its column states u_0, u_1, u_2, ..., u_0 the
-empty board's, after the checks that guard it.  Two readers turn them into
-counts: ``_sequence`` takes the totals of u_0..u_n_max, for ``table`` and as
-the check on the midpoints, and ``_midpoint`` reads one board off the middle
-of its sweep (``_ends``).  An n-column board is a board of
-a = ceil((n+1)/2) columns and one of b = n+1-a columns that share the
-middle column, so with u_j = (T^T)^(j-1) 1 the state after j columns,
+Each exact sweep (``_states``, ``_colour_sweeps`` and
+``frontier._array_columns``) yields its column states u_0, u_1, u_2, ...,
+u_0 the empty board's, after the checks that guard it.  Two readers turn
+them into counts: ``_sequence`` takes the totals of u_0..u_n_max, for
+``table`` and as the check on the midpoints, and ``_midpoint`` reads one
+board off the middle of its sweep (``_ends``).  An n-column board is a
+board of a = ceil((n+1)/2) columns and one of b = n+1-a columns that share
+the middle column, so with u_j = (T^T)^(j-1) 1 the state after j columns,
 1^T T^(n-1) 1 = u_a^T T^(b-1) 1: the identity Calkin and Wilf use for hard
 squares.  ``_midpoint`` sweeps to u_a only, keeps a copy of u_b (the step
 after it may overwrite it) and returns the dot product in Python ints, so n
@@ -64,9 +56,8 @@ around must again be a board of the same rule: a 180-degree turn maps every
 two-cell pattern onto itself, so ``count_via_transfer`` reads
 T^(b-1) 1 = R u_b, u_b at the row-flipped masks (T^T = R T R), which U,
 with its one diagonal, needs.  M's colour classes and L ban both diagonals
-and are read left to right: ``_isolated_count`` folds each frontier state
-onto its column first, and ``colour_split_count`` crosses the two classes'
-ends at even n.
+and are read left to right; ``colour_split_count`` crosses the two
+classes' ends at even n.
 """
 
 from __future__ import annotations
@@ -78,11 +69,8 @@ from itertools import accumulate, chain, cycle, islice, repeat
 
 import numpy as np
 
-from .closedforms import fibonacci
-from .errors import MAX_STATES, MAX_WIDTH, GuardExceeded
-from .frontier import check_board, check_frontiers
-from .frontier import (isolated_count, isolated_frontiers,  # noqa: F401
-                       isolated_sequence)  # (re-exported)
+from .errors import MAX_WIDTH, GuardExceeded
+from .frontier import check_board
 from .oracle import M_SET, ForbiddenPatternSet
 from .power import dominant_eigenvalue  # noqa: F401  (re-exported)
 
@@ -333,107 +321,6 @@ def _path_sets(m: int) -> np.ndarray:
     for top in range(1, m):
         shorter, masks = masks, np.concatenate((masks, shorter | 1 << top))
     return masks
-
-
-def _extra_cell_legal(paths: np.ndarray, r: int) -> np.ndarray:
-    """By rank of f, whether the frontier (f, 1) after row r is legal: rows
-    r-1, r and r+1 of f are clear."""
-    return (paths & 7 << r >> 1) == 0
-
-
-def _isolated_steps(paths: np.ndarray, m: int
-                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Gather tables (lo, hi) of the m cell steps of one column, top row
-    first: the count of frontier i after the step is x[lo[i]] + x[hi[i]]
-    over the frontiers before it.
-
-    A frontier is (f, e) once the cell in row r is placed.  Bit i of f
-    (row 0 in the low bit) holds row i of the newest column for i <= r and
-    of the one before it for i > r.  The cells of adjacent bits touch, so
-    f is a path independent set, one of ``paths``, whose index there is
-    its rank: the sum of F(i+1) over its set bits i.  e is the cell left
-    of row r, legal only where rows r-1, r and r+1 of f are clear.  The
-    frontiers are numbered (f, 0) by rank, then the legal (f, 1) by rank,
-    then a sentinel (index -1) that always holds 0.
-
-    Placing cell c in row r moves the old row-r cell into e and c into
-    bit r, so the frontier before (f, e) is f with bit r set to e, a move
-    of F(r+1) in rank, under either old e: lo is old e = 0, hi old e = 1.
-    The old e is the cell up and to the left, so hi drops out where c = 1
-    (except in row 0, whose old e lies at the foot of a column two back),
-    and where that frontier is illegal.
-    """
-    rank = np.arange(len(paths))
-
-    def ones(r: int) -> np.ndarray:
-        """By rank of f, the index of the frontier (f, 1) after row r, or
-        -1 where it is illegal."""
-        legal = _extra_cell_legal(paths, r)
-        index = np.full(len(paths), -1)
-        index[legal] = len(paths) + np.arange(np.count_nonzero(legal))
-        return index
-
-    before = ones(m - 1)
-    for r in range(m):
-        index = ones(r)
-        step = fibonacci(r + 1)
-        c = paths >> r & 1
-        lo0, lo1 = rank - c * step, np.flatnonzero(index >= 0) + step
-        hi0 = before[lo0]
-        if r:
-            hi0[c == 1] = -1
-        yield (np.concatenate((lo0, lo1, [-1])),
-               np.concatenate((hi0, before[lo1], [-1])))
-        before = index
-
-
-def _isolated_sequence(m: int, n_max: int) -> list[int]:
-    """``frontier.isolated_sequence`` on numpy, past its packed bound: a
-    cell-by-cell sweep over the legal frontiers.  Each cell is one
-    ``sweep`` step, so ``exact`` checks every cell state, and a column's
-    count is read off every m-th state.  The gather tables of one column
-    are kept for the whole sweep when they fit in MAX_STATES entries (to
-    m = 24); past that they are rebuilt for each column."""
-    return _sequence(_isolated_columns(m), n_max)
-
-
-def _isolated_columns(m: int) -> Iterator[np.ndarray]:
-    """The frontier states of the L sweep after 0, 1, 2, ... whole columns,
-    from an empty column 0: every m-th cell state, checked against the
-    frontier guard before any array exists."""
-    frontiers = check_frontiers(m)
-    paths = _path_sets(m)
-    column = None
-    if m * frontiers <= MAX_STATES:
-        column = list(_isolated_steps(paths, m))
-    # the frontiers after the foot of a column, as many as after its head
-    x = np.zeros(frontiers + 1, dtype=np.int64)
-    x[0] = 1
-    cells = chain.from_iterable(column or _isolated_steps(paths, m)
-                                for _ in repeat(None))
-    steps = (lambda s, lo=lo, hi=hi: s[lo] + s[hi] for lo, hi in cells)
-    return islice(sweep(x, steps), 0, None, m)
-
-
-def _isolated_count(m: int, n: int) -> int:
-    """``frontier.isolated_count`` on numpy, past its packed bound:
-    y_a . y_b at the middle column of the frontier sweep.
-
-    After a whole column the frontier (f, e) is that column f and the foot
-    e of the column before it, so the boards whose last column is f number
-    y[f] = x[(f, 0)] + x[(f, 1)].  n <= 2 is read off the plain sweep.
-    """
-    columns = _isolated_columns(m)
-    paths = _path_sets(m)
-    legal = np.flatnonzero(_extra_cell_legal(paths, m - 1))
-
-    def fold(x: np.ndarray) -> np.ndarray:
-        # a copy: the sweep steps on from x
-        y = x[:len(paths)].copy()
-        y[legal] += x[len(paths):len(paths) + len(legal)]
-        return y
-
-    return _midpoint(map(fold, columns), n)
 
 
 def colour_estimates(m: int) -> Iterator[float]:

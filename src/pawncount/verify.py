@@ -22,10 +22,10 @@ from . import decomposition as dc
 from . import tiling as tl
 from .oracle import L_SET, M_SET, U_SET, count_by_enumeration, enumerate_legal, uk_set
 from .power import dominant_eigenvalue
+from .frontier import isolated_count, isolated_sequence
 from .transfer import (build_transfer, colour_split_count,
                        colour_split_sequence, count_sequence,
-                       count_via_transfer, isolated_count, isolated_sequence,
-                       spectrum_small)
+                       count_via_transfer, spectrum_small)
 
 REFERENCE_T2 = """\
 1 1 1 1

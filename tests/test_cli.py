@@ -91,6 +91,14 @@ class TestCount:
         assert code == 0
         assert out == f"Uk(2,2) = {2 ** 4}\n"
 
+    @pytest.mark.parametrize("method", ["auto", "closed", "oracle"])
+    def test_run_shorter_than_two_is_one_usage_error(self, method, capsys):
+        code, out, err = run_cli("count", "-m", "2", "-n", "2", "--quantity",
+                                 "U", "--k", "1", "--method", method,
+                                 capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: diagonal run length must be >= 2, got 1\n"
+
     def test_erratum_annotation_surfaces(self, capsys):
         code, out, _ = run_cli("count", "-m", "5", "-n", "2",
                                "--method", "closed", "--json", capsys=capsys)

@@ -1,17 +1,23 @@
-"""The L frontier sweep on packed ints (``frontier``) against the numpy one
-(``transfer``), each route called directly, and the slot width that keeps
-the packed counts exact."""
+"""The two forms of the L frontier sweep in ``frontier``, packed ints and
+numpy arrays, each called directly; the array form's cell step against a
+plain model of the frontiers; and the slot width that keeps the packed
+counts exact."""
 
+import random
 from itertools import islice
 
+import numpy as np
 import pytest
 
 import pawncount
-from pawncount import frontier, transfer
+from pawncount import frontier, transfer, verify
 from pawncount.closedforms import closed_form_L
-from pawncount.frontier import (_packed_columns, _packed_count,
+from pawncount.frontier import (_array_count, _array_sequence, _array_step,
+                                _packed_columns, _packed_count,
                                 _packed_sequence, _slots, _width,
-                                isolated_count, isolated_sequence)
+                                isolated_count, isolated_frontiers,
+                                isolated_sequence)
+from pawncount.transfer import _path_sets
 
 N_MAX = 41
 
@@ -30,10 +36,10 @@ def largest_slot(m: int, columns: int, width: int) -> int:
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_routes_agree(m):
-    expected = transfer._isolated_sequence(m, N_MAX)
+    expected = _array_sequence(m, N_MAX)
     assert _packed_sequence(m, N_MAX, _width(m, N_MAX)) == expected
     for n in range(N_MAX + 1):
-        count = transfer._isolated_count(m, n)
+        count = _array_count(m, n)
         assert count == expected[n], n
         assert _packed_count(m, n, _width(m, drawn(n))) == count, n
 
@@ -51,7 +57,7 @@ def test_too_narrow_a_slot_miscounts(m, n):
     """Slots narrower than the largest one carry into their neighbours and
     the count goes wrong, so the agreement above would catch a width that
     is too small."""
-    expected = transfer._isolated_count(m, n)
+    expected = _array_count(m, n)
     top = largest_slot(m, n, _width(m, n)).bit_length()
     assert _packed_sequence(m, n, top - 1)[n] != expected
     top = largest_slot(m, drawn(n), _width(m, drawn(n))).bit_length()
@@ -67,8 +73,8 @@ def test_tall_short_boards_equal_the_transposed_closed_form(m):
 
 def test_the_work_bound_picks_the_route(monkeypatch):
     numpy_calls = []
-    for name in ("_isolated_count", "_isolated_sequence"):
-        monkeypatch.setattr(transfer, name, lambda *args, name=name:
+    for name in ("_array_count", "_array_sequence"):
+        monkeypatch.setattr(frontier, name, lambda *args, name=name:
                             numpy_calls.append((name, *args)) or 0)
     assert isolated_count(16, 20) == transfer.count_via_transfer(
         16, 20, pawncount.L_SET)
@@ -78,14 +84,52 @@ def test_the_work_bound_picks_the_route(monkeypatch):
     isolated_sequence(12, 2000)
     monkeypatch.setattr(frontier, "PACKED_WORK", 0)
     isolated_count(16, 20)
-    assert numpy_calls == [("_isolated_count", 16, 200),
-                           ("_isolated_sequence", 12, 2000),
-                           ("_isolated_count", 16, 20)]
+    assert numpy_calls == [("_array_count", 16, 200),
+                           ("_array_sequence", 12, 2000),
+                           ("_array_count", 16, 20)]
 
 
-def test_moved_functions_are_re_exported():
+def test_the_l_sweep_lives_in_frontier_only():
     # span wrappers rebind a function by identity in every module
-    for name in ("isolated_count", "isolated_sequence", "isolated_frontiers"):
-        assert getattr(transfer, name) is getattr(frontier, name)
+    assert not [name for name in vars(transfer) if "isolated" in name]
+    for name in ("isolated_count", "isolated_sequence"):
+        assert getattr(verify, name) is getattr(frontier, name)
     assert pawncount._MODULE_OF["isolated_sequence"] == "frontier"
     assert pawncount.isolated_sequence is frontier.isolated_sequence
+
+
+def frontiers(m: int, r: int) -> list[tuple[int, int]]:
+    """The legal frontiers (f, e) after the cell in row r: (f, 0) for every
+    path set f, and (f, 1) where rows r-1, r and r+1 of f are clear, since
+    the cell left of row r touches them."""
+    near = sum(1 << i for i in (r - 1, r, r + 1) if 0 <= i < m)
+    paths = [w for w in range(1 << m) if not w & w >> 1]
+    return [(f, 0) for f in paths] + [(f, 1) for f in paths if not f & near]
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_array_step_moves_each_frontier(m):
+    """One cell step in row r, from random counts on the frontiers after
+    the row before it, against the frontiers model: the old row-r cell
+    moves into e, so (f, e) comes from f with bit r set to e, under either
+    old e; the old e is up and to the left of the new cell, so it drops
+    out where that cell is set, except in row 0, whose old e lies at the
+    foot of a column two back."""
+    paths = _path_sets(m).tolist()
+    assert paths == [w for w in range(1 << m) if not w & w >> 1]
+    sizes = [len(frontiers(m, r)) for r in range(m)]
+    assert max(sizes) == sizes[0] == sizes[-1] == isolated_frontiers(m)
+    rank = {f: i for i, f in enumerate(paths)}
+    rng = random.Random(m)
+    for r in range(m):
+        before = {key: rng.randrange(1000)
+                  for key in frontiers(m, (r - 1) % m)}
+        x = np.zeros(2 * len(paths), dtype=np.int64)
+        for (f, e), value in before.items():
+            x[e * len(paths) + rank[f]] = value
+        want = np.zeros_like(x)
+        for f, e in frontiers(m, r):
+            source = f & ~(1 << r) | e << r
+            old_e = 0 if r and f >> r & 1 else before.get((source, 1), 0)
+            want[e * len(paths) + rank[f]] = before[source, 0] + old_e
+        assert _array_step(x, _path_sets(m), r).tolist() == want.tolist(), r

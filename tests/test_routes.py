@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from pawncount.cli import main
 from pawncount.closedforms import closed_forms
+from pawncount.frontier import isolated_count, isolated_sequence
 from pawncount.oracle import L_SET, M_SET, U_SET, count_by_enumeration
 from pawncount.transfer import (colour_split_count, colour_split_sequence,
-                                count_via_transfer, isolated_count,
-                                isolated_sequence)
+                                count_via_transfer)
 
 PATTERNS = {"M": M_SET, "U": U_SET, "L": L_SET}
 

@@ -7,7 +7,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from pawncount import power, transfer
+from pawncount import frontier, power, transfer
 from pawncount.closedforms import closed_form_L, closed_form_M, shape_formula_M
 from pawncount.decomposition import count_independent_sets, split_by_color
 from pawncount.errors import GuardExceeded, NonConverged
@@ -15,12 +15,12 @@ from pawncount.oracle import (L_SET, M_SET, U_SET, BinaryMatrix,
                               count_by_enumeration, enumerate_legal,
                               find_violation, uk_set)
 from pawncount.tiling import count_tilings, tiling_sequence
-from pawncount.transfer import (_ends, _isolated_steps, _path_sets,
-                                _states, build_transfer, colour_split_count,
-                                colour_split_sequence, count_sequence,
-                                count_via_transfer, dominant_eigenvalue, exact,
-                                isolated_count, isolated_frontiers,
-                                isolated_sequence, profile_step,
+from pawncount.frontier import (isolated_count, isolated_frontiers,
+                                isolated_sequence)
+from pawncount.transfer import (_ends, _states, build_transfer,
+                                colour_split_count, colour_split_sequence,
+                                count_sequence, count_via_transfer,
+                                dominant_eigenvalue, exact, profile_step,
                                 spectrum_small, sweep)
 
 T2_REFERENCE = """\
@@ -285,10 +285,10 @@ class TestMidpoint:
         (lambda: colour_split_count(5, 7), 2 * 3),
         # even n crosses the classes' ends: a = 5 columns of 8
         (lambda: colour_split_count(5, 8), 2 * 4),
-        # the numpy frontier sweep steps once per cell, from an empty
+        # the array frontier sweep steps once per cell, from an empty
         # column 0
-        (lambda: transfer._isolated_count(4, 7), 4 * 4),
-        (lambda: transfer._isolated_count(4, 8), 5 * 4),
+        (lambda: frontier._array_count(4, 7), 4 * 4),
+        (lambda: frontier._array_count(4, 8), 5 * 4),
     ])
     def test_sweeps_to_the_middle_column_only(self, monkeypatch, run, steps):
         calls = []
@@ -427,7 +427,7 @@ class TestSweep:
     @pytest.mark.parametrize("run,steps", [
         (lambda: count_sequence(5, 6, M_SET), 5),
         (lambda: colour_split_sequence(5, 6), 10),
-        (lambda: transfer._isolated_sequence(4, 3), 12),
+        (lambda: frontier._array_sequence(4, 3), 12),
         (lambda: tiling_sequence(3, 4), 4),
         (lambda: count_independent_sets(split_by_color(3, 4)[0]), 4),
     ])
@@ -514,58 +514,13 @@ class TestIsolatedSequence:
 
     def test_past_the_full_profile(self):
         # no 2^m route reaches height 23; the transposed closed forms do,
-        # and past 24 rows the numpy sweep rebuilds its gather tables for
-        # each column
-        for m in (23, 24, 25):
-            assert transfer._isolated_sequence(m, 3) == [1] + [
-                closed_form_L(n, m) for n in (1, 2, 3)]
+        # up to the frontier guard's 30 rows
+        for m in range(23, 31):
+            n_max = 2 if m == 30 else 3
+            assert frontier._array_sequence(m, n_max) == [1] + [
+                closed_form_L(n, m) for n in range(1, n_max + 1)], m
         # the bijection: L(25, 4) counts the tilings of a 5-by-26 board
-        assert transfer._isolated_sequence(25, 4)[4] == count_tilings(5, 26)
-
-    def test_steps_number_frontiers_by_rank(self):
-        for m in range(1, 17):
-            paths = [w for w in range(1 << m) if not w & w >> 1]
-            assert _path_sets(m).tolist() == paths
-
-        def frontiers(m, r):
-            # (f, 0) for every f, then the legal (f, 1): the cell left of
-            # row r touches rows r-1, r and r+1
-            near = sum(1 << i for i in (r - 1, r, r + 1) if 0 <= i < m)
-            paths = _path_sets(m).tolist()
-            return ([(f, 0) for f in paths]
-                    + [(f, 1) for f in paths if not f & near])
-
-        for m in range(1, 11):
-            before, sizes = frontiers(m, m - 1), []
-            for r, (lo, hi) in enumerate(_isolated_steps(_path_sets(m), m)):
-                after = frontiers(m, r)
-                want_lo, want_hi = [], []
-                for f, e in after:
-                    # the old row-r cell moves into e; the old e is 0 or
-                    # 1, and 1 only where that frontier is legal and, past
-                    # row 0, the new cell in row r is empty
-                    source = f & ~(1 << r) | e << r
-                    want_lo.append(before.index((source, 0)))
-                    fits = (source, 1) in before and not (r and f >> r & 1)
-                    want_hi.append(before.index((source, 1)) if fits else -1)
-                # the sentinel (index -1) maps to the sentinel
-                assert lo.tolist() == want_lo + [-1], (m, r)
-                assert hi.tolist() == want_hi + [-1], (m, r)
-                sizes.append(len(after))
-                before = after
-            assert max(sizes) == sizes[0] == sizes[-1] == isolated_frontiers(m)
-
-    def test_tables_rebuilt_per_column_past_the_bound(self, monkeypatch):
-        # at a bound of 1000 entries, height 10 holds 199 frontiers but not
-        # the 1990 entries of one column's gather tables
-        built = []
-        steps = transfer._isolated_steps
-        monkeypatch.setattr(transfer, "MAX_STATES", 1000)
-        monkeypatch.setattr(transfer, "_isolated_steps",
-                            lambda *args: built.append(args) or steps(*args))
-        assert (transfer._isolated_sequence(10, 12)
-                == count_sequence(10, 12, L_SET))
-        assert len(built) == 12
+        assert frontier._array_sequence(25, 4)[4] == count_tilings(5, 26)
 
     def test_frontier_counts(self):
         assert [isolated_frontiers(m) for m in (14, 20, 30, 31)] == [
