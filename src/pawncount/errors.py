@@ -10,7 +10,9 @@ from __future__ import annotations
 
 #: Widest column profile any sweep allocates (2^22 states per array).
 MAX_WIDTH = 22
-#: Most entries any one state or gather table holds.
+#: Most entries any one state holds.  The L sweep's guard counts its
+#: legal frontiers against it, but its array form holds 2 F(m+1) entries,
+#: 4% past the bound at m = 30 (see ``frontier``'s docstring).
 MAX_STATES = 1 << MAX_WIDTH
 
 

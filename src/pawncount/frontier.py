@@ -96,12 +96,15 @@ def isolated_frontiers(m: int) -> int:
 
 def check_frontiers(m: int) -> int:
     """The frontier count of height m, refused above MAX_STATES before
-    any state exists (L runs to m = 30)."""
-    frontiers = isolated_frontiers(m)
+    any state exists (L runs to m = 30).  F(k+2) >= 2 F(k), so the count
+    at height 2 MAX_WIDTH is already past 2^MAX_WIDTH, and a taller board
+    is refused by that height's count without walking m Fibonacci terms."""
+    top = min(m, 2 * MAX_WIDTH)
+    frontiers = isolated_frontiers(top)
     if frontiers > MAX_STATES:
         raise GuardExceeded(
-            f"the L sweep at height {m} holds {frontiers} frontiers, above "
-            f"the 2^{MAX_WIDTH} limit")
+            f"the L sweep at height {m} holds {'more than ' * (top < m)}"
+            f"{frontiers} frontiers, above the 2^{MAX_WIDTH} limit")
     return frontiers
 
 

@@ -6,16 +6,20 @@ desk scale.  Known deviations from published formulas are asserted in
 their corrected form and reported as expected deviations; only genuine
 mismatches fail a check.
 
-Every check records its comparisons in a ``_Ledger``.  One cell is one
-compared value: a count, a matrix entry, a limit or a round trip.  A
-comparison that disagrees keeps a label, and a check fails when any label
-is kept; its details then end with the first five labels.
+A check only compares: it records each comparison in the ``_Ledger`` it
+is given and returns its details.  One cell is one compared value: a
+count, a matrix entry, a limit or a round trip.  A comparison that
+disagrees keeps a label.  ``run_check`` does the rest: it names and times
+the check, fails it when any label is kept, its details then ending with
+the first five labels, and fails it alone when it raises, naming the
+exception in its details, so the rest of the battery still runs.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from time import perf_counter
 
 from . import closedforms as cf
 from . import decomposition as dc
@@ -119,8 +123,8 @@ class _Ledger:
 
     def __init__(self) -> None:
         self.cells = 0
-        self._failures: list = []
-        self._deviations: list[str] = []
+        self.failures: list = []
+        self.deviations: list[str] = []
 
     def record(self, ok: bool, label, cells: int = 1) -> bool:
         """Count a comparison of ``cells`` values (0 for a condition on
@@ -128,7 +132,7 @@ class _Ledger:
         it failed.  Returns ok."""
         self.cells += cells
         if not ok:
-            self._failures.append(label)
+            self.failures.append(label)
         return ok
 
     def expect(self, ok: bool, deviation: str) -> bool:
@@ -136,16 +140,30 @@ class _Ledger:
         is an expected deviation that is reported, not failed."""
         self.cells += 1
         if not ok:
-            self._deviations.append(deviation)
+            self.deviations.append(deviation)
         return ok
 
-    def result(self, name: str, details: str,
-               deviations: tuple[str, ...] = ()) -> CheckResult:
-        failures = self._failures
-        return CheckResult(
-            name, not failures,
-            details + (f"; failures: {failures[:5]}" if failures else ""),
-            (*self._deviations, *deviations), self.cells)
+    def note(self, deviation: str) -> None:
+        """Report an expected deviation that no comparison decides."""
+        self.deviations.append(deviation)
+
+
+def run_check(name: str, check, params: dict) -> CheckResult:
+    """Run one check on a fresh ledger and time it.  The check fails when
+    it keeps a failure label, its details then ending with the first five,
+    or when it raises an Exception, whose type and message become its
+    details."""
+    ledger = _Ledger()
+    start = perf_counter()
+    try:
+        details, passed = check(params, ledger), True
+    except Exception as exc:
+        details, passed = f"raised {type(exc).__name__}: {exc}", False
+    failures = ledger.failures
+    return CheckResult(
+        name, passed and not failures,
+        details + (f"; failures: {failures[:5]}" if failures else ""),
+        tuple(ledger.deviations), ledger.cells, perf_counter() - start)
 
 
 def _dims_within(cells: int):
@@ -154,21 +172,18 @@ def _dims_within(cells: int):
             yield m, n
 
 
-def check_transfer_reference(params: dict) -> CheckResult:
-    ledger = _Ledger()
+def check_transfer_reference(params: dict, ledger: _Ledger) -> str:
     flags = []
     for m, ref in ((2, REFERENCE_T2), (3, REFERENCE_T3)):
         rendered = "\n".join(" ".join(map(str, row))
                              for row in build_transfer(m, M_SET))
         ok = ledger.record(rendered == ref, f"T{m}", cells=len(ref.split()))
         flags.append(f"T{m} {'ok' if ok else 'MISMATCH'}")
-    return ledger.result(
-        "transfer-reference",
-        "heights 2 and 3 reproduce the 4x4 and 8x8 reference matrices "
-        f"entry for entry ({', '.join(flags)})")
+    return ("heights 2 and 3 reproduce the 4x4 and 8x8 reference matrices "
+            f"entry for entry ({', '.join(flags)})")
 
 
-def check_three_way_agreement(params: dict) -> CheckResult:
+def check_three_way_agreement(params: dict, ledger: _Ledger) -> str:
     cells = params["three_way_cells"]
     # one sweep per height; L along the longer side, as ``count`` runs it
     split = {m: colour_split_sequence(m, cells // m) for m in range(1, cells + 1)}
@@ -177,7 +192,6 @@ def check_three_way_agreement(params: dict) -> CheckResult:
     # and once from each end, to the middle column
     middle = {(h, n): isolated_count(h, n)
               for h in isolated for n in range(h, cells // h + 1)}
-    ledger = _Ledger()
     for quantity, pats in (("M", M_SET), ("U", U_SET), ("L", L_SET)):
         for m, n in _dims_within(cells):
             oracle = count_by_enumeration(m, n, pats)
@@ -192,31 +206,25 @@ def check_three_way_agreement(params: dict) -> CheckResult:
                 values.add(isolated[min(m, n)][max(m, n)])
                 values.add(middle[min(m, n), max(m, n)])
             ledger.record(len(values) == 1, f"{quantity}({m},{n}): {sorted(values)}")
-    return ledger.result(
-        "three-way-agreement",
-        f"{ledger.cells} (quantity, m, n) cells agree across enumeration, "
-        "transfer and closed forms (M also via the colour split, L via the "
-        "frontier sweep)")
+    return (f"{ledger.cells} (quantity, m, n) cells agree across enumeration, "
+            "transfer and closed forms (M also via the colour split, L via "
+            "the frontier sweep)")
 
 
-def check_colour_split(params: dict) -> CheckResult:
+def check_colour_split(params: dict, ledger: _Ledger) -> str:
     top_m, top_n = params["split_max_m"], params["split_max_n"]
-    ledger = _Ledger()
     for m in range(1, top_m + 1):
         black, white = colour_split_sequence(m, top_n)
         full = count_sequence(m, top_n, M_SET)
         ledger.record([b * w for b, w in zip(black, white)] == full,
                       ("product", m), cells=len(full))
         ledger.record(m % 2 == 1 or black == white, ("B != W", m), cells=0)
-    return ledger.result(
-        "colour-split",
-        f"B * W on half-height columns equals the full 2^m transfer count "
-        f"for heights 1..{top_m}, n <= {top_n}; B = W at every even height")
+    return (f"B * W on half-height columns equals the full 2^m transfer count "
+            f"for heights 1..{top_m}, n <= {top_n}; B = W at every even height")
 
 
-def check_closed_form_small_heights(params: dict) -> CheckResult:
+def check_closed_form_small_heights(params: dict, ledger: _Ledger) -> str:
     max_n = params["closed_m_max_n"]
-    ledger = _Ledger()
     for m in (1, 2, 3):
         seq = count_sequence(m, max_n, M_SET)
         for n in range(max_n + 1):
@@ -226,14 +234,11 @@ def check_closed_form_small_heights(params: dict) -> CheckResult:
                             (cf.closed_form_M(3, 3), 119),
                             (cf.closed_form_M(3, 5), 2117)):
         ledger.record(value == expected, ("spot", expected))
-    return ledger.result(
-        "radical-closed-forms",
-        f"heights 1..3 match transfer counts exactly for n <= {max_n}; "
-        "spot values 2^n, 9, 119, 2117 confirmed")
+    return (f"heights 1..3 match transfer counts exactly for n <= {max_n}; "
+            "spot values 2^n, 9, 119, 2117 confirmed")
 
 
-def check_upper_bound(params: dict) -> CheckResult:
-    ledger = _Ledger()
+def check_upper_bound(params: dict, ledger: _Ledger) -> str:
     for m, n in _dims_within(params["u_cells"]):
         ledger.record(cf.upper_bound_U(m, n) == count_by_enumeration(m, n, U_SET),
                       ("U", m, n))
@@ -242,28 +247,23 @@ def check_upper_bound(params: dict) -> CheckResult:
                       == count_by_enumeration(m, n, uk_set(3)), ("U3", m, n))
     ledger.record(cf.upper_bound_U(2, 2) == 12, ("spot", "U(2,2)"))
     ledger.record(cf.upper_bound_U_k(2, 2, 3) == 16, ("spot", "U3(2,2)"))
-    return ledger.result(
-        "diagonal-word-bounds",
-        f"single-diagonal formula matches enumeration for mn <= {params['u_cells']}, "
-        f"3-run formula for mn <= {params['uk_cells']}; spots U(2,2)=12, U3(2,2)=16")
+    return (f"single-diagonal formula matches enumeration for mn <= {params['u_cells']}, "
+            f"3-run formula for mn <= {params['uk_cells']}; spots U(2,2)=12, U3(2,2)=16")
 
 
-def check_sandwich(params: dict) -> CheckResult:
+def check_sandwich(params: dict, ledger: _Ledger) -> str:
     top = params["sandwich_max"]
-    ledger = _Ledger()
     for m in range(1, top + 1):
         seq_m = count_sequence(m, top, M_SET)
         seq_l = count_sequence(m, top, L_SET)
         for n in range(1, top + 1):
             lo, mid, hi = seq_l[n], seq_m[n], cf.upper_bound_U(m, n)
             ledger.record(lo <= mid <= hi <= 2 ** (m * n), (m, n, lo, mid, hi))
-    return ledger.result("bound-sandwich",
-                         f"L <= M <= U <= 2^(mn) holds for all m, n <= {top}")
+    return f"L <= M <= U <= 2^(mn) holds for all m, n <= {top}"
 
 
-def check_perfect_square(params: dict) -> CheckResult:
+def check_perfect_square(params: dict, ledger: _Ledger) -> str:
     max_n = params["square_max_n"]
-    ledger = _Ledger()
     for m in (2, 4, 6):
         seq = count_sequence(m, max_n, M_SET)
         for n in range(1, max_n + 1):
@@ -271,15 +271,12 @@ def check_perfect_square(params: dict) -> CheckResult:
             value = seq[n]
             ledger.record(math.isqrt(value) ** 2 == value and black == white
                           and black * white == value, (m, n))
-    return ledger.result(
-        "perfect-square",
-        f"even heights 2, 4, 6 give perfect squares with equal color counts "
-        f"for n <= {max_n}")
+    return (f"even heights 2, 4, 6 give perfect squares with equal color counts "
+            f"for n <= {max_n}")
 
 
-def check_shape_formulas(params: dict) -> CheckResult:
+def check_shape_formulas(params: dict, ledger: _Ledger) -> str:
     max_n = params["shape_max_n"]
-    ledger = _Ledger()
     for m in (2, 3, 4, 5, 6):
         seq = count_sequence(m, max_n, M_SET)
         for n in range(max_n + 1):
@@ -293,24 +290,20 @@ def check_shape_formulas(params: dict) -> CheckResult:
                   "stored five-row pair differs from its refit", cells=0)
     published_52 = (cf.PUBLISHED_FIVE_ROW_A.expand(3)[2]
                     * cf.PUBLISHED_FIVE_ROW_B.expand(3)[2])
-    erratum_seen = ledger.record(
-        published_52 == 156 and cf.shape_formula_M(5, 2)[0] == 169,
-        "published-pair erratum not seen at (5,2)", cells=0)
-    deviations = ("expected deviation from published formulas: the five-row "
-                  "generating-function pair gives 156 at (5,2) where the true "
-                  "count is 169; the corrected fitted pair is used instead",
-                  ) if erratum_seen else ()
-    return ledger.result(
-        "shape-formulas",
-        f"heights 2..6 shape formulas match transfer exactly for n <= {max_n} "
-        "(height 5 via the corrected fit), and the stored colour-class "
-        "generating functions of heights 7..16 match the colour split, "
-        f"{ledger.cells} (m, n) cells in all; published-pair erratum "
-        "pinned at (5,2): 156 vs 169", deviations)
+    if ledger.record(published_52 == 156 and cf.shape_formula_M(5, 2)[0] == 169,
+                     "published-pair erratum not seen at (5,2)", cells=0):
+        ledger.note("expected deviation from published formulas: the five-row "
+                    "generating-function pair gives 156 at (5,2) where the "
+                    "true count is 169; the corrected fitted pair is used "
+                    "instead")
+    return (f"heights 2..6 shape formulas match transfer exactly for n <= {max_n} "
+            "(height 5 via the corrected fit), and the stored colour-class "
+            "generating functions of heights 7..16 match the colour split, "
+            f"{ledger.cells} (m, n) cells in all; published-pair erratum "
+            "pinned at (5,2): 156 vs 169")
 
 
-def check_tilings(params: dict) -> CheckResult:
-    ledger = _Ledger()
+def check_tilings(params: dict, ledger: _Ledger) -> str:
     for m, n in _dims_within(params["tiling_cells"]):
         ledger.record(tl.count_tilings(m + 1, n + 1) == count_via_transfer(m, n, L_SET),
                       ("count", m, n))
@@ -333,14 +326,12 @@ def check_tilings(params: dict) -> CheckResult:
         tilings = tl.tiling_sequence(m + 1, top_n + 1)[1:]
         ledger.record(isolated_sequence(m, top_n) == count_sequence(m, top_n, L_SET)
                       == tilings, ("frontier", m), cells=len(tilings))
-    return ledger.result(
-        "tiling-bijection",
-        f"tiling counts equal isolated-matrix counts for mn <= "
-        f"{params['tiling_cells']}; bijection round-trips all "
-        f"{roundtrips} legal matrices with mn <= {params['roundtrip_cells']}; "
-        f"height 1/2 closed forms match for n <= {params['closed_l_max_n']}; "
-        f"the frontier sweep equals the full transfer and the tiling counts "
-        f"for heights 1..{top_m}, n <= {top_n}")
+    return (f"tiling counts equal isolated-matrix counts for mn <= "
+            f"{params['tiling_cells']}; bijection round-trips all "
+            f"{roundtrips} legal matrices with mn <= {params['roundtrip_cells']}; "
+            f"height 1/2 closed forms match for n <= {params['closed_l_max_n']}; "
+            f"the frontier sweep equals the full transfer and the tiling counts "
+            f"for heights 1..{top_m}, n <= {top_n}")
 
 
 def published_four_row_eigenvalues() -> list[float]:
@@ -363,7 +354,7 @@ def published_four_row_eigenvalues() -> list[float]:
     ]
 
 
-def check_eigenvalues(params: dict) -> CheckResult:
+def check_eigenvalues(params: dict, ledger: _Ledger) -> str:
     targets = {
         1: (2.0, 1e-8),
         2: (((1 + math.sqrt(5)) / 2) ** 2, 1e-8),
@@ -371,7 +362,6 @@ def check_eigenvalues(params: dict) -> CheckResult:
         # 8/3 + (4/3) sqrt(7) cos(arctan(3 sqrt(111)/67)/3)
         4: (published_four_row_eigenvalues()[-1], 1e-6),
     }
-    ledger = _Ledger()
     alphas = {}
     for m, (target, tol) in targets.items():
         alphas[m] = dominant_eigenvalue(m, M_SET)
@@ -393,18 +383,15 @@ def check_eigenvalues(params: dict) -> CheckResult:
             f"computed spectrum (nearest at distance {dist:.3e}); the "
             "remaining nonzero eigenvalue is +1.709275359")
     near_zero = sum(1 for s in spectrum if abs(s) < 1e-9)
-    return ledger.result(
-        "dominant-eigenvalues",
-        f"power iteration reproduces alpha at heights 1..4; exact count "
-        f"ratios at n = {ratio_n} agree within 1e-6 for heights <= "
-        f"{params['ratio_max_m']}; {matched}/9 published height-4 "
-        "eigenvalues found in the spectrum",
-        (f"note: the height-4 spectrum has {near_zero} eigenvalues equal to 0 "
-         "that the published nine-value list omits",))
+    ledger.note(f"note: the height-4 spectrum has {near_zero} eigenvalues "
+                "equal to 0 that the published nine-value list omits")
+    return (f"power iteration reproduces alpha at heights 1..4; exact count "
+            f"ratios at n = {ratio_n} agree within 1e-6 for heights <= "
+            f"{params['ratio_max_m']}; {matched}/9 published height-4 "
+            "eigenvalues found in the spectrum")
 
 
-def check_asymptotics(params: dict) -> CheckResult:
-    ledger = _Ledger()
+def check_asymptotics(params: dict, ledger: _Ledger) -> str:
     limits = (("estimate_c(40)", cf.estimate_c(40), 1e-8),
               ("growth ratio(40)", cf.fib_product_growth_ratio(40), 1e-9))
     for name, value, tol in limits:
@@ -413,21 +400,19 @@ def check_asymptotics(params: dict) -> CheckResult:
     g10, g20, g40 = gaps
     ledger.record(abs(g40) < 0.05 and abs(g40) < abs(g20) < abs(g10),
                   f"gaps {g10}, {g20}, {g40}", cells=len(gaps))
-    return ledger.result(
-        "asymptotics",
-        f"partial product at 40 terms and the normalized Fibonacci product "
-        f"both hit {cf.FIB_PRODUCT_CONSTANT:.10f} within tolerance; the "
-        f"golden-ratio gap shrinks {g10:.4f} -> {g20:.4f} -> {g40:.4f} along "
-        "the square diagonal",
-        ("expected deviation from published formulas: the printed growth "
-         "exponent for the Fibonacci product matches the product of the "
-         "first n-1 standard-seeded terms; the ratio here uses the "
-         "self-consistent exponent phi^(n(n+1)/2) * 5^(-n/2) over n "
-         "standard-seeded terms and converges to the same printed constant",))
+    ledger.note("expected deviation from published formulas: the printed "
+                "growth exponent for the Fibonacci product matches the product "
+                "of the first n-1 standard-seeded terms; the ratio here uses "
+                "the self-consistent exponent phi^(n(n+1)/2) * 5^(-n/2) over n "
+                "standard-seeded terms and converges to the same printed "
+                "constant")
+    return (f"partial product at 40 terms and the normalized Fibonacci product "
+            f"both hit {cf.FIB_PRODUCT_CONSTANT:.10f} within tolerance; the "
+            f"golden-ratio gap shrinks {g10:.4f} -> {g20:.4f} -> {g40:.4f} "
+            "along the square diagonal")
 
 
-def check_isolated_height3(params: dict) -> CheckResult:
-    ledger = _Ledger()
+def check_isolated_height3(params: dict, ledger: _Ledger) -> str:
     seq = count_sequence(3, params["l3_exact_n"], L_SET)
     for n in range(params["l3_exact_n"] + 1):
         ledger.record(cf.closed_form_L(3, n) == seq[n], ("exact", n))
@@ -435,30 +420,25 @@ def check_isolated_height3(params: dict) -> CheckResult:
         exact = cf.closed_form_L(3, n)
         ledger.record(abs(cf.l3_root_closed_form(n) - exact) <= 1e-3 * exact,
                       ("float", n))
-    return ledger.result(
-        "isolated-height-3",
-        f"order-3 recurrence matches transfer exactly for n <= "
-        f"{params['l3_exact_n']}; corrected root form agrees within 1e-3 "
-        "relative for n <= 12",
-        ("expected deviation from published formulas: the root form uses "
-         "corrected coefficients sqrt(39)/3 and sqrt(13)/3 on the second and "
-         "third roots (as published, the roots do not sum to the recurrence "
-         "trace 2)",))
+    ledger.note("expected deviation from published formulas: the root form "
+                "uses corrected coefficients sqrt(39)/3 and sqrt(13)/3 on the "
+                "second and third roots (as published, the roots do not sum "
+                "to the recurrence trace 2)")
+    return (f"order-3 recurrence matches transfer exactly for n <= "
+            f"{params['l3_exact_n']}; corrected root form agrees within 1e-3 "
+            "relative for n <= 12")
 
 
-def check_growth_rates(params: dict) -> CheckResult:
+def check_growth_rates(params: dict, ledger: _Ledger) -> str:
     top = params["growth_max_m"]
     alphas = [dominant_eigenvalue(m, M_SET) for m in range(1, top + 2)]
     rates = ", ".join(f"{alphas[m - 1] ** (1 / m):.4f}" for m in range(1, top + 1))
-    ledger = _Ledger()
     ledger.record(all(a < b for a, b in zip(alphas, alphas[1:])),
                   "alpha_m does not increase", cells=len(alphas))
     ledger.record(all(1.5 < alphas[m - 1] ** (1 / m) <= 2.0 for m in range(1, top + 1)),
                   "alpha_m^(1/m) leaves (1.5, 2.0]", cells=0)
-    return ledger.result(
-        "per-row-growth",
-        f"alpha_m strictly increases up to height {top + 1} and "
-        f"alpha_m^(1/m) stays in (1.5, 2.0]: {rates}")
+    return (f"alpha_m strictly increases up to height {top + 1} and "
+            f"alpha_m^(1/m) stays in (1.5, 2.0]: {rates}")
 
 
 CHECKS = (
@@ -482,12 +462,6 @@ def run_verification(level: str = "quick") -> VerificationReport:
     """Run the whole battery at the given level ('quick' or 'full')."""
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    from time import perf_counter
-
     params = FULL if level == "full" else QUICK
-    results = []
-    for _, fn in CHECKS:
-        start = perf_counter()
-        result = fn(params)
-        results.append(result._replace(elapsed_s=perf_counter() - start))
-    return VerificationReport(level, tuple(results))
+    return VerificationReport(
+        level, tuple(run_check(name, check, params) for name, check in CHECKS))

@@ -16,7 +16,7 @@ from pawncount import verify as vf
                          ids=[f"criterion-{i:02d}"
                               for i in range(1, len(vf.CHECKS) + 1)])
 def test_acceptance_criterion(name, check):
-    result = check(vf.FULL)
+    result = vf.run_check(name, check, vf.FULL)
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {name}: {result.details}")
     for deviation in result.deviations:

@@ -320,7 +320,8 @@ class TestRoutes:
             return forms
 
         monkeypatch.setattr(cf, "closed_forms", spy)
-        assert vf.check_three_way_agreement({"three_way_cells": 14}).passed
+        assert vf.run_check("three-way-agreement", vf.check_three_way_agreement,
+                            {"three_way_cells": 14}).passed
         # M(7,2): closed_form_M(2,7), the height-2 shape formula and the
         # height-7 colour-class generating functions
         assert covered["M", 7, 2] == 3
@@ -635,6 +636,22 @@ class TestVerify:
         code, out, _ = run_cli("verify", capsys=capsys)
         assert code == 1
         assert "[FAIL] doomed" in out
+
+    def test_a_check_that_raises_fails_alone(self, capsys, monkeypatch):
+        def broken(m, pats):
+            raise ZeroDivisionError("synthetic")
+
+        monkeypatch.setattr(vf, "dominant_eigenvalue", broken)
+        code, out, err = run_cli("verify", capsys=capsys)
+        assert (code, err) == (1, "")
+        lines = {line.split()[1].rstrip(":"): line
+                 for line in out.splitlines() if line.startswith("[")}
+        assert list(lines) == [name for name, _ in vf.CHECKS]
+        for name, line in lines.items():
+            if name in ("dominant-eigenvalues", "per-row-growth"):
+                assert line.startswith(f"[FAIL] {name}: raised ZeroDivisionError")
+            else:
+                assert line.startswith(f"[PASS] {name}: ")
 
 
 def test_module_entry_point():
