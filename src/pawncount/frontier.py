@@ -1,5 +1,6 @@
 """The L frontier sweep, in two forms: on packed Python ints and on
-numpy arrays.
+numpy arrays; and the two readers that turn every exact sweep's column
+states into counts.
 
 L counts the boards whose 1s touch nowhere, diagonals included.  Its
 sweep places one cell at a time over the legal frontiers: the m latest
@@ -60,15 +61,31 @@ Route.  The packed sweep costs about m * N * F(m+1) * S bit operations,
 and S grows with N, so its cost grows as N^2; the array sweep costs about
 m * N * F(m+1) additions of S-bit Python ints once past int64, but
 importing numpy takes about 0.1 s.  A sweep whose estimate is at most
-PACKED_WORK runs packed; a longer one runs on arrays.
+PACKED_WORK runs packed; a longer one runs on arrays.  ``_form`` makes
+that choice for both entry points.
+
+Readers.  Every exact sweep (``transfer``'s full profile and colour
+classes, and both forms here) yields its column states u_0, u_1, ..., u_0
+the empty board's, after the checks that guard it.  Its readers live here,
+as this module loads no numpy, and see a state through two functions: its
+total and its entries as a list (numpy's by default; ``_total`` and
+``_slots`` packed).  ``_sequence`` takes the totals of u_0..u_n_max.
+``_midpoint`` reads u_n's total for n <= 2, else one board of n columns
+as two boards of a = ceil((n+1)/2) and b = n+1-a columns that share the
+middle column: with u_j = (T^T)^(j-1) 1, 1^T T^(n-1) 1 = u_a^T T^(b-1) 1,
+the identity Calkin and Wilf use for hard squares, in about n/2 steps and
+Python ints.  ``_ends`` reads u_b into a list as soon as it is drawn, as
+the step to u_a may overwrite it (``transfer.profile_step``'s zeta pass),
+so no state is copied.  A caller that reads the right half from its far
+end passes that map as ``turn``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import cycle, islice
-from operator import mul
+from operator import methodcaller, mul
 
 from .closedforms import fibonacci
 from .errors import MAX_STATES, MAX_WIDTH, GuardExceeded
@@ -113,24 +130,27 @@ def isolated_sequence(m: int, n_max: int) -> list[int]:
     boards for n = 0..n_max (index by n), from one frontier sweep."""
     check_board(m, n_max)
     check_frontiers(m)
-    width = _packed_width(m, n_max)
-    if width is None:
-        return _array_sequence(m, n_max)
-    return _packed_sequence(m, n_max, width)
+    columns, total, _ = _form(m, n_max)
+    return _sequence(columns, n_max, total)
 
 
 def isolated_count(m: int, n: int) -> int:
     """Exact L count of the m-by-n board, read off the middle column of
-    the frontier sweep: with a = ceil((n+1)/2) and b = n+1-a, the boards
-    of n columns are pairs of an a-column and a b-column board that share
-    column a (L is mirror symmetric), so the count is y_a . y_b in about
-    n/2 columns.  n <= 2 is read off the plain sweep."""
+    the frontier sweep (``_midpoint``), with no turn: L is mirror symmetric."""
     check_board(m, n)
     check_frontiers(m)
-    width = _packed_width(m, n if n <= 2 else (n + 2) // 2)
+    columns, total, entries = _form(m, n if n <= 2 else (n + 2) // 2)
+    return _midpoint(columns, n, total, entries)
+
+
+def _form(m: int, columns: int) -> tuple[Iterator, Callable, Callable]:
+    """The L sweep of height m to u_columns as (column states, total,
+    entries): packed at ``_packed_width``'s slot width, else on arrays."""
+    width = _packed_width(m, columns)
     if width is None:
-        return _array_count(m, n)
-    return _packed_count(m, n, width)
+        return _array_columns(m), _array_total, _array_entries
+    return (_packed_columns(m, width), partial(_total, width=width),
+            partial(_slots, m=m, width=width))
 
 
 def _packed_width(m: int, columns: int) -> int | None:
@@ -150,7 +170,9 @@ def _width(m: int, columns: int) -> int:
     bytes for values up to min(F(m+1)^columns, L(m, 4)^ceil(columns/4))
     (the module docstring's bound), one bit spare."""
     # L(m, 4) = L(4, m); F(5)^m bounds the slots of that sweep
-    four = _packed_sequence(4, m, _bytes(fibonacci(5) ** m))[m]
+    slot = _bytes(fibonacci(5) ** m)
+    four = _sequence(_packed_columns(4, slot), m,
+                     partial(_total, width=slot))[m]
     return _bytes(min(fibonacci(m + 1) ** columns, four ** -(-columns // 4)))
 
 
@@ -212,44 +234,12 @@ def _total(y: int, width: int) -> int:
     return y
 
 
-def _packed_sequence(m: int, n_max: int, width: int) -> list[int]:
-    """The totals of y_0..y_n_max: the counts for n = 0..n_max."""
-    return [_total(y, width)
-            for y in islice(_packed_columns(m, width), n_max + 1)]
-
-
-def _packed_count(m: int, n: int, width: int) -> int:
-    """The count of the n-column board: y_n's total for n <= 2, else
-    y_a . y_b, each unpacked into Python ints."""
-    if n <= 2:
-        return _packed_sequence(m, n, width)[n]
-    columns = _packed_columns(m, width)
-    right = next(islice(columns, (n + 1) // 2, None))
-    left = next(columns) if n % 2 == 0 else right
-    return sum(map(mul, _slots(left, m, width), _slots(right, m, width)))
-
-
 def _slots(y: int, m: int, width: int) -> list[int]:
     """The F(m+1) slots of a packed column state, by rank."""
     step = width // 8
     raw = y.to_bytes(step * fibonacci(m + 1), "little")
     return [int.from_bytes(raw[i:i + step], "little")
             for i in range(0, len(raw), step)]
-
-
-def _array_sequence(m: int, n_max: int) -> list[int]:
-    """The counts for n = 0..n_max from the array sweep."""
-    from .transfer import _sequence
-
-    return _sequence(_array_columns(m), n_max)
-
-
-def _array_count(m: int, n: int) -> int:
-    """The count of the n-column board from the array sweep: y_n's total
-    for n <= 2, else y_a . y_b (``transfer._midpoint``)."""
-    from .transfer import _midpoint
-
-    return _midpoint(_array_columns(m), n)
 
 
 def _array_columns(m: int) -> Iterator[np.ndarray]:
@@ -282,3 +272,45 @@ def _array_step(x: np.ndarray, paths: np.ndarray, r: int) -> np.ndarray:
     np.copyto(t[k:], (t if r == 0 else x)[:size - k],
               where=(paths[k:] >> r & 1).astype(bool))
     return y
+
+
+def _array_total(u: np.ndarray) -> int:
+    """The total of a numpy column state, as a Python int."""
+    return int(u.sum())
+
+
+#: The entries of a numpy column state, as Python ints.
+_array_entries = methodcaller("tolist")
+
+
+def _sequence(columns: Iterable, n_max: int,
+              total: Callable = _array_total) -> list[int]:
+    """The totals of the column states u_0, u_1, ..., u_n_max of a sweep:
+    the counts for n = 0..n_max (index by n)."""
+    return [total(u) for u in islice(columns, n_max + 1)]
+
+
+def _ends(columns: Iterable, n: int, entries: Callable = _array_entries,
+          turn: Callable = lambda u: u) -> tuple[list[int], list[int]]:
+    """(entries(u_a), entries(turn(u_b))) from a sweep's column states,
+    for an n-column board (n >= 1): a = b for odd n and a = b+1 for even
+    n.  u_b is read before u_a is drawn, and the sweep stops at u_a."""
+    columns = iter(columns)
+    u = next(islice(columns, (n + 1) // 2, None))
+    right = entries(turn(u))
+    if n % 2 == 0:
+        del u  # a fresh u_b (the frontier's) would stay live to u_a
+        u = next(columns)
+    return entries(u), right
+
+
+def _midpoint(columns: Iterable, n: int, total: Callable = _array_total,
+              entries: Callable = _array_entries,
+              turn: Callable = lambda u: u) -> int:
+    """The count of the n-column board from a sweep's column states:
+    u_a . turn(u_b) (``_ends``) in Python ints, as two halves may each fit
+    int64 while their dot product does not.  n <= 2 is u_n's total, so an
+    empty board still draws u_0 and the checks made before it."""
+    if n <= 2:
+        return total(next(islice(columns, n, None)))
+    return sum(map(mul, *_ends(columns, n, entries, turn)))

@@ -36,28 +36,18 @@ so the full sweep stops at m = 22 and the colour split at m = 44.
 For L a legal column has no two vertical neighbours, so only F(m+1) of
 its 2^m states can be non-zero (F(0) = F(1) = 1, as in ``closedforms``);
 ``_path_sets`` lists them.  L past height 3 is counted by ``frontier``'s
-cell-by-cell sweep, whose numpy form runs on ``sweep``, ``_sequence`` and
-``_midpoint`` here.  The full sweep stays the independent check on it up
-to m = 22.
+cell-by-cell sweep, whose numpy form runs on ``sweep``.  The full sweep
+stays the independent check on it up to m = 22.
 
-Each exact sweep (``_states``, ``_colour_sweeps`` and
-``frontier._array_columns``) yields its column states u_0, u_1, u_2, ...,
-u_0 the empty board's, after the checks that guard it.  Two readers turn
-them into counts: ``_sequence`` takes the totals of u_0..u_n_max, for
-``table`` and as the check on the midpoints, and ``_midpoint`` reads one
-board off the middle of its sweep (``_ends``).  An n-column board is a
-board of a = ceil((n+1)/2) columns and one of b = n+1-a columns that share
-the middle column, so with u_j = (T^T)^(j-1) 1 the state after j columns,
-1^T T^(n-1) 1 = u_a^T T^(b-1) 1: the identity Calkin and Wilf use for hard
-squares.  ``_midpoint`` sweeps to u_a only, keeps a copy of u_b (the step
-after it may overwrite it) and returns the dot product in Python ints, so n
-columns cost about n/2 steps; n <= 2 is u_n's total.  The right half turned
-around must again be a board of the same rule: a 180-degree turn maps every
-two-cell pattern onto itself, so ``count_via_transfer`` reads
-T^(b-1) 1 = R u_b, u_b at the row-flipped masks (T^T = R T R), which U,
-with its one diagonal, needs.  M's colour classes and L ban both diagonals
-and are read left to right; ``colour_split_count`` crosses the two
-classes' ends at even n.
+Each exact sweep here (``_states``, ``_colour_sweeps``) yields its column
+states u_0, u_1, ..., read by ``frontier``'s ``_sequence`` and
+``_midpoint`` (a single board is u_a . u_b at its middle column).  The
+right half turned around must again be a board of the same rule: a
+180-degree turn maps every two-cell pattern onto itself, so
+``count_via_transfer`` reads T^(b-1) 1 = R u_b, u_b at the row-flipped
+masks (T^T = R T R), which U, with its one diagonal, needs.  M's colour
+classes and L ban both diagonals and are read left to right;
+``colour_split_count`` crosses the two classes' ends at even n.
 """
 
 from __future__ import annotations
@@ -70,7 +60,7 @@ from itertools import accumulate, chain, cycle, islice, repeat
 import numpy as np
 
 from .errors import MAX_WIDTH, GuardExceeded
-from .frontier import check_board
+from .frontier import _ends, _midpoint, _sequence, check_board
 from .oracle import M_SET, ForbiddenPatternSet
 from .power import dominant_eigenvalue  # noqa: F401  (re-exported)
 
@@ -213,42 +203,6 @@ def _states(m: int, pats: ForbiddenPatternSet) -> Iterator[np.ndarray]:
     yield from islice(sweep(x.astype(np.int64), repeat(step)), 1, None)
 
 
-def _sequence(columns: Iterable[np.ndarray], n_max: int) -> list[int]:
-    """The totals of the column states u_0, u_1, ..., u_n_max of a sweep:
-    the counts for n = 0..n_max (index by n)."""
-    return [int(x.sum()) for x in islice(columns, n_max + 1)]
-
-
-def _ends(columns: Iterable[np.ndarray], n: int
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """(u_a, a copy of u_b) from the column states u_0, u_1, ... of a sweep,
-    for an n-column board (n >= 1) split at its middle column:
-    a = ceil((n+1)/2) and b = n+1-a, so a = b for odd n and a = b+1 for
-    even n.  The copy is needed because the step after u_b may overwrite
-    it; the sweep is not drawn past u_a."""
-    columns = iter(columns)
-    right = next(islice(columns, (n + 1) // 2, None)).copy()
-    return (next(columns) if n % 2 == 0 else right), right
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> int:
-    """sum(x * y) in Python ints: the two halves of a board may each fit
-    int64 while their dot product does not."""
-    return sum(map(operator.mul, x.tolist(), y.tolist()))
-
-
-def _midpoint(columns: Iterable[np.ndarray], n: int,
-              turn: Callable[[np.ndarray], np.ndarray] = lambda x: x) -> int:
-    """The count of the n-column board from the column states u_0, u_1, ...
-    of a sweep: u_a . turn(u_b) at the middle column (``_ends``), where turn
-    reads the right half from its far end.  n <= 2 is u_n's total, so an
-    empty board still draws u_0 and the checks made before it."""
-    if n <= 2:
-        return int(next(islice(columns, n, None)).sum())
-    left, right = _ends(columns, n)
-    return _dot(left, turn(right))
-
-
 def _reversed_bits(m: int) -> np.ndarray:
     """r[w] is the m-bit mask w read bottom to top (R, the row flip)."""
     r = np.zeros(1, dtype=np.int64)
@@ -265,7 +219,7 @@ def count_via_transfer(m: int, n: int, pats: ForbiddenPatternSet = M_SET) -> int
     admissible columns.
     """
     check_board(m, n)
-    return _midpoint(_states(m, pats), n, lambda x: x[_reversed_bits(m)])
+    return _midpoint(_states(m, pats), n, turn=lambda x: x[_reversed_bits(m)])
 
 
 def count_sequence(m: int, n_max: int, pats: ForbiddenPatternSet = M_SET) -> list[int]:
@@ -283,17 +237,17 @@ def colour_split_sequence(m: int, n_max: int) -> tuple[list[int], list[int]]:
     rows of the next column.
     """
     check_board(m, n_max)
-    black, white = (_sequence(states, n_max) for states in _colour_sweeps(m))
-    return black, white
+    return tuple(_sequence(states, n_max) for states in _colour_sweeps(m))
 
 
-def _colour_sweeps(m: int) -> tuple[Iterator[np.ndarray], Iterator[np.ndarray]]:
-    """The black and the white class states after 0, 1, 2, ... columns; the
-    empty board's state is the single entry 1."""
+def _colour_sweeps(m: int) -> Iterator[Iterator[np.ndarray]]:
+    """The black, then the white class states after 0, 1, 2, ... columns,
+    the empty board's the single entry 1.  The width is checked at once;
+    the white sweep starts when drawn, so the black one is let go first."""
     steps = _colour_steps(m)
     empty = [np.ones(1, dtype=np.int64)]
-    return tuple(chain(empty, sweep(np.ones(1 << width, dtype=np.int64), cycle(order)))
-                 for width, order in (((m + 1) // 2, steps), (m // 2, steps[::-1])))
+    return (chain(empty, sweep(np.ones(1 << width, dtype=np.int64), cycle(order)))
+            for width, order in (((m + 1) // 2, steps), (m // 2, steps[::-1])))
 
 
 def colour_split_count(m: int, n: int) -> tuple[int, int]:
@@ -307,11 +261,10 @@ def colour_split_count(m: int, n: int) -> tuple[int, int]:
     plain sweeps.
     """
     check_board(m, n)
-    black, white = _colour_sweeps(m)
     if n <= 2 or n % 2:
-        return _midpoint(black, n), _midpoint(white, n)
-    (b_a, b_b), (w_a, w_b) = _ends(black, n), _ends(white, n)
-    return _dot(b_a, w_b), _dot(w_a, b_b)
+        return tuple(_midpoint(states, n) for states in _colour_sweeps(m))
+    (b_a, b_b), (w_a, w_b) = (_ends(states, n) for states in _colour_sweeps(m))
+    return sum(map(operator.mul, b_a, w_b)), sum(map(operator.mul, w_a, b_b))
 
 
 def _path_sets(m: int) -> np.ndarray:

@@ -1,10 +1,13 @@
 """The two forms of the L frontier sweep in ``frontier``, packed ints and
-numpy arrays, each called directly; the array form's cell step against a
-plain model of the frontiers; and the slot width that keeps the packed
-counts exact."""
+numpy arrays, each read directly by the shared readers; the array form's
+cell step against a plain model of the frontiers; the slot width that
+keeps the packed counts exact; and the readers themselves, on a sweep
+that overwrites its states."""
 
 import random
-from itertools import islice
+import weakref
+from functools import partial
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -12,14 +15,32 @@ import pytest
 import pawncount
 from pawncount import frontier, transfer, verify
 from pawncount.closedforms import closed_form_L
-from pawncount.frontier import (_array_count, _array_sequence, _array_step,
-                                _packed_columns, _packed_count,
-                                _packed_sequence, _slots, _width,
-                                isolated_count, isolated_frontiers,
-                                isolated_sequence)
+from pawncount.frontier import (_array_columns, _array_step, _ends,
+                                _midpoint, _packed_columns, _sequence,
+                                _slots, _total, _width, isolated_count,
+                                isolated_frontiers, isolated_sequence)
 from pawncount.transfer import _path_sets
 
 N_MAX = 41
+
+
+def array_sequence(m: int, n_max: int) -> list[int]:
+    return _sequence(_array_columns(m), n_max)
+
+
+def array_count(m: int, n: int) -> int:
+    return _midpoint(_array_columns(m), n)
+
+
+def packed_sequence(m: int, n_max: int, width: int) -> list[int]:
+    return _sequence(_packed_columns(m, width), n_max,
+                     partial(_total, width=width))
+
+
+def packed_count(m: int, n: int, width: int) -> int:
+    return _midpoint(_packed_columns(m, width), n,
+                     partial(_total, width=width),
+                     partial(_slots, m=m, width=width))
 
 
 def drawn(n: int) -> int:
@@ -36,12 +57,12 @@ def largest_slot(m: int, columns: int, width: int) -> int:
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_routes_agree(m):
-    expected = _array_sequence(m, N_MAX)
-    assert _packed_sequence(m, N_MAX, _width(m, N_MAX)) == expected
+    expected = array_sequence(m, N_MAX)
+    assert packed_sequence(m, N_MAX, _width(m, N_MAX)) == expected
     for n in range(N_MAX + 1):
-        count = _array_count(m, n)
-        assert count == expected[n], n
-        assert _packed_count(m, n, _width(m, drawn(n))) == count, n
+        value = array_count(m, n)
+        assert value == expected[n], n
+        assert packed_count(m, n, _width(m, drawn(n))) == value, n
 
 
 @pytest.mark.parametrize("m", range(1, 17))
@@ -57,11 +78,11 @@ def test_too_narrow_a_slot_miscounts(m, n):
     """Slots narrower than the largest one carry into their neighbours and
     the count goes wrong, so the agreement above would catch a width that
     is too small."""
-    expected = _array_count(m, n)
+    expected = array_count(m, n)
     top = largest_slot(m, n, _width(m, n)).bit_length()
-    assert _packed_sequence(m, n, top - 1)[n] != expected
+    assert packed_sequence(m, n, top - 1)[n] != expected
     top = largest_slot(m, drawn(n), _width(m, drawn(n))).bit_length()
-    assert _packed_count(m, n, (top - 1) // 8 * 8) != expected
+    assert packed_count(m, n, (top - 1) // 8 * 8) != expected
 
 
 @pytest.mark.parametrize("m", range(17, 26))
@@ -72,10 +93,16 @@ def test_tall_short_boards_equal_the_transposed_closed_form(m):
 
 
 def test_the_work_bound_picks_the_route(monkeypatch):
+    # each array sweep is recorded as [m, columns drawn] and yields zeros
     numpy_calls = []
-    for name in ("_array_count", "_array_sequence"):
-        monkeypatch.setattr(frontier, name, lambda *args, name=name:
-                            numpy_calls.append((name, *args)) or 0)
+
+    def array_columns(m):
+        record = [m, 0]
+        numpy_calls.append(record)
+        for record[1] in count(1):
+            yield np.zeros(1, dtype=np.int64)
+
+    monkeypatch.setattr(frontier, "_array_columns", array_columns)
     assert isolated_count(16, 20) == transfer.count_via_transfer(
         16, 20, pawncount.L_SET)
     assert isolated_sequence(14, 40)[40] > 0
@@ -84,9 +111,8 @@ def test_the_work_bound_picks_the_route(monkeypatch):
     isolated_sequence(12, 2000)
     monkeypatch.setattr(frontier, "PACKED_WORK", 0)
     isolated_count(16, 20)
-    assert numpy_calls == [("_array_count", 16, 200),
-                           ("_array_sequence", 12, 2000),
-                           ("_array_count", 16, 20)]
+    # a count draws u_0..u_a, a = n/2 + 1; a sequence u_0..u_n_max
+    assert numpy_calls == [[16, 101 + 1], [12, 2000 + 1], [16, 11 + 1]]
 
 
 def test_the_l_sweep_lives_in_frontier_only():
@@ -96,6 +122,38 @@ def test_the_l_sweep_lives_in_frontier_only():
         assert getattr(verify, name) is getattr(frontier, name)
     assert pawncount._MODULE_OF["isolated_sequence"] == "frontier"
     assert pawncount.isolated_sequence is frontier.isolated_sequence
+    # one pair of readers serves every exact sweep, packed L included
+    for name in ("_sequence", "_ends", "_midpoint"):
+        assert getattr(transfer, name) is getattr(frontier, name)
+    assert not hasattr(transfer, "_dot")
+    for name in ("_packed_sequence", "_packed_count", "_array_sequence",
+                 "_array_count"):
+        assert not hasattr(frontier, name)
+
+
+def overwriting(size: int, seed: int):
+    """A sweep that yields one array and overwrites it in place before
+    each next yield, as ``transfer.profile_step``'s zeta pass does."""
+    rng = random.Random(seed)
+    x = np.zeros(size, dtype=np.int64)
+    while True:
+        x[:] = [rng.randrange(1000) for _ in range(size)]
+        yield x
+
+
+@pytest.mark.parametrize("turn", [None, lambda u: u[::-1]],
+                         ids=["as-drawn", "turned"])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_each_half_is_read_when_it_is_drawn(n, turn):
+    """The readers' ends equal those of copies taken independently, so
+    u_b is read before the step to u_a overwrites it."""
+    turned = {} if turn is None else {"turn": turn}
+    u = [x.copy() for x in islice(overwriting(6, n), n + 1)]
+    a = (n + 2) // 2
+    right = u[n + 1 - a] if turn is None else turn(u[n + 1 - a])
+    assert _ends(overwriting(6, n), n, **turned) == (
+        u[a].tolist(), right.tolist())
+    assert _midpoint(overwriting(6, n), n, **turned) == int(u[a] @ right)
 
 
 def frontiers(m: int, r: int) -> list[tuple[int, int]]:
@@ -133,3 +191,22 @@ def test_array_step_moves_each_frontier(m):
             old_e = 0 if r and f >> r & 1 else before.get((source, 1), 0)
             want[e * len(paths) + rank[f]] = before[source, 0] + old_e
         assert _array_step(x, _path_sets(m), r).tolist() == want.tolist(), r
+
+
+def test_a_fresh_u_b_is_let_go_before_u_a_is_drawn():
+    """The array frontier sweep yields a fresh array per column, so the
+    readers hold u_b only as its list while the sweep steps to u_a."""
+    held = []
+
+    def fresh():
+        for j in count():
+            u = np.full(3, j)
+            last = weakref.ref(u)
+            yield u
+            del u
+            held.append(last() is not None)
+
+    for n in range(3, 10):
+        a = (n + 2) // 2
+        assert _midpoint(fresh(), n) == 3 * a * (n + 1 - a)
+    assert held and not any(held)

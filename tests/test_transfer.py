@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import time
+import weakref
 from itertools import islice
 
 import numpy as np
@@ -17,7 +18,7 @@ from pawncount.oracle import (L_SET, M_SET, U_SET, BinaryMatrix,
 from pawncount.tiling import count_tilings, tiling_sequence
 from pawncount.frontier import (isolated_count, isolated_frontiers,
                                 isolated_sequence)
-from pawncount.transfer import (_ends, _states, build_transfer,
+from pawncount.transfer import (_midpoint, _states, build_transfer,
                                 colour_split_count, colour_split_sequence,
                                 count_sequence, count_via_transfer,
                                 dominant_eigenvalue, exact, profile_step,
@@ -264,8 +265,9 @@ class TestMidpoint:
     def test_dot_product_past_int64(self, m, n, pats):
         """Both halves still fit int64, the count does not: the dot
         product is taken in Python ints."""
-        left, right = _ends(_states(m, pats), n)
-        assert left.dtype == right.dtype == np.int64
+        a = (n + 2) // 2
+        assert all(u.dtype == np.int64
+                   for u in islice(_states(m, pats), 2, a + 1))
         value = count_via_transfer(m, n, pats)
         assert value == count_sequence(m, n, pats)[n]
         assert value.bit_length() > 63
@@ -273,8 +275,7 @@ class TestMidpoint:
     def test_u_needs_the_row_flip(self):
         """U bans one diagonal, so its right half must be turned by 180
         degrees (T^T = R T R), not only read right to left."""
-        left, right = _ends(_states(2, U_SET), 3)
-        assert int(left @ right) == 40
+        assert _midpoint(_states(2, U_SET), 3) == 40
         assert count_via_transfer(2, 3, U_SET) == 36 == count_by_enumeration(
             2, 3, U_SET)
 
@@ -287,8 +288,8 @@ class TestMidpoint:
         (lambda: colour_split_count(5, 8), 2 * 4),
         # the array frontier sweep steps once per cell, from an empty
         # column 0
-        (lambda: frontier._array_count(4, 7), 4 * 4),
-        (lambda: frontier._array_count(4, 8), 5 * 4),
+        (lambda: frontier._midpoint(frontier._array_columns(4), 7), 4 * 4),
+        (lambda: frontier._midpoint(frontier._array_columns(4), 8), 5 * 4),
     ])
     def test_sweeps_to_the_middle_column_only(self, monkeypatch, run, steps):
         calls = []
@@ -427,7 +428,7 @@ class TestSweep:
     @pytest.mark.parametrize("run,steps", [
         (lambda: count_sequence(5, 6, M_SET), 5),
         (lambda: colour_split_sequence(5, 6), 10),
-        (lambda: frontier._array_sequence(4, 3), 12),
+        (lambda: frontier._sequence(frontier._array_columns(4), 3), 12),
         (lambda: tiling_sequence(3, 4), 4),
         (lambda: count_independent_sets(split_by_color(3, 4)[0]), 4),
     ])
@@ -484,6 +485,16 @@ class TestColourSplit:
         black, white = colour_split_sequence(14, 20)
         assert black[20] * white[20] == count_via_transfer(14, 20, M_SET)
 
+    def test_the_black_sweep_is_let_go_before_the_white_one(self):
+        """The white sweep starts only when drawn, so once its reader is
+        done the black sweep's last state is not held through it."""
+        sweeps = transfer._colour_sweeps(6)
+        black = next(sweeps)
+        last = weakref.ref(next(islice(black, 3, None)))
+        del black
+        next(sweeps)
+        assert last() is None
+
     def test_thirty_rows_equal_the_four_row_formula(self):
         # the 30-by-4 board is the transposed 4-by-30 one
         black, white = colour_split_sequence(30, 4)
@@ -517,10 +528,12 @@ class TestIsolatedSequence:
         # up to the frontier guard's 30 rows
         for m in range(23, 31):
             n_max = 2 if m == 30 else 3
-            assert frontier._array_sequence(m, n_max) == [1] + [
+            swept = frontier._sequence(frontier._array_columns(m), n_max)
+            assert swept == [1] + [
                 closed_form_L(n, m) for n in range(1, n_max + 1)], m
         # the bijection: L(25, 4) counts the tilings of a 5-by-26 board
-        assert frontier._array_sequence(25, 4)[4] == count_tilings(5, 26)
+        assert (frontier._sequence(frontier._array_columns(25), 4)[4]
+                == count_tilings(5, 26))
 
     def test_frontier_counts(self):
         assert [isolated_frontiers(m) for m in (14, 20, 30, 31)] == [
